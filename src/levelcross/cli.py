@@ -10,6 +10,7 @@ the command line win.  Config keys use the option names, with '_' and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -29,14 +30,9 @@ from .models import model_from_params
 from .propagator import PropagatorSettings, propagate, propagate_trace
 from .znt import fit_parameters, glancing_double_crossing, glancing_tunneling, znt_phase_estimate
 
-_SETTINGS_KEYS = (
-    "rel-tol",
-    "abs-tol",
-    "asymptotic-ratio",
-    "convergence-tol",
-    "max-span-doublings",
-    "tail-cutoff",
-)
+# every PropagatorSettings field is a float option on sweep and propagate
+_SETTINGS_FIELDS = tuple(f.name for f in dataclasses.fields(PropagatorSettings))
+_SETTINGS_KEYS = tuple(name.replace("_", "-") for name in _SETTINGS_FIELDS)
 
 # long options each subcommand accepts from a config file
 _SUB_KEYS = {
@@ -103,26 +99,13 @@ def _merge_config(argv: list[str], config: dict[str, str]) -> list[str]:
 
 
 def _add_settings_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--rel-tol", type=float, default=None)
-    sp.add_argument("--abs-tol", type=float, default=None)
-    sp.add_argument("--asymptotic-ratio", type=float, default=None)
-    sp.add_argument("--convergence-tol", type=float, default=None)
-    sp.add_argument("--max-span-doublings", type=int, default=None)
-    sp.add_argument("--tail-cutoff", type=float, default=None)
+    for key in _SETTINGS_KEYS:
+        sp.add_argument(f"--{key}", type=float, default=None)
 
 
 def _settings_from_args(args: argparse.Namespace) -> PropagatorSettings:
     overrides = {
-        name: getattr(args, name)
-        for name in (
-            "rel_tol",
-            "abs_tol",
-            "asymptotic_ratio",
-            "convergence_tol",
-            "max_span_doublings",
-            "tail_cutoff",
-        )
-        if getattr(args, name) is not None
+        name: getattr(args, name) for name in _SETTINGS_FIELDS if getattr(args, name) is not None
     }
     return PropagatorSettings(**overrides)
 
@@ -164,9 +147,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     result = propagate(model, settings)
     print(f"probability = {result.probability:.17g}")
     print(f"final_norm_drift = {result.final_norm_drift:.17g}")
-    print(f"span_used = {result.span_used:.17g}")
-    print(f"doublings_used = {result.doublings_used}")
-    print(f"converged = {result.converged}")
+    print(f"t_core = {result.t_core:.17g}")
     if args.trace is not None:
         samples = propagate_trace(model, settings, args.samples)
         with open(args.trace, "w", encoding="ascii", newline="") as fh:

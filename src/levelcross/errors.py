@@ -25,8 +25,8 @@ class LevelCrossError(Exception):
 
 
 class BranchFailure(LevelCrossError):
-    """Tunneling-branch square root turned negative; the closed-form
-    formulas have left their domain of applicability."""
+    """The tunneling-branch closed form left its analytic or numeric
+    domain: a square root turned negative or an exponential overflowed."""
 
 
 class DegenerateGeometry(LevelCrossError):
@@ -40,7 +40,7 @@ class BracketingError(LevelCrossError):
 
 
 class NonConvergence(LevelCrossError):
-    """Span doubling exhausted without the probability settling."""
+    """The tail handover point, where |gamma/(2W)| meets the cutoff, was not found."""
 
 
 class ToleranceFailure(LevelCrossError):

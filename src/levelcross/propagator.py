@@ -53,45 +53,30 @@ __all__ = [
 class PropagatorSettings:
     """Integration controls.
 
-    asymptotic_ratio R fixes the endpoint rule |eps(T)| >= R * V; the
-    span is doubled until the probability moves by less than
-    convergence_tol.  tail_cutoff is the |gamma/(2W)| level at which the
-    ODE window hands over to the integrated-by-parts tail.
+    rel_tol and abs_tol are the DOP853 step-controller tolerances.
+    tail_cutoff is the |gamma/(2W)| level at which the ODE window hands
+    over to the integrated-by-parts tail; it alone fixes the window, so
+    each propagation is one solve on [-t_core, t_core].
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    asymptotic_ratio: float = 100.0
-    convergence_tol: float = 1e-6
-    max_span_doublings: int = 8
     tail_cutoff: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0 and self.convergence_tol > 0.0):
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if not self.asymptotic_ratio > 1.0:
-            raise ValueError(f"asymptotic_ratio must exceed 1, got {self.asymptotic_ratio!r}")
         if not (0.0 < self.tail_cutoff < 1e-2):
             raise ValueError(f"tail_cutoff must lie in (0, 1e-2), got {self.tail_cutoff!r}")
 
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Final probability plus convergence diagnostics."""
+    """Final probability plus diagnostics; t_core is the half-width integrated."""
 
     probability: float
     final_norm_drift: float
-    span_used: float
-    doublings_used: int
-    converged: bool
-
-
-def _span(model: DiabaticModel, ratio: float) -> float:
-    # endpoint rule |eps(T)| >= ratio * V, floored at T_min = 5
-    if isinstance(model, Superparabolic):
-        return max(5.0, (ratio * model.alpha) ** (1.0 / model.N))
-    need = max(0.0, 2.0 * ratio * model.V0 + model.B)
-    return max(5.0, math.sqrt(need / model.A))
+    t_core: float
 
 
 def _half_coupling_ratio(model: DiabaticModel, t: float) -> float:
@@ -240,51 +225,26 @@ def _solve_window(
     )
 
 
-def _converged_window(
-    model: DiabaticModel,
-    settings: PropagatorSettings,
-    dense: bool = False,
-    start_upper: bool = False,
-) -> tuple[_WindowSolution, float, int]:
-    """Span-doubling loop; returns (window, nominal span, doublings used)."""
-    base = _span(model, settings.asymptotic_ratio)
-    t_tail = _tail_point(model, settings.tail_cutoff)
-    win: _WindowSolution | None = None
-    for doubling in range(settings.max_span_doublings + 1):
-        span = base * 2.0**doubling
-        t_core = min(span, t_tail)
-        if win is not None and t_core == win.t_core:
-            # window unchanged: the tail already covers the added span and
-            # the completed readout is bit-identical
-            return win, span, doubling
-        prev = win
-        win = _solve_window(model, settings, t_core, dense=dense, start_upper=start_upper)
-        if prev is not None and abs(win.probability - prev.probability) < settings.convergence_tol:
-            return win, span, doubling
-    raise NonConvergence(
-        f"probability did not settle within {settings.max_span_doublings} span doublings"
-    )
-
-
 def propagate(model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()) -> PropagationResult:
     """Transition probability P = |c1(+inf)|^2 starting from |c2(-inf)|^2 = 1."""
-    win, span, doublings = _converged_window(model, settings)
+    win = _solve_window(model, settings, _tail_point(model, settings.tail_cutoff))
     return PropagationResult(
         probability=win.probability,
         final_norm_drift=win.norm_drift,
-        span_used=span,
-        doublings_used=doublings,
-        converged=True,
+        t_core=win.t_core,
     )
 
 
 def _mixing_half_angle(model: DiabaticModel, t: float) -> tuple[float, float]:
-    # cos(theta/2), sin(theta/2) of the adiabatic mixing angle theta = atan2(V, eps)
+    # cos(theta/2), sin(theta/2) of the adiabatic mixing angle theta = atan2(V, eps);
+    # for eps < 0 the half angle comes from pi - theta = atan2(V, -eps), so the
+    # small cosine does not inherit the rounding of theta near pi
     eps, v = diabatic(model, t)
-    w = math.hypot(eps, v)
-    c = math.sqrt(0.5 * (1.0 + eps / w))
-    s = math.sqrt(0.5 * (1.0 - eps / w))
-    return c, s
+    if eps >= 0.0:
+        half = 0.5 * math.atan2(v, eps)
+        return math.cos(half), math.sin(half)
+    half = 0.5 * math.atan2(v, -eps)
+    return math.sin(half), math.cos(half)
 
 
 def propagate_trace(
@@ -292,10 +252,10 @@ def propagate_trace(
     settings: PropagatorSettings = PropagatorSettings(),
     sample_count: int = 512,
 ) -> list[tuple[float, float, float, float]]:
-    """Uniformly sampled (t, |c1|^2, |c2|^2, norm) along the converged window."""
+    """Uniformly sampled (t, |c1|^2, |c2|^2, norm) along the integrated window."""
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count!r}")
-    win, _, _ = _converged_window(model, settings, dense=True)
+    win = _solve_window(model, settings, _tail_point(model, settings.tail_cutoff), dense=True)
     ts = np.linspace(-win.t_core, win.t_core, sample_count)
     out = []
     for t in ts:
@@ -321,8 +281,7 @@ def _propagate_diabatic(
     dynamical phase: i dc/dt = H c with H = [[eps, V], [V, -eps]].
     Kept as an independently-structured oracle for the primary route.
     """
-    base = _span(model, settings.asymptotic_ratio)
-    t_core = min(base, _tail_point(model, settings.tail_cutoff))
+    t_core = _tail_point(model, settings.tail_cutoff)
     lam_half = _phase_half(model, t_core)
     coeff = _tail_coefficient(model, t_core)
     j_in = cmath.exp(2j * lam_half) * coeff

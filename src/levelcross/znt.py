@@ -132,7 +132,8 @@ def tunneling_probability(a_sq: float, sigma: float, delta: float) -> float:
     """Tunneling branch: 4 p (1-p) sin^2(arg U1) with the heuristic Stokes constant.
 
     Raises BranchFailure when the Im U1 radicand turns negative, the
-    regime where these formulas stop making sense.
+    regime where these formulas stop making sense, and when e^(2 sigma)
+    or B(sigma/pi) overflows a float.
     """
     if not (a_sq > 0.0):
         raise ValueError(f"a_sq must be positive, got {a_sq!r}")
@@ -142,10 +143,15 @@ def tunneling_probability(a_sq: float, sigma: float, delta: float) -> float:
         raise ValueError(f"delta must be positive, got {delta!r}")
     g1 = 1.8 * a_sq**0.23 * math.exp(-delta)
     g2 = 3.0 * sigma / (math.pi * delta) * math.log(1.2 + a_sq) - 1.0 / a_sq
-    big_b = tunneling_B(sigma / math.pi)
+    try:
+        big_b = tunneling_B(sigma / math.pi)
+        e2s = math.exp(2.0 * sigma)
+    except OverflowError as exc:
+        raise BranchFailure(
+            f"overflow ({exc}) at sigma={sigma}, delta={delta}, a_sq={a_sq}"
+        ) from exc
     sin_s = math.sin(sigma)
     cos_s = math.cos(sigma)
-    e2s = math.exp(2.0 * sigma)
     denom = 1.0 + big_b * e2s - g2 * sin_s * sin_s
     if denom <= 1.0:
         raise ValueError(

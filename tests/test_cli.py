@@ -9,6 +9,8 @@ import pytest
 from levelcross.cli import main
 from levelcross.ddp import ddp_probability
 from levelcross.harness import SweepRow, parse_sweep_csv, write_sweep_csv
+from levelcross.models import Superparabolic
+from levelcross.propagator import _tail_point
 from levelcross.specialfn import PARABOLIC_C
 
 
@@ -28,8 +30,8 @@ class TestPropagate:
         assert rc == 0
         vals = _values(capsys.readouterr().out)
         assert float(vals["probability"]) == pytest.approx(0.3392589574803294, rel=1e-9)
-        assert vals["converged"] == "True"
         assert float(vals["final_norm_drift"]) < 1e-9
+        assert float(vals["t_core"]) == _tail_point(Superparabolic(2, 1.0), 1e-6)
 
     def test_parabolic(self, capsys):
         rc = main(
@@ -54,12 +56,19 @@ class TestPropagate:
 
     def test_settings_flags(self, capsys):
         rc = main(
-            ["propagate", "--N", "2", "--alpha", "1.0", "--asymptotic-ratio", "400",
-             "--convergence-tol", "1e-8"]
+            ["propagate", "--N", "2", "--alpha", "1.0", "--tail-cutoff", "1e-7",
+             "--rel-tol", "1e-11"]
         )
         assert rc == 0
         vals = _values(capsys.readouterr().out)
         assert float(vals["probability"]) == pytest.approx(0.3392589574803294, abs=1e-7)
+        assert float(vals["t_core"]) == _tail_point(Superparabolic(2, 1.0), 1e-7)
+
+    def test_removed_settings_flags_rejected(self, capsys):
+        for flag in ("--asymptotic-ratio", "--convergence-tol", "--max-span-doublings"):
+            with pytest.raises(SystemExit) as exc:
+                main(["propagate", "--N", "2", "--alpha", "1.0", flag, "4"])
+            assert exc.value.code == 2
 
     def test_missing_model_params(self, capsys):
         rc = main(["propagate", "--model", "superparabolic", "--alpha", "1.0"])
@@ -112,6 +121,11 @@ class TestSmallCommands:
         assert rc == 1
         assert "BranchFailure" in capsys.readouterr().err
 
+    def test_znt_tunnel_overflow_exit_code(self, capsys):
+        rc = main(["znt", "--branch", "tunnel", "--N", "2", "--alpha", "50"])
+        assert rc == 1
+        assert "BranchFailure" in capsys.readouterr().err
+
     def test_znt_domain_failure_exit_code(self, capsys):
         rc = main(["znt", "--branch", "tunnel", "--N", "10", "--alpha", "0.30"])
         assert rc == 2
@@ -147,6 +161,20 @@ class TestSweepCommand:
         assert rc == 0
         rows, _ = parse_sweep_csv(out.read_text(encoding="ascii"))
         assert [r.n for r in rows] == [2, 2, 6, 6]
+
+    def test_tunnel_overflow_cells_recorded(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(
+            ["sweep", "--N", "2", "--alpha-min", "1", "--alpha-max", "200", "--points", "5",
+             "--methods", "ddp,znt-tunnel", "--out", str(out)]
+        )
+        assert rc == 0
+        rows, _ = parse_sweep_csv(out.read_text(encoding="ascii"))
+        assert len(rows) == 5
+        assert all(r.values["ddp"] is not None for r in rows)
+        overflowed = [r for r in rows if r.alpha > 50.0]
+        assert overflowed
+        assert all(r.status == "znt-tunnel:BranchFailure" for r in overflowed)
 
     def test_rejects_parabolic(self, tmp_path, capsys):
         rc = main(

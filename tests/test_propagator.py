@@ -1,4 +1,4 @@
-"""Propagator tests: window/tail machinery, convergence loop, trace output.
+"""Propagator tests: window/tail machinery, single window solve, trace output.
 
 The cross-check oracle for the main integrator is a second integrator in
 the plain diabatic basis (different formulation, different error
@@ -12,16 +12,16 @@ import math
 import numpy as np
 import pytest
 
+import levelcross.propagator as propagator
 from levelcross.ddp import ddp_parabolic_closed_form
-from levelcross.errors import NonConvergence
 from levelcross.models import Parabolic, Superparabolic, diabatic
 from levelcross.propagator import (
     PropagationResult,
     PropagatorSettings,
-    _converged_window,
     _half_coupling_ratio,
+    _mixing_half_angle,
     _propagate_diabatic,
-    _span,
+    _solve_window,
     _tail_coefficient,
     _tail_point,
     propagate,
@@ -39,19 +39,13 @@ class TestSettings:
         s = PropagatorSettings()
         assert s.rel_tol == 1e-10
         assert s.abs_tol == 1e-12
-        assert s.asymptotic_ratio == 100.0
-        assert s.convergence_tol == 1e-6
-        assert s.max_span_doublings == 8
+        assert s.tail_cutoff == 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PropagatorSettings(rel_tol=0.0)
         with pytest.raises(ValueError):
             PropagatorSettings(abs_tol=-1e-12)
-        with pytest.raises(ValueError):
-            PropagatorSettings(convergence_tol=0.0)
-        with pytest.raises(ValueError):
-            PropagatorSettings(asymptotic_ratio=1.0)
         with pytest.raises(ValueError):
             PropagatorSettings(tail_cutoff=0.0)
         with pytest.raises(ValueError):
@@ -63,15 +57,6 @@ class TestSettings:
 
 
 class TestSpanAndTail:
-    def test_superparabolic_endpoint_rule(self):
-        # |eps(T)| = T^N >= R alpha, floored at 5
-        assert _span(Superparabolic(2, 1.0), 100.0) == 10.0
-        assert _span(Superparabolic(6, 0.5), 100.0) == 5.0
-
-    def test_parabolic_endpoint_rule(self):
-        assert _span(Parabolic(1.0, 0.0, 1.0), 100.0) == pytest.approx(math.sqrt(200.0))
-        assert _span(Parabolic(1.0, -300.0, 1.0), 100.0) == 5.0
-
     def test_half_coupling_ratio(self):
         m = Superparabolic(2, 1.0)
         t = 3.0
@@ -144,7 +129,6 @@ class TestPropagate:
     def test_vanishing_coupling(self):
         r = propagate(Parabolic(1.0, 0.0, 1e-9))
         assert r.probability < 1e-12
-        assert r.converged
 
     def test_adiabatic_regime_matches_coherent_sum(self):
         p_num = propagate(Superparabolic(2, 2.5)).probability
@@ -158,10 +142,8 @@ class TestPropagate:
         r = result_n2_unit
         assert isinstance(r, PropagationResult)
         assert 0.0 <= r.probability <= 1.0
-        assert r.converged is True
         assert r.final_norm_drift < 1e-9
-        assert r.span_used >= 10.0
-        assert r.doublings_used >= 1
+        assert r.t_core == _tail_point(Superparabolic(2, 1.0), PropagatorSettings().tail_cutoff)
 
     def test_basis_agreement_grid(self):
         # the invariant grid: two formulations, error < 1e-6 (observed ~1e-9)
@@ -180,33 +162,65 @@ class TestPropagate:
         assert r_dn.probability == pytest.approx(2.9890030649184634e-6, rel=1e-8)
         assert abs(r_up.probability - _propagate_diabatic(Parabolic(1.0, 4.0, 1.0))) < 1e-6
 
-    def test_span_sufficiency(self, result_n2_unit):
-        r400 = propagate(Superparabolic(2, 1.0), PropagatorSettings(asymptotic_ratio=400.0))
-        assert abs(r400.probability - result_n2_unit.probability) < 1e-6
+    def test_window_sufficiency(self, result_n2_unit):
+        # a later handover (longer window, smaller tail) must not move P
+        r = propagate(Superparabolic(2, 1.0), PropagatorSettings(tail_cutoff=1e-7))
+        assert r.t_core > result_n2_unit.t_core
+        assert abs(r.probability - result_n2_unit.probability) < 1e-9
 
     def test_time_reversal_s_matrix(self):
         # starting on the upper level and reading the lower one must give
         # the same transition probability (two-level S-matrix symmetry)
+        settings = PropagatorSettings()
         for m in (Superparabolic(2, 1.0), Superparabolic(6, 0.5)):
-            fwd, _, _ = _converged_window(m, PropagatorSettings())
-            rev, _, _ = _converged_window(m, PropagatorSettings(), start_upper=True)
+            t_core = _tail_point(m, settings.tail_cutoff)
+            fwd = _solve_window(m, settings, t_core)
+            rev = _solve_window(m, settings, t_core, start_upper=True)
             assert abs(fwd.probability - rev.probability) < 1e-8
 
-    def test_budget_exhaustion_raises(self):
-        bad = PropagatorSettings(asymptotic_ratio=2.0, tail_cutoff=1e-9, max_span_doublings=0)
-        with pytest.raises(NonConvergence):
-            propagate(Superparabolic(2, 1.0), bad)
 
-    def test_saturated_window_reused(self, result_n2_unit):
-        # with an unreachable tolerance the loop must still exit once the
-        # core window saturates at the tail handover point
-        r = propagate(Superparabolic(2, 1.0), PropagatorSettings(convergence_tol=1e-15))
-        assert r.converged
-        assert r.probability == pytest.approx(result_n2_unit.probability, abs=1e-12)
+@pytest.fixture()
+def count_solves(monkeypatch):
+    calls = []
+    real = propagator.solve_ivp
 
-    def test_loose_tolerance_converges_early(self):
-        r = propagate(Superparabolic(2, 1.0), PropagatorSettings(convergence_tol=0.5))
-        assert r.doublings_used == 1
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "solve_ivp", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: propagate(Superparabolic(2, 1.0)),
+        lambda: propagate(Parabolic(1.0, 4.0, 1.0)),
+        lambda: propagate_trace(Superparabolic(2, 1.0), sample_count=8),
+    ],
+    ids=["superparabolic", "parabolic", "trace"],
+)
+def test_one_solve_per_propagation(count_solves, run):
+    run()
+    assert len(count_solves) == 1
+
+
+class TestMixingHalfAngle:
+    def test_no_cancellation_far_below_crossing(self):
+        # eps = -5e5, V = 1e-3: theta sits 2e-9 below pi, cos(theta/2) = 1e-9
+        c, s = _mixing_half_angle(Parabolic(1.0, 1e6, 1e-3), 0.0)
+        assert c == pytest.approx(1e-9, rel=1e-12)
+        assert abs(c * c + s * s - 1.0) <= 1e-15
+
+    def test_matches_atan2_angle(self):
+        for m, t in ((Superparabolic(2, 1.0), 0.3), (Parabolic(1.0, 4.0, 1.0), 0.5),
+                     (Parabolic(1.0, 4.0, 1.0), 3.0)):
+            eps, v = diabatic(m, t)
+            half = 0.5 * math.atan2(v, eps)
+            c, s = _mixing_half_angle(m, t)
+            assert c == pytest.approx(math.cos(half), rel=1e-13)
+            assert s == pytest.approx(math.sin(half), rel=1e-13)
 
 
 @pytest.fixture(scope="module")

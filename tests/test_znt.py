@@ -187,6 +187,11 @@ class TestTunneling:
         with pytest.raises(BranchFailure):
             glancing_tunneling(6, 0.36)
 
+    def test_overflow_is_branch_failure(self):
+        # e^(2 sigma) leaves the float range once alpha > ~44 at N = 2
+        with pytest.raises(BranchFailure, match="sigma=.*delta=.*a_sq="):
+            glancing_tunneling(2, 50.0)
+
     def test_domain_failure_below_bands(self):
         with pytest.raises(ValueError):
             glancing_tunneling(10, 0.30)
