@@ -148,6 +148,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     print(f"probability = {result.probability:.17g}")
     print(f"final_norm_drift = {result.final_norm_drift:.17g}")
     print(f"t_core = {result.t_core:.17g}")
+    print(f"tail_error = {result.tail_error:.17g}")
     if args.trace is not None:
         samples = propagate_trace(model, settings, args.samples)
         with open(args.trace, "w", encoding="ascii", newline="") as fh:

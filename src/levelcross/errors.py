@@ -25,8 +25,8 @@ class LevelCrossError(Exception):
 
 
 class BranchFailure(LevelCrossError):
-    """The tunneling-branch closed form left its analytic or numeric
-    domain: a square root turned negative or an exponential overflowed."""
+    """The tunneling-branch closed form left its analytic domain: the
+    Im U1 radicand turned negative."""
 
 
 class DegenerateGeometry(LevelCrossError):

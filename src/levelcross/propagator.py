@@ -8,15 +8,19 @@ and lower instantaneous levels obey
     db-/dt = +gamma(t) e^{-2i Lam} b+,
 
 so the integrand decays like the coupling (t^-(N+1)) instead of
-oscillating with the full dynamical phase.  The ODE window is cut where
-|gamma/(2W)| falls below settings.tail_cutoff; beyond the cut the
-remaining coupling integral
+oscillating with the full dynamical phase.  Beyond the ODE window
+[-T, T] the remaining coupling integral
 
     J(T) = int_T^inf gamma e^{2i Lam} dt
          = e^{2i Lam(T)} (-v0 + v1 - v2) + O(v3),
     v0 = gamma/(2iW),  v_{m+1} = v_m' / (2iW),
 
-is summed by repeated integration by parts.  J both prepares the state
+is summed by repeated integration by parts (a superadiabatic series,
+Berry 1990).  Its error is the first omitted term |v3|, estimated from
+consecutive terms as max(|v2|^2/|v1|, |v1|^3/|v0|^2).  The window ends
+at the first point of a x1.01 scan from the floor past the level
+structure where the terms already decrease, |v0| > |v1| > |v2|, and that
+estimate is at most settings.tail_tol.  J both prepares the state
 at -T (gamma odd and Lam odd give int_{-inf}^{-T} gamma e^{2i Lam}
 = -conj(J(T))) and completes the readout to t = +inf through the exactly
 unitary map
@@ -39,7 +43,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import NonConvergence, ToleranceFailure
-from .models import DiabaticModel, Parabolic, Superparabolic, diabatic
+from .models import DiabaticModel, Superparabolic, diabatic
 
 __all__ = [
     "PropagatorSettings",
@@ -54,60 +58,38 @@ class PropagatorSettings:
     """Integration controls.
 
     rel_tol and abs_tol are the DOP853 step-controller tolerances.
-    tail_cutoff is the |gamma/(2W)| level at which the ODE window hands
-    over to the integrated-by-parts tail; it alone fixes the window, so
-    each propagation is one solve on [-t_core, t_core].
+    tail_tol bounds the estimated first omitted term |v3| of the
+    integrated-by-parts tail at the handover point t_core; it alone fixes
+    the window, so each propagation is one solve on [-t_core, t_core].
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    tail_cutoff: float = 1e-6
+    tail_tol: float = 3e-12
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if not (0.0 < self.tail_cutoff < 1e-2):
-            raise ValueError(f"tail_cutoff must lie in (0, 1e-2), got {self.tail_cutoff!r}")
+        if not (0.0 < self.tail_tol < 1e-6):
+            raise ValueError(f"tail_tol must lie in (0, 1e-6), got {self.tail_tol!r}")
 
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Final probability plus diagnostics; t_core is the half-width integrated."""
+    """Final probability plus diagnostics.
+
+    t_core is the half-width integrated; tail_error is the estimated
+    first omitted tail term |v3| at t_core (see _tail_error).
+    """
 
     probability: float
     final_norm_drift: float
     t_core: float
+    tail_error: float
 
 
-def _half_coupling_ratio(model: DiabaticModel, t: float) -> float:
-    # |v0| = gamma/(2W) at t > 0
-    eps, v = diabatic(model, t)
-    if isinstance(model, Superparabolic):
-        deps = model.N * t ** (model.N - 1)
-    else:
-        deps = model.A * t
-    s = eps * eps + v * v
-    return v * deps / (4.0 * s**1.5)
-
-
-def _tail_point(model: DiabaticModel, cutoff: float) -> float:
-    """Smallest convenient t with gamma/(2W) <= cutoff, past all structure."""
-    if isinstance(model, Superparabolic):
-        guess = (model.N * model.alpha / (4.0 * cutoff)) ** (1.0 / (2 * model.N + 1))
-        floor = 2.0 * model.alpha ** (1.0 / model.N)
-    else:
-        guess = (2.0 * model.V0 / (model.A * model.A * cutoff)) ** 0.2
-        floor = 2.0 * math.sqrt(max(model.B, 0.0) / model.A + 1.0)
-    t = max(guess, floor, 1.5)
-    for _ in range(200):
-        if _half_coupling_ratio(model, t) <= cutoff:
-            return t
-        t *= 1.25
-    raise NonConvergence(f"could not locate tail handover point for {model!r}")
-
-
-def _tail_coefficient(model: DiabaticModel, t: float) -> complex:
-    """(-v0 + v1 - v2) at t, from closed-form derivatives of gamma/(2iW)."""
+def _tail_terms(model: DiabaticModel, t: float) -> tuple[complex, float, complex]:
+    """v0, v1, v2 at t > 0, from closed-form derivatives of gamma/(2iW)."""
     if isinstance(model, Superparabolic):
         n, a = model.N, model.alpha
         s = t ** (2 * n) + a * a
@@ -127,8 +109,48 @@ def _tail_coefficient(model: DiabaticModel, t: float) -> complex:
         dv1 = (v * big_a * big_a / 8.0) * (
             (10.0 * t * eps + 3.0 * big_a * t**3) / s**3 - 18.0 * big_a * t**3 * eps * eps / s**4
         )
-    v2 = -0.5j * dv1 / math.sqrt(s)
+    return v0, v1, -0.5j * dv1 / math.sqrt(s)
+
+
+def _tail_coefficient(model: DiabaticModel, t: float) -> complex:
+    """(-v0 + v1 - v2) at t, so that J(t) = e^{2i Lam(t)} (-v0 + v1 - v2) + O(v3)."""
+    v0, v1, v2 = _tail_terms(model, t)
     return -v0 + v1 - v2
+
+
+def _tail_error(model: DiabaticModel, t: float) -> float:
+    """Estimated first omitted tail term |v3|.
+
+    Infinite until the terms decrease, |v0| > |v1| > |v2|: before that
+    the series is not yet asymptotic and a ratio estimates nothing.  Past
+    it, the larger of the two ratio estimates |v2|^2/|v1| and
+    |v1|^3/|v0|^2: each falls to zero where its own term changes sign,
+    and both cannot do so at once, since a zero of v1 breaks |v1| > |v2|.
+    """
+    a0, a1, a2 = (abs(v) for v in _tail_terms(model, t))
+    if not a0 > a1 > a2:
+        return math.inf
+    return max(a2 * a2 / a1, a1**3 / (a0 * a0))
+
+
+def _tail_point(model: DiabaticModel, tol: float) -> float:
+    """First point t of a x1.01 scan from the floor past all level
+    structure with _tail_error(t) <= tol.
+
+    The 1% step keeps the window within 1% of the first passing point, which
+    matters at large N, where the phase 2W ~ 2 t^N oscillates fastest at the
+    window ends; each scan point costs a few closed-form terms, not ODE steps.
+    """
+    if isinstance(model, Superparabolic):
+        floor = 2.0 * model.alpha ** (1.0 / model.N)
+    else:
+        floor = 2.0 * math.sqrt(max(model.B, 0.0) / model.A + 1.0)
+    t = max(floor, 1.5)
+    for _ in range(2000):
+        if _tail_error(model, t) <= tol:
+            return t
+        t *= 1.01
+    raise NonConvergence(f"could not locate tail handover point for {model!r}")
 
 
 def _phase_half(model: DiabaticModel, t_core: float) -> float:
@@ -175,9 +197,6 @@ def _make_rhs(model: DiabaticModel):
 class _WindowSolution:
     probability: float
     norm_drift: float
-    t_core: float
-    lam_half: float
-    tail_coeff: complex
     solution: object = field(repr=False, default=None)
 
 
@@ -218,20 +237,19 @@ def _solve_window(
     return _WindowSolution(
         probability=min(max(p, 0.0), 1.0),
         norm_drift=drift,
-        t_core=t_core,
-        lam_half=lam_half,
-        tail_coeff=coeff,
         solution=sol,
     )
 
 
 def propagate(model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()) -> PropagationResult:
     """Transition probability P = |c1(+inf)|^2 starting from |c2(-inf)|^2 = 1."""
-    win = _solve_window(model, settings, _tail_point(model, settings.tail_cutoff))
+    t_core = _tail_point(model, settings.tail_tol)
+    win = _solve_window(model, settings, t_core)
     return PropagationResult(
         probability=win.probability,
         final_norm_drift=win.norm_drift,
-        t_core=win.t_core,
+        t_core=t_core,
+        tail_error=_tail_error(model, t_core),
     )
 
 
@@ -247,16 +265,35 @@ def _mixing_half_angle(model: DiabaticModel, t: float) -> tuple[float, float]:
     return math.sin(half), math.cos(half)
 
 
+# largest mixing angle atan2(V, eps) at the end of a trace window
+_TRACE_MIXING_ANGLE = 1e-2
+
+
+def _mixing_point(model: DiabaticModel, theta: float) -> float:
+    """Smallest t >= 0 past which atan2(V, eps) <= theta, from eps(t) >= V/tan(theta)."""
+    if isinstance(model, Superparabolic):
+        return (model.alpha / math.tan(theta)) ** (1.0 / model.N)
+    return math.sqrt(max(2.0 * model.V0 / math.tan(theta) + model.B, 0.0) / model.A)
+
+
 def propagate_trace(
     model: DiabaticModel,
     settings: PropagatorSettings = PropagatorSettings(),
     sample_count: int = 512,
 ) -> list[tuple[float, float, float, float]]:
-    """Uniformly sampled (t, |c1|^2, |c2|^2, norm) along the integrated window."""
+    """Uniformly sampled (t, |c1|^2, |c2|^2, norm) along the integrated window.
+
+    The samples are diabatic populations, which differ from the adiabatic
+    ones by about theta/2 for the mixing angle theta = atan2(V, eps).  The
+    window therefore ends at the handover point or where theta = 1e-2,
+    whichever is later, so that the last sample is within about 5e-3 of
+    the asymptotic P.
+    """
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count!r}")
-    win = _solve_window(model, settings, _tail_point(model, settings.tail_cutoff), dense=True)
-    ts = np.linspace(-win.t_core, win.t_core, sample_count)
+    t_core = max(_tail_point(model, settings.tail_tol), _mixing_point(model, _TRACE_MIXING_ANGLE))
+    win = _solve_window(model, settings, t_core, dense=True)
+    ts = np.linspace(-t_core, t_core, sample_count)
     out = []
     for t in ts:
         bp, bm, lam = win.solution.sol(t)
@@ -281,7 +318,7 @@ def _propagate_diabatic(
     dynamical phase: i dc/dt = H c with H = [[eps, V], [V, -eps]].
     Kept as an independently-structured oracle for the primary route.
     """
-    t_core = _tail_point(model, settings.tail_cutoff)
+    t_core = _tail_point(model, settings.tail_tol)
     lam_half = _phase_half(model, t_core)
     coeff = _tail_coefficient(model, t_core)
     j_in = cmath.exp(2j * lam_half) * coeff

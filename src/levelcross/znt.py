@@ -121,19 +121,27 @@ def double_crossing_probability(a_sq: float, b_sq: float, sigma: float, delta: f
     return 4.0 * p * (1.0 - p) * math.sin(psi) ** 2
 
 
-def tunneling_B(x: float) -> float:
-    """B(x) = 2 pi x^(2x) / (x Gamma(x)^2) (not the Beta function)."""
+def _log_tunneling_B(x: float) -> float:
     if not (x > 0.0):
         raise ValueError(f"x must be positive, got {x!r}")
-    return 2.0 * math.pi * math.exp((2.0 * x - 1.0) * math.log(x) - 2.0 * log_gamma(x))
+    return math.log(2.0 * math.pi) + (2.0 * x - 1.0) * math.log(x) - 2.0 * log_gamma(x)
+
+
+def tunneling_B(x: float) -> float:
+    """B(x) = 2 pi x^(2x) / (x Gamma(x)^2) (not the Beta function)."""
+    return math.exp(_log_tunneling_B(x))
 
 
 def tunneling_probability(a_sq: float, sigma: float, delta: float) -> float:
     """Tunneling branch: 4 p (1-p) sin^2(arg U1) with the heuristic Stokes constant.
 
-    Raises BranchFailure when the Im U1 radicand turns negative, the
-    regime where these formulas stop making sense, and when e^(2 sigma)
-    or B(sigma/pi) overflows a float.
+    Evaluated scale-free in x = 1/(B(sigma/pi) e^(2 sigma)), so that a
+    large sigma underflows x, and P, to 0 instead of overflowing.  As
+    sigma -> 0, p -> 1 and P -> 0: P is 0.0 once p rounds to 1 (sigma
+    below ~5e-17), and sigma < 1e-300, where x would overflow, returns
+    that 0.0 directly.  Raises
+    BranchFailure when the Im U1 radicand turns negative, the regime where
+    these formulas stop making sense.
     """
     if not (a_sq > 0.0):
         raise ValueError(f"a_sq must be positive, got {a_sq!r}")
@@ -143,34 +151,33 @@ def tunneling_probability(a_sq: float, sigma: float, delta: float) -> float:
         raise ValueError(f"delta must be positive, got {delta!r}")
     g1 = 1.8 * a_sq**0.23 * math.exp(-delta)
     g2 = 3.0 * sigma / (math.pi * delta) * math.log(1.2 + a_sq) - 1.0 / a_sq
-    try:
-        big_b = tunneling_B(sigma / math.pi)
-        e2s = math.exp(2.0 * sigma)
-    except OverflowError as exc:
-        raise BranchFailure(
-            f"overflow ({exc}) at sigma={sigma}, delta={delta}, a_sq={a_sq}"
-        ) from exc
+    if sigma < 1e-300:
+        # the sigma -> 0 limit p = 1, P = 0, which p = x/(x + denom) already
+        # rounds to below sigma ~ 5e-17; x itself overflows below ~1e-308
+        return 0.0
+    x = math.exp(-(_log_tunneling_B(sigma / math.pi) + 2.0 * sigma))
     sin_s = math.sin(sigma)
     cos_s = math.cos(sigma)
-    denom = 1.0 + big_b * e2s - g2 * sin_s * sin_s
-    if denom <= 1.0:
+    # p = 1/(1 + B e^(2 sigma) - g2 sin^2 sigma), times x/x
+    denom = 1.0 - g2 * sin_s * sin_s * x
+    if denom <= 0.0:
         raise ValueError(
-            f"single-passage probability left (0, 1): denominator {denom!r} "
+            f"single-passage probability left (0, 1): scaled denominator {denom!r} "
             f"at sigma={sigma}, delta={delta}, a_sq={a_sq}"
         )
-    p = 1.0 / denom
-    sqrt_b = math.sqrt(big_b)
-    re_u1 = cos_s * (sqrt_b * math.exp(sigma) - g1 * sin_s * sin_s * math.exp(-sigma) / sqrt_b)
+    p = x / (x + denom)
+    # Re U1 divided by sqrt(B) e^sigma and the Im U1 radicand by B e^(2 sigma):
+    # both parts of U1 shrink by the same positive factor, so arg U1 is kept
+    re_u1 = cos_s * (1.0 - g1 * sin_s * sin_s * x)
     radicand = (
-        big_b * e2s
-        - g1 * g1 * sin_s * sin_s * cos_s * cos_s / (big_b * e2s)
-        + 2.0 * g1 * cos_s * cos_s
-        - g2
+        1.0
+        - g1 * g1 * sin_s * sin_s * cos_s * cos_s * x * x
+        + (2.0 * g1 * cos_s * cos_s - g2) * x
     )
     if radicand < 0.0:
         raise BranchFailure(
-            f"Im U1 radicand negative ({radicand!r}) at sigma={sigma}, "
-            f"delta={delta}, a_sq={a_sq}"
+            f"Im U1 radicand negative ({radicand!r} in units of B e^(2 sigma)) at "
+            f"sigma={sigma}, delta={delta}, a_sq={a_sq}"
         )
     im_u1 = sin_s * math.sqrt(radicand)
     psi = math.atan2(im_u1, re_u1)

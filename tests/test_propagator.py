@@ -18,12 +18,13 @@ from levelcross.models import Parabolic, Superparabolic, diabatic
 from levelcross.propagator import (
     PropagationResult,
     PropagatorSettings,
-    _half_coupling_ratio,
     _mixing_half_angle,
     _propagate_diabatic,
     _solve_window,
     _tail_coefficient,
+    _tail_error,
     _tail_point,
+    _tail_terms,
     propagate,
     propagate_trace,
 )
@@ -39,41 +40,119 @@ class TestSettings:
         s = PropagatorSettings()
         assert s.rel_tol == 1e-10
         assert s.abs_tol == 1e-12
-        assert s.tail_cutoff == 1e-6
+        assert s.tail_tol == 3e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PropagatorSettings(rel_tol=0.0)
         with pytest.raises(ValueError):
             PropagatorSettings(abs_tol=-1e-12)
-        with pytest.raises(ValueError):
-            PropagatorSettings(tail_cutoff=0.0)
-        with pytest.raises(ValueError):
-            PropagatorSettings(tail_cutoff=0.5)
+        for bad in (0.0, -1e-12, 1e-6, 0.5):
+            with pytest.raises(ValueError):
+                PropagatorSettings(tail_tol=bad)
+        assert PropagatorSettings(tail_tol=1e-15).tail_tol == 1e-15
 
     def test_frozen(self):
         with pytest.raises(Exception):
             PropagatorSettings().rel_tol = 1e-3
 
 
+def _floor(model):
+    if isinstance(model, Superparabolic):
+        return max(2.0 * model.alpha ** (1.0 / model.N), 1.5)
+    return max(2.0 * math.sqrt(max(model.B, 0.0) / model.A + 1.0), 1.5)
+
+
+HANDOVER_MODELS = (
+    Superparabolic(2, 0.2),
+    Superparabolic(2, 1.0),
+    Superparabolic(2, 2.5),
+    Superparabolic(6, 1.0),
+    Superparabolic(10, 0.1),
+    Superparabolic(10, 3.0),
+    Parabolic(1.0, 4.0, 1.0),
+    Parabolic(1.0, -4.0, 1.0),
+    Parabolic(0.5, 2.0, 1.3),
+)
+
+
 class TestSpanAndTail:
-    def test_half_coupling_ratio(self):
+    def test_tail_terms(self):
+        # v0 = gamma/(2iW) from the diabatic quantities, and the estimate
+        # max(|v2|^2/|v1|, |v1|^3/|v0|^2) once the terms decrease
         m = Superparabolic(2, 1.0)
         t = 3.0
         eps, v = diabatic(m, t)
         w2 = eps * eps + v * v
         gamma = v * 2.0 * t / (2.0 * w2)
-        assert _half_coupling_ratio(m, t) == pytest.approx(gamma / (2.0 * math.sqrt(w2)), rel=1e-14)
+        v0, v1, v2 = _tail_terms(m, t)
+        assert v0 == pytest.approx(gamma / (2j * math.sqrt(w2)), rel=1e-14)
+        assert abs(v0) > abs(v1) > abs(v2)
+        a0, a1, a2 = abs(v0), abs(v1), abs(v2)
+        assert _tail_error(m, t) == max(a2 * a2 / a1, a1**3 / (a0 * a0))
+        assert _tail_coefficient(m, t) == -v0 + v1 - v2
 
-    def test_tail_point_meets_cutoff(self):
-        for m in (Superparabolic(2, 1.0), Superparabolic(10, 3.0), Parabolic(0.5, 2.0, 1.3)):
-            for cutoff in (1e-4, 1e-6, 1e-8):
-                t = _tail_point(m, cutoff)
-                assert _half_coupling_ratio(m, t) <= cutoff
+    def test_tail_error_infinite_before_terms_decrease(self):
+        # at t = 0.3 the coupling still rises: |v1| > |v0|
+        m = Superparabolic(2, 1.0)
+        a0, a1, _ = (abs(v) for v in _tail_terms(m, 0.3))
+        assert a1 > a0
+        assert _tail_error(m, 0.3) == math.inf
 
-    def test_tail_point_grows_as_cutoff_shrinks(self):
+    def test_estimate_tracks_third_term(self):
+        # |v3| = |v2'|/(2W) from differences of the closed-form v2, at the
+        # handover point: the estimate is within a factor 2 of it
+        for m in HANDOVER_MODELS + (Parabolic(1.0, -7.6, 1.0), Parabolic(1.0, -10.0, 1.0)):
+            t = _tail_point(m, PropagatorSettings().tail_tol)
+            h = 1e-3 * t
+            dv2 = (_tail_terms(m, t + h)[2] - _tail_terms(m, t - h)[2]) / (2.0 * h)
+            v3 = abs(dv2) / (2.0 * math.hypot(*diabatic(m, t)))
+            assert 0.5 < _tail_error(m, t) / v3 < 2.0
+
+    def test_estimate_survives_sign_change_of_v2(self):
+        # for B < 0, v2 changes sign past the floor t = 2; at B = -7.6 it
+        # does so at t ~ 2, where |v2|^2/|v1| alone would read ~1.5e-11
+        # although |v3| ~ 1.7e-6
+        m = Parabolic(1.0, -7.6, 1.0)
+        a0, a1, a2 = (abs(v) for v in _tail_terms(m, 2.0))
+        assert a2 * a2 / a1 < 3e-11
+        assert _tail_error(m, 2.0) > 1e-7
+        assert _tail_point(m, PropagatorSettings().tail_tol) > 5.0
+
+    def test_tail_point_meets_tolerance(self):
+        for m in HANDOVER_MODELS:
+            for tol in (1e-8, 3e-12, 1e-14):
+                t = _tail_point(m, tol)
+                assert _tail_error(m, t) <= tol
+
+    def test_tail_point_is_first_passing_point(self):
+        # at the scan point before t_core the estimate is still above the
+        # tolerance, unless t_core is the floor itself; past t_core it
+        # keeps falling
+        tol = PropagatorSettings().tail_tol
+        at_floor = 0
+        for m in HANDOVER_MODELS + (Parabolic(1.0, -7.6, 1.0),):
+            t = _tail_point(m, tol)
+            errs = [_tail_error(m, t * (1.0 + 0.01 * k)) for k in range(6)]
+            assert all(later <= earlier for earlier, later in zip(errs, errs[1:]))
+            if t == _floor(m):
+                at_floor += 1
+                continue
+            assert t > _floor(m)
+            assert _tail_error(m, t / 1.01) > tol
+        assert at_floor < len(HANDOVER_MODELS)
+
+    def test_tail_point_never_below_floor(self):
+        tol = PropagatorSettings().tail_tol
+        for alpha in (0.1, 0.3, 1.0, 2.0, 3.0):
+            m = Superparabolic(10, alpha)
+            assert _tail_point(m, tol) >= _floor(m)
+        # at alpha = 3 the floor already passes and is the handover point
+        assert _tail_point(Superparabolic(10, 3.0), tol) == _floor(Superparabolic(10, 3.0))
+
+    def test_tail_point_grows_as_tolerance_shrinks(self):
         m = Superparabolic(6, 1.0)
-        assert _tail_point(m, 1e-8) > _tail_point(m, 1e-4)
+        assert _tail_point(m, 1e-14) > _tail_point(m, 1e-8)
 
 
 def _fd_tail_coefficient(model, t):
@@ -108,20 +187,20 @@ def _fd_tail_coefficient(model, t):
 class TestTailCoefficient:
     def test_matches_finite_differences_superparabolic(self):
         for m in (Superparabolic(2, 1.0), Superparabolic(6, 0.7), Superparabolic(10, 2.0)):
-            t = _tail_point(m, 1e-6)
+            t = _tail_point(m, 1e-8)
             fd = _fd_tail_coefficient(m, t)
             assert _tail_coefficient(m, t) == pytest.approx(fd, rel=1e-5)
 
     def test_matches_finite_differences_parabolic(self):
         for m in (Parabolic(1.0, 0.0, 1.0), Parabolic(1.3, 2.0, 0.8), Parabolic(0.7, -3.0, 1.1)):
-            t = _tail_point(m, 1e-6)
+            t = _tail_point(m, 1e-8)
             fd = _fd_tail_coefficient(m, t)
             assert _tail_coefficient(m, t) == pytest.approx(fd, rel=1e-5)
 
     def test_dominated_by_leading_term(self):
         m = Superparabolic(2, 1.0)
-        t = _tail_point(m, 1e-6)
-        v0 = _half_coupling_ratio(m, t)
+        t = _tail_point(m, PropagatorSettings().tail_tol)
+        v0 = abs(_tail_terms(m, t)[0])
         assert abs(_tail_coefficient(m, t)) == pytest.approx(v0, rel=1e-2)
 
 
@@ -143,7 +222,10 @@ class TestPropagate:
         assert isinstance(r, PropagationResult)
         assert 0.0 <= r.probability <= 1.0
         assert r.final_norm_drift < 1e-9
-        assert r.t_core == _tail_point(Superparabolic(2, 1.0), PropagatorSettings().tail_cutoff)
+        m = Superparabolic(2, 1.0)
+        assert r.t_core == _tail_point(m, PropagatorSettings().tail_tol)
+        assert r.tail_error == _tail_error(m, r.t_core)
+        assert 0.0 < r.tail_error <= PropagatorSettings().tail_tol
 
     def test_basis_agreement_grid(self):
         # the invariant grid: two formulations, error < 1e-6 (observed ~1e-9)
@@ -162,18 +244,27 @@ class TestPropagate:
         assert r_dn.probability == pytest.approx(2.9890030649184634e-6, rel=1e-8)
         assert abs(r_up.probability - _propagate_diabatic(Parabolic(1.0, 4.0, 1.0))) < 1e-6
 
-    def test_window_sufficiency(self, result_n2_unit):
-        # a later handover (longer window, smaller tail) must not move P
-        r = propagate(Superparabolic(2, 1.0), PropagatorSettings(tail_cutoff=1e-7))
-        assert r.t_core > result_n2_unit.t_core
-        assert abs(r.probability - result_n2_unit.probability) < 1e-9
+    def test_window_sufficiency(self):
+        # a far later handover (longer window, smaller tail) must not move P
+        for m in (
+            Superparabolic(2, 1.0),
+            Superparabolic(6, 0.5),
+            Superparabolic(10, 0.3),
+            Parabolic(1.0, 4.0, 1.0),
+            Parabolic(1.0, -4.0, 1.0),
+            Parabolic(1.0, -7.6, 1.0),
+        ) + tuple(Parabolic(1.0, b, 1.0) for b in (-12.0, -11.0, -10.0, -9.0, -8.0, -7.0, -6.0, -5.0)):
+            r = propagate(m)
+            tight = propagate(m, PropagatorSettings(tail_tol=1e-15))
+            assert tight.t_core > r.t_core
+            assert abs(tight.probability - r.probability) < 1e-9
 
     def test_time_reversal_s_matrix(self):
         # starting on the upper level and reading the lower one must give
         # the same transition probability (two-level S-matrix symmetry)
         settings = PropagatorSettings()
         for m in (Superparabolic(2, 1.0), Superparabolic(6, 0.5)):
-            t_core = _tail_point(m, settings.tail_cutoff)
+            t_core = _tail_point(m, settings.tail_tol)
             fwd = _solve_window(m, settings, t_core)
             rev = _solve_window(m, settings, t_core, start_upper=True)
             assert abs(fwd.probability - rev.probability) < 1e-8
@@ -259,9 +350,16 @@ class TestTrace:
         assert p1_at_0 > 0.5 * p1.max()
 
     def test_endpoint_near_completed_probability(self, trace_n2, result_n2_unit):
-        # the residual gap is the two-passage interference removed by the
-        # analytic tail completion
+        # the residual gap is the diabatic readout at the window end, about
+        # half the mixing angle there, which the trace window bounds by 1e-2
         assert abs(trace_n2[-1][1] - result_n2_unit.probability) < 5e-3
+
+    def test_window_ends_past_handover_and_mixing(self, trace_n2):
+        m = Superparabolic(2, 1.0)
+        t_end = trace_n2[-1][0]
+        assert t_end >= _tail_point(m, PropagatorSettings().tail_tol)
+        eps, v = diabatic(m, t_end)
+        assert math.atan2(v, eps) <= 1e-2 * (1.0 + 1e-12)
 
     def test_two_samples(self):
         rows = propagate_trace(Superparabolic(2, 1.0), sample_count=2)

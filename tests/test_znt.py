@@ -187,10 +187,24 @@ class TestTunneling:
         with pytest.raises(BranchFailure):
             glancing_tunneling(6, 0.36)
 
-    def test_overflow_is_branch_failure(self):
-        # e^(2 sigma) leaves the float range once alpha > ~44 at N = 2
-        with pytest.raises(BranchFailure, match="sigma=.*delta=.*a_sq="):
-            glancing_tunneling(2, 50.0)
+    def test_overflow_band_underflows_to_zero(self):
+        # B e^(2 sigma) leaves the float range for alpha > ~37 at N = 2; the
+        # scale-free form underflows P to 0 there instead of raising
+        previous = 1.0
+        for alpha in (30.0, 36.0, 37.0, 39.0, 44.0, 44.3, 50.0, 200.0):
+            p = glancing_tunneling(2, alpha)
+            assert 0.0 <= p <= 1.0
+            assert p <= previous
+            previous = p
+        assert glancing_tunneling(2, 30.0) > 0.0
+        assert glancing_tunneling(2, 50.0) == 0.0
+
+    def test_small_sigma_tends_to_zero(self):
+        # p -> 1 as sigma -> 0: P falls smoothly, is 0.0 once p rounds to 1,
+        # and stays 0.0 where 1/(B e^(2 sigma)) would overflow (sigma < ~1e-308)
+        assert 0.0 < tunneling_probability(0.25, 1e-16, 1.0) < tunneling_probability(0.25, 1e-3, 1.0)
+        for sigma in (1e-17, 1e-200, 1e-300, 1e-310, 5e-324):
+            assert tunneling_probability(0.25, sigma, 1.0) == 0.0
 
     def test_domain_failure_below_bands(self):
         with pytest.raises(ValueError):
