@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonSimpleZero
-from .models import DiabaticModel, Superparabolic
+from .models import DiabaticModel, nonadiabatic_coupling
 from .specialfn import PARABOLIC_C, nu_coefficient
 
 __all__ = [
@@ -95,15 +95,7 @@ def _coupling_continued(model: DiabaticModel, z: complex) -> complex:
     # residue prefactors alternate starting at -1).  The opposite global
     # sign is used on the real axis by models.nonadiabatic_coupling; final
     # probabilities are insensitive to this relative convention.
-    if isinstance(model, Superparabolic):
-        eps = z**model.N
-        deps = model.N * z ** (model.N - 1)
-        v = model.alpha
-    else:
-        eps = 0.5 * (model.A * z * z - model.B)
-        deps = model.A * z
-        v = model.V0
-    return -v * deps / (2.0 * (eps * eps + v * v))
+    return -nonadiabatic_coupling(model, z)
 
 
 def residue_prefactor(model: DiabaticModel, t_c: complex) -> complex:

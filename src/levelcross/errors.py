@@ -40,7 +40,8 @@ class BracketingError(LevelCrossError):
 
 
 class NonConvergence(LevelCrossError):
-    """The tail handover point, where |gamma/(2W)| meets the cutoff, was not found."""
+    """The tail handover point, where the estimated first omitted tail
+    term falls to tail_tol, was not found."""
 
 
 class ToleranceFailure(LevelCrossError):

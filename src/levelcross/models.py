@@ -8,6 +8,19 @@ Hamiltonian convention (hbar = 1):
 with instantaneous eigenvalues -W, +W, W = sqrt(eps^2 + V^2).  The sign
 of the nonadiabatic coupling gamma(t) is fixed once globally to the
 +(V deps/dt - eps dV/dt) branch.
+
+Both families have a constant coupling and differ only in eps(t), so a
+family supplies just what is specific to it:
+
+- ``V``, the constant coupling;
+- ``level(t)``, the pair (eps, deps/dt), valid for complex t too;
+- ``level_derivatives(t)``, the second and third derivatives of eps;
+- ``floor``, a time past all level structure, where the search for the
+  propagator's tail handover starts;
+- ``reduced_parameters()``.
+
+Everything derived from eps and V (gamma, W, the propagator's right-hand
+side and its tail terms) is written once, against these members.
 """
 
 from __future__ import annotations
@@ -43,6 +56,26 @@ class Superparabolic:
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "alpha", float(self.alpha))
 
+    @property
+    def V(self) -> float:
+        return self.alpha
+
+    @property
+    def floor(self) -> float:
+        return 2.0 * self.alpha ** (1.0 / self.N)
+
+    def level(self, t):
+        tn1 = t ** (self.N - 1)
+        return tn1 * t, self.N * tn1
+
+    def level_derivatives(self, t):
+        n = self.N
+        c2 = n * (n - 1)
+        return c2 * t ** (n - 2), c2 * (n - 2) * t ** (n - 3) if n > 2 else 0.0
+
+    def reduced_parameters(self) -> tuple[float, float]:
+        return 1.0 / (4.0 * self.alpha**3), 0.0
+
 
 @dataclass(frozen=True)
 class Parabolic:
@@ -64,15 +97,30 @@ class Parabolic:
         object.__setattr__(self, "B", float(self.B))
         object.__setattr__(self, "V0", float(self.V0))
 
+    @property
+    def V(self) -> float:
+        return self.V0
+
+    @property
+    def floor(self) -> float:
+        return 2.0 * math.sqrt(max(self.B, 0.0) / self.A + 1.0)
+
+    def level(self, t):
+        return 0.5 * (self.A * t * t - self.B), self.A * t
+
+    def level_derivatives(self, t):
+        return self.A, 0.0
+
+    def reduced_parameters(self) -> tuple[float, float]:
+        return self.A, self.B
+
 
 DiabaticModel = Union[Superparabolic, Parabolic]
 
 
 def diabatic(model: DiabaticModel, t: float) -> tuple[float, float]:
     """Diabatic level eps(t) and coupling V(t)."""
-    if isinstance(model, Superparabolic):
-        return t**model.N, model.alpha
-    return 0.5 * (model.A * t * t - model.B), model.V0
+    return model.level(t)[0], model.V
 
 
 def adiabatic_levels(model: DiabaticModel, t: float) -> tuple[float, float]:
@@ -82,19 +130,14 @@ def adiabatic_levels(model: DiabaticModel, t: float) -> tuple[float, float]:
     return -w, w
 
 
-def nonadiabatic_coupling(model: DiabaticModel, t: float) -> float:
+def nonadiabatic_coupling(model: DiabaticModel, t: complex) -> complex:
     """gamma(t) = (V deps/dt - eps dV/dt) / (2 (eps^2 + V^2)).
 
-    Both families have constant coupling, so this is V deps/dt / (2 W^2).
+    The coupling V is constant, so this is V deps/dt / (2 W^2); at a
+    complex t it is the analytic continuation.
     """
-    if isinstance(model, Superparabolic):
-        eps = t**model.N
-        deps = model.N * t ** (model.N - 1)
-        v = model.alpha
-    else:
-        eps = 0.5 * (model.A * t * t - model.B)
-        deps = model.A * t
-        v = model.V0
+    eps, deps = model.level(t)
+    v = model.V
     w2 = eps * eps + v * v
     if w2 == 0.0:
         raise ValueError(f"adiabatic gap vanishes at t={t!r}")
@@ -108,9 +151,7 @@ def reduced_parameters(model: DiabaticModel) -> tuple[float, float]:
     the N = 2 correspondence a^2 = 1/(4 alpha^3) is applied at every N,
     with b^2 = 0 encoding the glancing geometry.
     """
-    if isinstance(model, Parabolic):
-        return model.A, model.B
-    return 1.0 / (4.0 * model.alpha**3), 0.0
+    return model.reduced_parameters()
 
 
 def model_from_params(model: str, *, N=None, alpha=None, A=None, B=None, V0=None) -> DiabaticModel:

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import NonConvergence, ToleranceFailure
-from .models import DiabaticModel, Superparabolic, diabatic
+from .models import DiabaticModel, diabatic
 
 __all__ = [
     "PropagatorSettings",
@@ -89,26 +89,23 @@ class PropagationResult:
 
 
 def _tail_terms(model: DiabaticModel, t: float) -> tuple[complex, float, complex]:
-    """v0, v1, v2 at t > 0, from closed-form derivatives of gamma/(2iW)."""
-    if isinstance(model, Superparabolic):
-        n, a = model.N, model.alpha
-        s = t ** (2 * n) + a * a
-        v0 = -0.25j * n * a * t ** (n - 1) * s**-1.5
-        v1 = -(n * a / 8.0) * ((n - 1) * t ** (n - 2) / s**2 - 3 * n * t ** (3 * n - 2) / s**3)
-        dv1 = -(n * a / 8.0) * (
-            (n - 1) * (n - 2) * t ** (n - 3) / s**2
-            - (4 * n * (n - 1) + 3 * n * (3 * n - 2)) * t ** (3 * n - 3) / s**3
-            + 18 * n * n * t ** (5 * n - 3) / s**4
-        )
-    else:
-        big_a, v = model.A, model.V0
-        eps = 0.5 * (big_a * t * t - model.B)
-        s = eps * eps + v * v
-        v0 = -0.25j * v * big_a * t * s**-1.5
-        v1 = -(v * big_a / 8.0) * (1.0 / s**2 - 3.0 * big_a * t * t * eps / s**3)
-        dv1 = (v * big_a * big_a / 8.0) * (
-            (10.0 * t * eps + 3.0 * big_a * t**3) / s**3 - 18.0 * big_a * t**3 * eps * eps / s**4
-        )
+    """v0, v1, v2 at t > 0, from eps = e and its derivatives d1, d2, d3.
+
+    With s = e^2 + V^2 = W^2:
+        v0 = -i V d1 / (4 s^(3/2)),
+        v1 = -(V/8) (d2/s^2 - 3 e d1^2/s^3),
+        v2 = -(i/2) v1' / sqrt(s),
+        v1' = -(V/8) (d3/s^2 - (10 e d1 d2 + 3 d1^3)/s^3 + 18 e^2 d1^3/s^4).
+    """
+    e, d1 = model.level(t)
+    d2, d3 = model.level_derivatives(t)
+    v = model.V
+    s = e * e + v * v
+    v0 = -0.25j * v * d1 * s**-1.5
+    v1 = -(v / 8.0) * (d2 / s**2 - 3.0 * e * d1 * d1 / s**3)
+    dv1 = -(v / 8.0) * (
+        d3 / s**2 - (10.0 * e * d1 * d2 + 3.0 * d1**3) / s**3 + 18.0 * e * e * d1**3 / s**4
+    )
     return v0, v1, -0.5j * dv1 / math.sqrt(s)
 
 
@@ -133,21 +130,18 @@ def _tail_error(model: DiabaticModel, t: float) -> float:
     return max(a2 * a2 / a1, a1**3 / (a0 * a0))
 
 
-def _tail_point(model: DiabaticModel, tol: float) -> float:
+def _tail_point(model: DiabaticModel, tol: float, max_angle: float = math.pi) -> float:
     """First point t of a x1.01 scan from the floor past all level
-    structure with _tail_error(t) <= tol.
+    structure with _tail_error(t) <= tol and the mixing angle
+    atan2(V, eps(t)) at most max_angle (by default any angle passes).
 
     The 1% step keeps the window within 1% of the first passing point, which
     matters at large N, where the phase 2W ~ 2 t^N oscillates fastest at the
     window ends; each scan point costs a few closed-form terms, not ODE steps.
     """
-    if isinstance(model, Superparabolic):
-        floor = 2.0 * model.alpha ** (1.0 / model.N)
-    else:
-        floor = 2.0 * math.sqrt(max(model.B, 0.0) / model.A + 1.0)
-    t = max(floor, 1.5)
+    t = max(model.floor, 1.5)
     for _ in range(2000):
-        if _tail_error(model, t) <= tol:
+        if _tail_error(model, t) <= tol and math.atan2(model.V, model.level(t)[0]) <= max_angle:
             return t
         t *= 1.01
     raise NonConvergence(f"could not locate tail handover point for {model!r}")
@@ -167,28 +161,15 @@ def _phase_half(model: DiabaticModel, t_core: float) -> float:
 
 
 def _make_rhs(model: DiabaticModel):
-    if isinstance(model, Superparabolic):
-        n, a = model.N, model.alpha
-        a2 = a * a
+    level, v = model.level, model.V
+    v2 = v * v
 
-        def rhs(t, y):
-            tn1 = t ** (n - 1)
-            eps = tn1 * t
-            s = eps * eps + a2
-            g = 0.5 * n * a * tn1 / s
-            ph = cmath.exp(2j * y[2])
-            return (-g * ph * y[1], g * y[0] / ph, math.sqrt(s))
-
-    else:
-        big_a, b, v = model.A, model.B, model.V0
-        v2 = v * v
-
-        def rhs(t, y):
-            eps = 0.5 * (big_a * t * t - b)
-            s = eps * eps + v2
-            g = 0.5 * v * big_a * t / s
-            ph = cmath.exp(2j * y[2])
-            return (-g * ph * y[1], g * y[0] / ph, math.sqrt(s))
+    def rhs(t, y):
+        eps, deps = level(t)
+        s = eps * eps + v2
+        g = 0.5 * v * deps / s
+        ph = cmath.exp(2j * y[2])
+        return (-g * ph * y[1], g * y[0] / ph, math.sqrt(s))
 
     return rhs
 
@@ -269,13 +250,6 @@ def _mixing_half_angle(model: DiabaticModel, t: float) -> tuple[float, float]:
 _TRACE_MIXING_ANGLE = 1e-2
 
 
-def _mixing_point(model: DiabaticModel, theta: float) -> float:
-    """Smallest t >= 0 past which atan2(V, eps) <= theta, from eps(t) >= V/tan(theta)."""
-    if isinstance(model, Superparabolic):
-        return (model.alpha / math.tan(theta)) ** (1.0 / model.N)
-    return math.sqrt(max(2.0 * model.V0 / math.tan(theta) + model.B, 0.0) / model.A)
-
-
 def propagate_trace(
     model: DiabaticModel,
     settings: PropagatorSettings = PropagatorSettings(),
@@ -285,13 +259,13 @@ def propagate_trace(
 
     The samples are diabatic populations, which differ from the adiabatic
     ones by about theta/2 for the mixing angle theta = atan2(V, eps).  The
-    window therefore ends at the handover point or where theta = 1e-2,
-    whichever is later, so that the last sample is within about 5e-3 of
-    the asymptotic P.
+    window therefore ends at the first point of the handover scan that also
+    has theta <= 1e-2, so that the last sample is within about 5e-3 of the
+    asymptotic P.
     """
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count!r}")
-    t_core = max(_tail_point(model, settings.tail_tol), _mixing_point(model, _TRACE_MIXING_ANGLE))
+    t_core = _tail_point(model, settings.tail_tol, _TRACE_MIXING_ANGLE)
     win = _solve_window(model, settings, t_core, dense=True)
     ts = np.linspace(-t_core, t_core, sample_count)
     out = []
@@ -307,47 +281,3 @@ def propagate_trace(
         p2 = abs(c2) ** 2
         out.append((float(t), p1, p2, p1 + p2))
     return out
-
-
-def _propagate_diabatic(
-    model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()
-) -> float:
-    """Cross-check integrator in the plain diabatic basis.
-
-    Same window and tail completion, but the ODE carries the full
-    dynamical phase: i dc/dt = H c with H = [[eps, V], [V, -eps]].
-    Kept as an independently-structured oracle for the primary route.
-    """
-    t_core = _tail_point(model, settings.tail_tol)
-    lam_half = _phase_half(model, t_core)
-    coeff = _tail_coefficient(model, t_core)
-    j_in = cmath.exp(2j * lam_half) * coeff
-    norm = math.sqrt(1.0 + abs(j_in) ** 2)
-    bp0, bm0 = j_in.conjugate() / norm, 1.0 / norm
-    c_half, s_half = _mixing_half_angle(model, -t_core)
-    up = bp0 * cmath.exp(1j * lam_half)  # e^{-i Lam(-T)} = e^{+i lam_half}
-    dn = bm0 * cmath.exp(-1j * lam_half)
-    y0 = np.array([up * c_half - dn * s_half, up * s_half + dn * c_half], dtype=complex)
-
-    def rhs(t, y):
-        eps, v = diabatic(model, t)
-        return (-1j * (eps * y[0] + v * y[1]), -1j * (v * y[0] - eps * y[1]))
-
-    sol = solve_ivp(
-        rhs,
-        (-t_core, t_core),
-        y0,
-        method="DOP853",
-        rtol=settings.rel_tol,
-        atol=settings.abs_tol,
-        max_step=t_core / 8.0,
-    )
-    if not sol.success:
-        raise ToleranceFailure(f"step controller failed: {sol.message}")
-    c1, c2 = sol.y[0, -1], sol.y[1, -1]
-    c_half, s_half = _mixing_half_angle(model, t_core)
-    bp = cmath.exp(1j * lam_half) * (c_half * c1 + s_half * c2)
-    bm = cmath.exp(-1j * lam_half) * (-s_half * c1 + c_half * c2)
-    j_out = cmath.exp(2j * lam_half) * coeff
-    bp_inf = (bp - j_out * bm) / math.sqrt(1.0 + abs(j_out) ** 2)
-    return min(max(abs(bp_inf) ** 2, 0.0), 1.0)

@@ -31,7 +31,7 @@ from levelcross.harness import (
 )
 from levelcross.models import Superparabolic, adiabatic_levels
 from levelcross.errors import DegenerateGeometry
-from levelcross.propagator import _propagate_diabatic, propagate
+from levelcross.propagator import propagate
 from levelcross.specialfn import PARABOLIC_C, nu_coefficient
 from levelcross.znt import (
     FitGeometry,
@@ -42,6 +42,7 @@ from levelcross.znt import (
     tunneling_B,
     znt_phase_estimate,
 )
+from oracles import propagate_diabatic
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -124,7 +125,7 @@ def test_propagator_unitarity_and_cross_basis():
         model = Superparabolic(n, a)
         res = propagate(model)
         worst_drift = max(worst_drift, res.final_norm_drift)
-        worst_gap = max(worst_gap, abs(res.probability - _propagate_diabatic(model)))
+        worst_gap = max(worst_gap, abs(res.probability - propagate_diabatic(model)))
     ok = worst_drift < 1e-9 and worst_gap < 1e-6
     _verdict(
         "propagator-unitarity",

@@ -207,3 +207,36 @@ class TestModelFromParams:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             model_from_params("linear", N=2, alpha=1.0)
+
+
+class TestFamilyProtocol:
+    MODELS = (
+        Superparabolic(2, 0.7),
+        Superparabolic(6, 1.3),
+        Superparabolic(10, 0.4),
+        Parabolic(1.3, 2.0, 0.8),
+        Parabolic(0.7, -3.0, 1.1),
+    )
+
+    def test_derivatives_match_central_differences(self):
+        # each derivative against a central difference of the order below,
+        # on the real axis and off it (eps is analytic in t)
+        for m in self.MODELS:
+            for t in (0.9, 1.7, 1.2 + 0.8j, -0.6 + 1.1j):
+                h = 1e-5
+                eps, d1 = m.level(t)
+                d2, d3 = m.level_derivatives(t)
+                assert diabatic(m, t)[0] == eps
+                fd1 = (m.level(t + h)[0] - m.level(t - h)[0]) / (2.0 * h)
+                fd2 = (m.level(t + h)[1] - m.level(t - h)[1]) / (2.0 * h)
+                fd3 = (m.level_derivatives(t + h)[0] - m.level_derivatives(t - h)[0]) / (2.0 * h)
+                for exact, fd in ((d1, fd1), (d2, fd2), (d3, fd3)):
+                    assert abs(exact - fd) <= 1e-7 * max(1.0, abs(exact))
+
+    def test_coupling_and_floor(self):
+        assert Superparabolic(6, 1.3).V == 1.3
+        assert Parabolic(1.3, 2.0, 0.8).V == 0.8
+        assert Superparabolic(2, 0.25).floor == pytest.approx(1.0, rel=1e-15)
+        assert Parabolic(1.0, 3.0, 0.5).floor == 4.0
+        # B < 0 never crosses: the floor does not depend on B or A
+        assert Parabolic(0.3, -5.0, 0.5).floor == 2.0

@@ -19,7 +19,6 @@ from levelcross.propagator import (
     PropagationResult,
     PropagatorSettings,
     _mixing_half_angle,
-    _propagate_diabatic,
     _solve_window,
     _tail_coefficient,
     _tail_error,
@@ -28,6 +27,7 @@ from levelcross.propagator import (
     propagate,
     propagate_trace,
 )
+from oracles import propagate_diabatic
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +55,6 @@ class TestSettings:
     def test_frozen(self):
         with pytest.raises(Exception):
             PropagatorSettings().rel_tol = 1e-3
-
-
-def _floor(model):
-    if isinstance(model, Superparabolic):
-        return max(2.0 * model.alpha ** (1.0 / model.N), 1.5)
-    return max(2.0 * math.sqrt(max(model.B, 0.0) / model.A + 1.0), 1.5)
 
 
 HANDOVER_MODELS = (
@@ -135,10 +129,10 @@ class TestSpanAndTail:
             t = _tail_point(m, tol)
             errs = [_tail_error(m, t * (1.0 + 0.01 * k)) for k in range(6)]
             assert all(later <= earlier for earlier, later in zip(errs, errs[1:]))
-            if t == _floor(m):
+            if t == max(m.floor, 1.5):
                 at_floor += 1
                 continue
-            assert t > _floor(m)
+            assert t > max(m.floor, 1.5)
             assert _tail_error(m, t / 1.01) > tol
         assert at_floor < len(HANDOVER_MODELS)
 
@@ -146,9 +140,9 @@ class TestSpanAndTail:
         tol = PropagatorSettings().tail_tol
         for alpha in (0.1, 0.3, 1.0, 2.0, 3.0):
             m = Superparabolic(10, alpha)
-            assert _tail_point(m, tol) >= _floor(m)
+            assert _tail_point(m, tol) >= max(m.floor, 1.5)
         # at alpha = 3 the floor already passes and is the handover point
-        assert _tail_point(Superparabolic(10, 3.0), tol) == _floor(Superparabolic(10, 3.0))
+        assert _tail_point(Superparabolic(10, 3.0), tol) == max(Superparabolic(10, 3.0).floor, 1.5)
 
     def test_tail_point_grows_as_tolerance_shrinks(self):
         m = Superparabolic(6, 1.0)
@@ -233,7 +227,7 @@ class TestPropagate:
             for alpha in (0.3, 1.0, 2.0):
                 m = Superparabolic(n, alpha)
                 r = propagate(m)
-                p_diab = _propagate_diabatic(m)
+                p_diab = propagate_diabatic(m)
                 assert abs(r.probability - p_diab) < 1e-6
                 assert r.final_norm_drift < 1e-9
 
@@ -242,7 +236,7 @@ class TestPropagate:
         r_dn = propagate(Parabolic(1.0, -4.0, 1.0))
         assert r_up.probability == pytest.approx(0.47353450333929537, rel=1e-9)
         assert r_dn.probability == pytest.approx(2.9890030649184634e-6, rel=1e-8)
-        assert abs(r_up.probability - _propagate_diabatic(Parabolic(1.0, 4.0, 1.0))) < 1e-6
+        assert abs(r_up.probability - propagate_diabatic(Parabolic(1.0, 4.0, 1.0))) < 1e-6
 
     def test_window_sufficiency(self):
         # a far later handover (longer window, smaller tail) must not move P
@@ -258,6 +252,33 @@ class TestPropagate:
             tight = propagate(m, PropagatorSettings(tail_tol=1e-15))
             assert tight.t_core > r.t_core
             assert abs(tight.probability - r.probability) < 1e-9
+
+    def test_same_hamiltonian_from_both_families(self):
+        # Superparabolic(2, a) and Parabolic(2, 0, a) are both eps = t^2,
+        # V = a; only their floors differ (2 sqrt(a) against 2)
+        for a in (0.3, 1.0, 2.2):
+            sp, pb = Superparabolic(2, a), Parabolic(2.0, 0.0, a)
+            assert sp.floor == pytest.approx(2.0 * math.sqrt(a), rel=1e-15)
+            assert pb.floor == 2.0
+            for t in (1.5, 2.5, 4.0):
+                assert diabatic(sp, t) == diabatic(pb, t)
+                for x, y in zip(_tail_terms(sp, t), _tail_terms(pb, t)):
+                    assert x == pytest.approx(y, rel=1e-14)
+            assert abs(propagate(sp).probability - propagate(pb).probability) < 1e-9
+
+    def test_time_rescaling_invariance(self):
+        # t -> t/c maps Parabolic(A, B, V0) onto Parabolic(A c^3, B c, V0 c):
+        # window, handover and tail all move, P must not
+        for m in (
+            Parabolic(1.0, 4.0, 1.0),
+            Parabolic(1.0, -4.0, 1.0),
+            Parabolic(0.5, 2.0, 1.3),
+            Parabolic(1.0, 0.0, 0.7),
+        ):
+            p = propagate(m).probability
+            for c in (0.5, 2.0):
+                scaled = Parabolic(m.A * c**3, m.B * c, m.V0 * c)
+                assert abs(propagate(scaled).probability - p) < 1e-9
 
     def test_time_reversal_s_matrix(self):
         # starting on the upper level and reading the lower one must give

@@ -1,10 +1,7 @@
 """Special-function kernels against independent oracles.
 
 The arg Gamma(iy) oracle is the plain truncated Weierstrass series with
-a rigorous tail bound (no zeta acceleration, no Stirling), plus scipy's
-complex loggamma as a second, fully independent reference.  The modulus
-side of the same series machinery is pinned by the reflection identity
-|Gamma(iy)|^2 = pi/(y sinh(pi y)).
+a rigorous tail bound, independent of the scipy loggamma the kernel uses.
 """
 
 import math
@@ -17,7 +14,6 @@ from scipy.special import loggamma
 from levelcross.specialfn import (
     EULER_GAMMA,
     PARABOLIC_C,
-    _log_abs_gamma_imag,
     arg_gamma_imag,
     beta,
     log_gamma,
@@ -115,16 +111,6 @@ class TestArgGammaImag:
         for bad in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
                 arg_gamma_imag(bad)
-
-
-class TestReflectionModulus:
-    def test_reflection_identity(self):
-        # |Gamma(iy)|^2 = pi / (y sinh(pi y))
-        for y in (0.5, 1.0, 2.0):
-            lhs = math.exp(2.0 * _log_abs_gamma_imag(y))
-            rhs = math.pi / (y * math.sinh(math.pi * y))
-            assert abs(lhs - rhs) < 1e-10
-            assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestNuCoefficient:
