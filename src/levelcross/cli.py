@@ -27,7 +27,7 @@ from .harness import (
     run_sweep,
 )
 from .models import model_from_params
-from .propagator import PropagatorSettings, propagate, propagate_trace
+from .propagator import PropagatorSettings, _propagate_traced, propagate
 from .znt import fit_parameters, glancing_double_crossing, glancing_tunneling, znt_phase_estimate
 
 # every PropagatorSettings field is a float option on sweep and propagate
@@ -144,13 +144,15 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         args.model, N=args.N, alpha=args.alpha, A=args.A, B=args.B, V0=args.V0
     )
     settings = _settings_from_args(args)
-    result = propagate(model, settings)
+    if args.trace is None:
+        result = propagate(model, settings)
+    else:  # one solve on the trace window gives both
+        result, samples = _propagate_traced(model, settings, args.samples)
     print(f"probability = {result.probability:.17g}")
     print(f"final_norm_drift = {result.final_norm_drift:.17g}")
     print(f"t_core = {result.t_core:.17g}")
     print(f"tail_error = {result.tail_error:.17g}")
     if args.trace is not None:
-        samples = propagate_trace(model, settings, args.samples)
         with open(args.trace, "w", encoding="ascii", newline="") as fh:
             fh.write("t,P1,P2,norm\n")
             for t, p1, p2, norm in samples:

@@ -8,22 +8,28 @@ and lower instantaneous levels obey
     db-/dt = +gamma(t) e^{-2i Lam} b+,
 
 so the integrand decays like the coupling (t^-(N+1)) instead of
-oscillating with the full dynamical phase.  Beyond the ODE window
-[-T, T] the remaining coupling integral
+oscillating with the full dynamical phase.  In matrix form db/dt = M b
+with M = [[0, -gamma e^{2i Lam}], [gamma e^{-2i Lam}, 0]], which is
+traceless and anti-Hermitian.  Every model is even in time (eps even, V
+constant), so gamma and Lam are odd and M(-t) = M(t)^T; hence
+U(-s, 0) = conj(U(s, 0)) and U(0, -T) = U(T, 0)^T.  One solve from
+(1, 0) with Lam(0) = 0 over [0, T] gives U = U(T, 0) = [[a, -b*], [b, a*]]
+in SU(2), and the whole window [-T, T] maps by U U^T.  Beyond it the
+remaining coupling integral
 
     J(T) = int_T^inf gamma e^{2i Lam} dt
          = e^{2i Lam(T)} (-v0 + v1 - v2) + O(v3),
     v0 = gamma/(2iW),  v_{m+1} = v_m' / (2iW),
 
 is summed by repeated integration by parts (a superadiabatic series,
-Berry 1990).  Its error is the first omitted term |v3|, estimated from
-consecutive terms as max(|v2|^2/|v1|, |v1|^3/|v0|^2).  The window ends
-at the first point of a x1.01 scan from the floor past the level
-structure where the terms already decrease, |v0| > |v1| > |v2|, and that
-estimate is at most settings.tail_tol.  J both prepares the state
-at -T (gamma odd and Lam odd give int_{-inf}^{-T} gamma e^{2i Lam}
-= -conj(J(T))) and completes the readout to t = +inf through the exactly
-unitary map
+Berry 1990), with Lam(T) the third component of the same solve.  Its
+error is the first omitted term |v3|, estimated from consecutive terms
+as max(|v2|^2/|v1|, |v1|^3/|v0|^2).  The window ends at the first point
+of a x1.01 scan from the floor past the level structure where the terms
+already decrease, |v0| > |v1| > |v2|, and that estimate is at most
+settings.tail_tol.  J both prepares the state at -T (gamma odd and Lam
+odd give int_{-inf}^{-T} gamma e^{2i Lam} = -conj(J(T))) and completes
+the readout to t = +inf through the exactly unitary map
 
     b+(inf) = (b+ - J b-)/sqrt(1+|J|^2),
     b-(inf) = (b- + conj(J) b+)/sqrt(1+|J|^2).
@@ -37,10 +43,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad, solve_ivp  # noqa: F401  (quad: levelbench/spans.py wraps it by name)
 
 from .errors import NonConvergence, ToleranceFailure
 from .models import DiabaticModel, diabatic
@@ -60,7 +66,8 @@ class PropagatorSettings:
     rel_tol and abs_tol are the DOP853 step-controller tolerances.
     tail_tol bounds the estimated first omitted term |v3| of the
     integrated-by-parts tail at the handover point t_core; it alone fixes
-    the window, so each propagation is one solve on [-t_core, t_core].
+    the window [-t_core, t_core], which each propagation covers with one
+    solve on [0, t_core].
     """
 
     rel_tol: float = 1e-10
@@ -78,8 +85,9 @@ class PropagatorSettings:
 class PropagationResult:
     """Final probability plus diagnostics.
 
-    t_core is the half-width integrated; tail_error is the estimated
-    first omitted tail term |v3| at t_core (see _tail_error).
+    t_core is the half-width of the window [-t_core, t_core] (the solve
+    covers [0, t_core]); tail_error is the estimated first omitted tail
+    term |v3| at t_core (see _tail_error).
     """
 
     probability: float
@@ -147,19 +155,6 @@ def _tail_point(model: DiabaticModel, tol: float, max_angle: float = math.pi) ->
     raise NonConvergence(f"could not locate tail handover point for {model!r}")
 
 
-def _phase_half(model: DiabaticModel, t_core: float) -> float:
-    # Lam(t_core) = int_0^{t_core} W dt
-    val, _ = quad(
-        lambda t: math.hypot(*diabatic(model, t)),
-        0.0,
-        t_core,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return val
-
-
 def _make_rhs(model: DiabaticModel):
     level, v = model.level, model.V
     v2 = v * v
@@ -174,32 +169,18 @@ def _make_rhs(model: DiabaticModel):
     return rhs
 
 
-@dataclass
-class _WindowSolution:
-    probability: float
-    norm_drift: float
-    solution: object = field(repr=False, default=None)
-
-
 def _solve_window(
-    model: DiabaticModel,
-    settings: PropagatorSettings,
-    t_core: float,
-    dense: bool = False,
-    start_upper: bool = False,
-) -> _WindowSolution:
-    lam_half = _phase_half(model, t_core)
-    coeff = _tail_coefficient(model, t_core)
-    j_in = cmath.exp(2j * lam_half) * coeff
-    norm = math.sqrt(1.0 + abs(j_in) ** 2)
-    if start_upper:
-        y0 = np.array([1.0 / norm, -j_in / norm, -lam_half + 0j], dtype=complex)
-    else:
-        y0 = np.array([j_in.conjugate() / norm, 1.0 / norm, -lam_half + 0j], dtype=complex)
+    model: DiabaticModel, settings: PropagatorSettings, t_core: float, dense: bool = False
+) -> tuple[PropagationResult, object, tuple[complex, complex]]:
+    """The propagation over [-t_core, t_core] from one solve on [0, t_core].
+
+    Returns the result, the solve (with dense output if asked) and the
+    state (b+, b-) at t = 0, from which U(t, 0) carries it to any t.
+    """
     sol = solve_ivp(
         _make_rhs(model),
-        (-t_core, t_core),
-        y0,
+        (0.0, t_core),
+        np.array([1.0, 0.0, 0.0], dtype=complex),
         method="DOP853",
         rtol=settings.rel_tol,
         atol=settings.abs_tol,
@@ -208,30 +189,25 @@ def _solve_window(
     )
     if not sol.success:
         raise ToleranceFailure(f"step controller failed: {sol.message}")
-    bp, bm, lam = complex(sol.y[0, -1]), complex(sol.y[1, -1]), complex(sol.y[2, -1])
-    drift = abs(abs(bp) ** 2 + abs(bm) ** 2 - 1.0)
-    j_out = cmath.exp(2j * lam.real) * coeff
-    norm_out = math.sqrt(1.0 + abs(j_out) ** 2)
-    bp_inf = (bp - j_out * bm) / norm_out
-    bm_inf = (bm + j_out.conjugate() * bp) / norm_out
-    p = abs(bm_inf) ** 2 if start_upper else abs(bp_inf) ** 2
-    return _WindowSolution(
-        probability=min(max(p, 0.0), 1.0),
-        norm_drift=drift,
-        solution=sol,
+    a, b, lam = (complex(x) for x in sol.y[:, -1])
+    j = cmath.exp(2j * lam.real) * _tail_coefficient(model, t_core)
+    norm2 = 1.0 + abs(j) ** 2
+    # the state (conj(J), 1)/sqrt(norm2) at -t_core, carried to 0 by U^T and to t_core by U
+    bp0 = (a * j.conjugate() + b) / math.sqrt(norm2)
+    bm0 = (a.conjugate() - b.conjugate() * j.conjugate()) / math.sqrt(norm2)
+    bp, bm = a * bp0 - b.conjugate() * bm0, b * bp0 + a.conjugate() * bm0
+    result = PropagationResult(
+        probability=min(max(abs(bp - j * bm) ** 2 / norm2, 0.0), 1.0),
+        final_norm_drift=abs(abs(bp) ** 2 + abs(bm) ** 2 - 1.0),
+        t_core=t_core,
+        tail_error=_tail_error(model, t_core),
     )
+    return result, sol, (bp0, bm0)
 
 
 def propagate(model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()) -> PropagationResult:
     """Transition probability P = |c1(+inf)|^2 starting from |c2(-inf)|^2 = 1."""
-    t_core = _tail_point(model, settings.tail_tol)
-    win = _solve_window(model, settings, t_core)
-    return PropagationResult(
-        probability=win.probability,
-        final_norm_drift=win.norm_drift,
-        t_core=t_core,
-        tail_error=_tail_error(model, t_core),
-    )
+    return _solve_window(model, settings, _tail_point(model, settings.tail_tol))[0]
 
 
 def _mixing_half_angle(model: DiabaticModel, t: float) -> tuple[float, float]:
@@ -263,21 +239,29 @@ def propagate_trace(
     has theta <= 1e-2, so that the last sample is within about 5e-3 of the
     asymptotic P.
     """
+    return _propagate_traced(model, settings, sample_count)[1]
+
+
+def _propagate_traced(
+    model: DiabaticModel, settings: PropagatorSettings, sample_count: int
+) -> tuple[PropagationResult, list[tuple[float, float, float, float]]]:
+    """The result and the samples of propagate_trace, from its one solve."""
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count!r}")
     t_core = _tail_point(model, settings.tail_tol, _TRACE_MIXING_ANGLE)
-    win = _solve_window(model, settings, t_core, dense=True)
+    result, sol, (bp0, bm0) = _solve_window(model, settings, t_core, dense=True)
     ts = np.linspace(-t_core, t_core, sample_count)
     out = []
-    for t in ts:
-        bp, bm, lam = win.solution.sol(t)
+    for t, (a, b, lam) in zip(ts, sol.sol(np.abs(ts)).T):
+        if t < 0.0:  # U(t, 0) = conj(U(-t, 0)) and Lam(t) = -Lam(-t)
+            a, b, lam = a.conjugate(), b.conjugate(), -lam
         lam = lam.real
         c_half, s_half = _mixing_half_angle(model, float(t))
-        up = bp * cmath.exp(-1j * lam)
-        dn = bm * cmath.exp(1j * lam)
+        up = (a * bp0 - b.conjugate() * bm0) * cmath.exp(-1j * lam)
+        dn = (b * bp0 + a.conjugate() * bm0) * cmath.exp(1j * lam)
         c1 = up * c_half - dn * s_half
         c2 = up * s_half + dn * c_half
         p1 = abs(c1) ** 2
         p2 = abs(c2) ** 2
         out.append((float(t), p1, p2, p1 + p2))
-    return out
+    return result, out

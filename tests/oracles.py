@@ -4,17 +4,29 @@ import cmath
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from levelcross.errors import ToleranceFailure
 from levelcross.models import DiabaticModel, diabatic
 from levelcross.propagator import (
     PropagatorSettings,
     _mixing_half_angle,
-    _phase_half,
     _tail_coefficient,
     _tail_point,
 )
+
+
+def phase_half(model: DiabaticModel, t_core: float) -> float:
+    """Lam(t_core) = int_0^{t_core} W dt, by quadrature."""
+    val, _ = quad(
+        lambda t: math.hypot(*diabatic(model, t)),
+        0.0,
+        t_core,
+        epsabs=1e-12,
+        epsrel=1e-12,
+        limit=200,
+    )
+    return val
 
 
 def propagate_diabatic(
@@ -23,11 +35,13 @@ def propagate_diabatic(
     """Cross-check integrator in the plain diabatic basis.
 
     Same window and tail completion, but the ODE carries the full
-    dynamical phase: i dc/dt = H c with H = [[eps, V], [V, -eps]].
-    Kept as an independently-structured oracle for the primary route.
+    dynamical phase, i dc/dt = H c with H = [[eps, V], [V, -eps]], over
+    the whole window [-T, T] with no use of the time symmetry that lets
+    the primary route solve only [0, T]; Lam(T) comes from a quadrature,
+    not from that solve.  Kept as an independently-structured oracle.
     """
     t_core = _tail_point(model, settings.tail_tol)
-    lam_half = _phase_half(model, t_core)
+    lam_half = phase_half(model, t_core)
     coeff = _tail_coefficient(model, t_core)
     j_in = cmath.exp(2j * lam_half) * coeff
     norm = math.sqrt(1.0 + abs(j_in) ** 2)

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import levelcross.propagator as propagator
 from levelcross.cli import main
 from levelcross.ddp import ddp_probability
 from levelcross.harness import SweepRow, parse_sweep_csv, write_sweep_csv
 from levelcross.models import Superparabolic
-from levelcross.propagator import _tail_point
+from levelcross.propagator import _tail_point, propagate
 from levelcross.specialfn import PARABOLIC_C
 
 
@@ -54,6 +55,29 @@ class TestPropagate:
         first = [float(x) for x in lines[1].split(",")]
         assert first[2] > 1.0 - 1e-4
         assert first[3] == pytest.approx(1.0, abs=1e-9)
+
+    def test_trace_is_one_solve(self, tmp_path, capsys, monkeypatch):
+        # the printed result and the trace file come from the same solve,
+        # on the trace window, which ends no earlier than the handover point
+        calls = []
+        real = propagator.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(propagator, "solve_ivp", counting)
+        rc = main(
+            ["propagate", "--N", "2", "--alpha", "1.0", "--trace", str(tmp_path / "t.csv"),
+             "--samples", "8"]
+        )
+        assert rc == 0
+        assert len(calls) == 1
+        vals = _values(capsys.readouterr().out)
+        p = propagate(Superparabolic(2, 1.0)).probability
+        assert abs(float(vals["probability"]) - p) < 1e-9
+        assert float(vals["t_core"]) >= _tail_point(Superparabolic(2, 1.0), 3e-12)
+        assert float(vals["tail_error"]) <= 3e-12
 
     def test_settings_flags(self, capsys):
         rc = main(

@@ -233,6 +233,14 @@ class TestFamilyProtocol:
                 for exact, fd in ((d1, fd1), (d2, fd2), (d3, fd3)):
                     assert abs(exact - fd) <= 1e-7 * max(1.0, abs(exact))
 
+    def test_level_is_even_in_time(self):
+        # eps(-t) = eps(t), so eps'(-t) = -eps'(t): with V constant, the
+        # propagator's M(-t) = M(t)^T, which lets it solve only [0, T]
+        for m in self.MODELS:
+            for t in (0.3, 1.0, 1.7, 4.2):
+                eps, deps = m.level(t)
+                assert m.level(-t) == (eps, -deps)
+
     def test_coupling_and_floor(self):
         assert Superparabolic(6, 1.3).V == 1.3
         assert Parabolic(1.3, 2.0, 0.8).V == 0.8

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import levelcross.propagator as propagator
 from levelcross.ddp import ddp_parabolic_closed_form
@@ -18,8 +19,8 @@ from levelcross.models import Parabolic, Superparabolic, diabatic
 from levelcross.propagator import (
     PropagationResult,
     PropagatorSettings,
+    _make_rhs,
     _mixing_half_angle,
-    _solve_window,
     _tail_coefficient,
     _tail_error,
     _tail_point,
@@ -27,7 +28,7 @@ from levelcross.propagator import (
     propagate,
     propagate_trace,
 )
-from oracles import propagate_diabatic
+from oracles import phase_half, propagate_diabatic
 
 
 @pytest.fixture(scope="module")
@@ -280,15 +281,33 @@ class TestPropagate:
                 scaled = Parabolic(m.A * c**3, m.B * c, m.V0 * c)
                 assert abs(propagate(scaled).probability - p) < 1e-9
 
-    def test_time_reversal_s_matrix(self):
-        # starting on the upper level and reading the lower one must give
-        # the same transition probability (two-level S-matrix symmetry)
-        settings = PropagatorSettings()
-        for m in (Superparabolic(2, 1.0), Superparabolic(6, 0.5)):
-            t_core = _tail_point(m, settings.tail_tol)
-            fwd = _solve_window(m, settings, t_core)
-            rev = _solve_window(m, settings, t_core, start_upper=True)
-            assert abs(fwd.probability - rev.probability) < 1e-8
+    @pytest.mark.parametrize(
+        "m",
+        [Superparabolic(2, 1.0), Superparabolic(6, 0.5), Parabolic(1.0, 4.0, 1.0), Parabolic(1.0, -4.0, 1.0)],
+        ids=["n2", "n6", "b+4", "b-4"],
+    )
+    def test_half_window_identity(self, m):
+        # the identities behind the [0, T] solve, from solves on [-T, 0]:
+        # U(0, -T) = U(T, 0)^T and U(-s, 0) = conj(U(s, 0))
+        t_core = _tail_point(m, PropagatorSettings().tail_tol)
+        rhs = _make_rhs(m)
+
+        def columns(t0, t1, lam0):
+            sols = [
+                solve_ivp(rhs, (t0, t1), np.array([*e, lam0], dtype=complex), method="DOP853",
+                          rtol=1e-12, atol=1e-14, dense_output=True)
+                for e in ((1.0, 0.0), (0.0, 1.0))
+            ]
+            return lambda t: np.column_stack([sol.sol(t)[:2] for sol in sols])
+
+        forward = columns(0.0, t_core, 0.0)
+        u = forward(t_core)
+        assert np.allclose(u[:, 1], [-u[1, 0].conjugate(), u[0, 0].conjugate()], rtol=0, atol=1e-9)
+        from_left = columns(-t_core, 0.0, -phase_half(m, t_core))
+        assert np.abs(from_left(0.0) - u.T).max() < 1e-9
+        backward = columns(0.0, -t_core, 0.0)
+        for s in np.linspace(0.0, t_core, 7):
+            assert np.abs(backward(-s) - forward(s).conj()).max() < 1e-9
 
 
 @pytest.fixture()
