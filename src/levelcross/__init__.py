@@ -43,10 +43,8 @@ from .models import (
     Parabolic,
     Superparabolic,
     adiabatic_levels,
-    diabatic,
     model_from_params,
     nonadiabatic_coupling,
-    reduced_parameters,
 )
 from .propagator import (
     PropagationResult,

@@ -2,9 +2,9 @@
 
 Subcommands: sweep, propagate, zeros, phase, ddp, znt, fit, compare.
 An optional key=value config file (--config settings.cfg) supplies
-defaults for any long option of the chosen subcommand; flags given on
-the command line win.  Config keys use the option names, with '_' and
-'-' interchangeable.
+defaults for the chosen subcommand; flags given on the command line win.
+The keys it accepts are exactly that subcommand's long options other
+than --help, with '_' and '-' interchangeable; other keys are ignored.
 """
 
 from __future__ import annotations
@@ -32,24 +32,6 @@ from .znt import fit_parameters, glancing_double_crossing, glancing_tunneling, z
 
 # every PropagatorSettings field is a float option on sweep and propagate
 _SETTINGS_FIELDS = tuple(f.name for f in dataclasses.fields(PropagatorSettings))
-_SETTINGS_KEYS = tuple(name.replace("_", "-") for name in _SETTINGS_FIELDS)
-
-# long options each subcommand accepts from a config file
-_SUB_KEYS = {
-    "sweep": frozenset(
-        ("model", "N", "alpha-min", "alpha-max", "points", "spacing", "methods", "out", "workers")
-        + _SETTINGS_KEYS
-    ),
-    "propagate": frozenset(
-        ("model", "N", "alpha", "A", "B", "V0", "trace", "samples") + _SETTINGS_KEYS
-    ),
-    "zeros": frozenset(("N", "alpha")),
-    "phase": frozenset(("N", "alpha", "k")),
-    "ddp": frozenset(("N", "alpha")),
-    "znt": frozenset(("branch", "N", "alpha")),
-    "fit": frozenset(("curves",)),
-    "compare": frozenset(("threshold", "report")),
-}
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -86,21 +68,23 @@ def _extract_config(argv: list[str]) -> tuple[list[str], dict[str, str]]:
     return out, (_load_config(path) if path else {})
 
 
-def _merge_config(argv: list[str], config: dict[str, str]) -> list[str]:
-    # config entries become leading flags so explicit flags override them
-    if not config or not argv or argv[0] not in _SUB_KEYS:
+def _merge_config(
+    argv: list[str], config: dict[str, str], subparsers: dict[str, argparse.ArgumentParser]
+) -> list[str]:
+    # config entries become leading flags so explicit flags override them;
+    # a key is accepted exactly when the chosen subcommand has that long flag
+    if not config or not argv or argv[0] not in subparsers:
         return argv
-    allowed = _SUB_KEYS[argv[0]]
+    allowed = {
+        opt[2:]
+        for opt in subparsers[argv[0]]._option_string_actions
+        if opt.startswith("--") and opt != "--help"
+    }
     flags: list[str] = []
     for key, value in config.items():
         if key in allowed:
             flags.extend((f"--{key}", value))
     return [argv[0], *flags, *argv[1:]]
-
-
-def _add_settings_options(sp: argparse.ArgumentParser) -> None:
-    for key in _SETTINGS_KEYS:
-        sp.add_argument(f"--{key}", type=float, default=None)
 
 
 def _settings_from_args(args: argparse.Namespace) -> PropagatorSettings:
@@ -110,18 +94,7 @@ def _settings_from_args(args: argparse.Namespace) -> PropagatorSettings:
     return PropagatorSettings(**overrides)
 
 
-def _add_model_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--model", choices=("superparabolic", "parabolic"), default="superparabolic")
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--A", type=float, default=None)
-    sp.add_argument("--B", type=float, default=None)
-    sp.add_argument("--V0", type=float, default=None)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.model != "superparabolic":
-        raise ValueError("sweep covers the glancing family only; use --model superparabolic")
     config = SweepConfig(
         n_values=tuple(int(tok) for tok in args.N.split(",")),
         alpha_min=args.alpha_min,
@@ -162,8 +135,9 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
+    zeros = zero_points(args.N, args.alpha)
     print("k,re_tc,im_tc")
-    for z in zero_points(args.N, args.alpha):
+    for z in zeros:
         print(f"{z.k},{z.t_c.real:.17g},{z.t_c.imag:.17g}")
     return 0
 
@@ -229,15 +203,24 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="levelcross",
         description="Transition probabilities for level-glancing and parabolic two-level models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("sweep", help="evaluate methods over an alpha grid, write CSV")
-    sp.add_argument("--model", choices=("superparabolic", "parabolic"), default="superparabolic")
+    settings = argparse.ArgumentParser(add_help=False)
+    for name in _SETTINGS_FIELDS:
+        settings.add_argument("--" + name.replace("_", "-"), type=float, default=None)
+    glancing = argparse.ArgumentParser(add_help=False)
+    glancing.add_argument("--N", type=int, required=True)
+    glancing.add_argument("--alpha", type=float, required=True)
+
+    sp = sub.add_parser(
+        "sweep", parents=[settings], help="evaluate methods over an alpha grid, write CSV"
+    )
     sp.add_argument("--N", type=str, required=True, help="even N, comma-separated list allowed")
     sp.add_argument("--alpha-min", type=float, required=True)
     sp.add_argument("--alpha-max", type=float, required=True)
@@ -246,36 +229,39 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--methods", type=str, default=",".join(METHODS))
     sp.add_argument("--out", type=str, required=True)
     sp.add_argument("--workers", type=int, default=0)
-    _add_settings_options(sp)
     sp.set_defaults(func=_cmd_sweep)
 
-    sp = sub.add_parser("propagate", help="integrate the exact dynamics for one model")
-    _add_model_options(sp)
+    sp = sub.add_parser(
+        "propagate", parents=[settings], help="integrate the exact dynamics for one model"
+    )
+    sp.add_argument("--model", choices=("superparabolic", "parabolic"), default="superparabolic")
+    sp.add_argument("--N", type=int, default=None)
+    sp.add_argument("--alpha", type=float, default=None)
+    sp.add_argument("--A", type=float, default=None)
+    sp.add_argument("--B", type=float, default=None)
+    sp.add_argument("--V0", type=float, default=None)
     sp.add_argument("--trace", type=str, default=None, help="write population trace CSV here")
     sp.add_argument("--samples", type=int, default=512)
-    _add_settings_options(sp)
     sp.set_defaults(func=_cmd_propagate)
 
-    sp = sub.add_parser("zeros", help="complex zero points of the adiabatic gap")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp = sub.add_parser(
+        "zeros", parents=[glancing], help="complex zero points of the adiabatic gap"
+    )
     sp.set_defaults(func=_cmd_zeros)
 
-    sp = sub.add_parser("phase", help="complex gap integral D at the k-th zero point")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp = sub.add_parser(
+        "phase", parents=[glancing], help="complex gap integral D at the k-th zero point"
+    )
     sp.add_argument("--k", type=int, default=1)
     sp.set_defaults(func=_cmd_phase)
 
-    sp = sub.add_parser("ddp", help="coherent multi-zero adiabatic probability")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp = sub.add_parser("ddp", parents=[glancing], help="coherent multi-zero adiabatic probability")
     sp.set_defaults(func=_cmd_ddp)
 
-    sp = sub.add_parser("znt", help="Zhu-Nakamura probability, double or tunnel branch")
+    sp = sub.add_parser(
+        "znt", parents=[glancing], help="Zhu-Nakamura probability, double or tunnel branch"
+    )
     sp.add_argument("--branch", choices=("double", "tunnel"), required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
     sp.set_defaults(func=_cmd_znt)
 
     sp = sub.add_parser("fit", help="fit reduced parameters from adiabatic curves CSV (t,E1,E2)")
@@ -288,18 +274,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", type=str, default=None)
     sp.set_defaults(func=_cmd_compare)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
+    parser, subparsers = _build_parser()
     try:
         stripped, config = _extract_config(raw)
-        merged = _merge_config(stripped, config)
+        merged = _merge_config(stripped, config, subparsers)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args = _build_parser().parse_args(merged)
+    args = parser.parse_args(merged)
     try:
         return args.func(args)
     except LevelCrossError as exc:

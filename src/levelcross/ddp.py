@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonSimpleZero
-from .models import DiabaticModel, nonadiabatic_coupling
+from .models import DiabaticModel, check_glancing, nonadiabatic_coupling
 from .specialfn import PARABOLIC_C, nu_coefficient
 
 __all__ = [
@@ -52,16 +52,9 @@ class PhaseIntegral:
             raise ValueError(f"delta must be positive, got {self.delta!r}")
 
 
-def _check_glancing(N, alpha) -> None:
-    if int(N) != N or N < 2 or N % 2 != 0:
-        raise ValueError(f"N must be an even integer >= 2, got {N!r}")
-    if not (alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-
-
 def zero_points(N: int, alpha: float) -> list[ZeroPoint]:
     """All N upper-half-plane zeros alpha^(1/N) e^{i pi (2k-1)/(2N)}, k = 1..N."""
-    _check_glancing(N, alpha)
+    check_glancing(N, alpha)
     radius = alpha ** (1.0 / N)
     return [
         ZeroPoint(k, cmath.rect(radius, math.pi * (2 * k - 1) / (2 * N)))
@@ -71,16 +64,16 @@ def zero_points(N: int, alpha: float) -> list[ZeroPoint]:
 
 def glancing_eta(N: int, alpha: float) -> float:
     """Magnitude eta = 2 nu_N alpha^((N+1)/N) of every gap integral D(t_c^k)."""
-    _check_glancing(N, alpha)
+    check_glancing(N, alpha)
     return 2.0 * nu_coefficient(int(N)) * alpha ** ((N + 1.0) / N)
 
 
 def phase_integral(N: int, alpha: float, k: int) -> complex:
     """Gap integral D(t_c^k) = eta e^{i pi (2k-1)/(2N)} for the k-th zero."""
-    _check_glancing(N, alpha)
+    eta = glancing_eta(N, alpha)
     if int(k) != k or not (1 <= k <= N):
         raise ValueError(f"k must be an integer in 1..{N}, got {k!r}")
-    return cmath.rect(glancing_eta(N, alpha), math.pi * (2 * k - 1) / (2 * N))
+    return cmath.rect(eta, math.pi * (2 * k - 1) / (2 * N))
 
 
 def glancing_phase(N: int, alpha: float) -> PhaseIntegral:
@@ -133,7 +126,6 @@ def ddp_probability(N: int, alpha: float) -> float:
     th_k = pi (2k-1)/(2N).  The value must already lie in [0, 1]; a value
     above 1 is reported as an error rather than clamped.
     """
-    _check_glancing(N, alpha)
     eta = glancing_eta(N, alpha)
     acc = 0.0
     for k in range(1, N // 2 + 1):
@@ -156,8 +148,5 @@ def ddp_parabolic_closed_form(alpha: float) -> float:
 
 def ddp_single_zero(eta: float, N: int) -> float:
     """Dominant-zero truncation e^{-2 eta sin(pi/(2N))} (adiabatic-limit form)."""
-    if not (eta > 0.0):
-        raise ValueError(f"eta must be positive, got {eta!r}")
-    if int(N) != N or N < 2 or N % 2 != 0:
-        raise ValueError(f"N must be an even integer >= 2, got {N!r}")
+    check_glancing(N, eta, "eta")
     return math.exp(-2.0 * eta * math.sin(math.pi / (2 * N)))

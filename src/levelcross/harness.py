@@ -19,7 +19,7 @@ import numpy as np
 
 from .ddp import ddp_probability
 from .errors import LevelCrossError, MissingColumn
-from .models import Superparabolic
+from .models import Superparabolic, check_glancing
 from .propagator import PropagatorSettings, propagate
 from .znt import glancing_double_crossing, glancing_tunneling
 
@@ -64,15 +64,13 @@ class SweepConfig:
     workers: int = 0
 
     def __post_init__(self) -> None:
+        for n in self.n_values:
+            check_glancing(n, self.alpha_min, "alpha_min")
+            check_glancing(n, self.alpha_max, "alpha_max")
         ns = tuple(sorted({int(n) for n in self.n_values}))
         if not ns:
             raise ValueError("n_values must be nonempty")
-        for n in ns:
-            if n < 2 or n % 2:
-                raise ValueError(f"N must be even and >= 2, got {n}")
         object.__setattr__(self, "n_values", ns)
-        if not self.alpha_min > 0.0:
-            raise ValueError(f"alpha_min must be positive, got {self.alpha_min!r}")
         if not self.alpha_max >= self.alpha_min:
             raise ValueError("alpha_max must be >= alpha_min")
         if self.points < 2:

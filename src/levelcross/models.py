@@ -17,7 +17,8 @@ family supplies just what is specific to it:
 - ``level_derivatives(t)``, the second and third derivatives of eps;
 - ``floor``, a time past all level structure, where the search for the
   propagator's tail handover starts;
-- ``reduced_parameters()``.
+- ``reduced_parameters()``, the reduced (a^2, b^2) of the equivalent
+  stationary crossing problem.
 
 Everything derived from eps and V (gamma, W, the propagator's right-hand
 side and its tail terms) is written once, against these members.
@@ -33,26 +34,31 @@ __all__ = [
     "Superparabolic",
     "Parabolic",
     "DiabaticModel",
-    "diabatic",
+    "check_glancing",
     "adiabatic_levels",
     "nonadiabatic_coupling",
-    "reduced_parameters",
     "model_from_params",
 ]
 
 
+def check_glancing(N, alpha, name: str = "alpha") -> None:
+    """The glancing family's parameter rule: N an even integer >= 2, alpha
+    positive and finite.  ``name`` is the parameter that alpha stands for."""
+    if not (N >= 2 and N % 2 == 0):
+        raise ValueError(f"N must be an even integer >= 2, got {N!r}")
+    if not (0.0 < alpha < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class Superparabolic:
-    """Glancing family eps(t) = t^N, V(t) = alpha; N even >= 2, alpha > 0."""
+    """Glancing family eps(t) = t^N, V(t) = alpha; see check_glancing for N and alpha."""
 
     N: int
     alpha: float
 
     def __post_init__(self) -> None:
-        if int(self.N) != self.N or self.N < 2 or self.N % 2 != 0:
-            raise ValueError(f"N must be an even integer >= 2, got {self.N!r}")
-        if not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        check_glancing(self.N, self.alpha)
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "alpha", float(self.alpha))
 
@@ -74,6 +80,8 @@ class Superparabolic:
         return c2 * t ** (n - 2), c2 * (n - 2) * t ** (n - 3) if n > 2 else 0.0
 
     def reduced_parameters(self) -> tuple[float, float]:
+        # the N = 2 correspondence a^2 = 1/(4 alpha^3), applied at every N;
+        # b^2 = 0 encodes the glancing geometry
         return 1.0 / (4.0 * self.alpha**3), 0.0
 
 
@@ -89,10 +97,12 @@ class Parabolic:
     V0: float
 
     def __post_init__(self) -> None:
-        if not (self.A > 0.0):
-            raise ValueError(f"A must be positive, got {self.A!r}")
-        if not (self.V0 > 0.0):
-            raise ValueError(f"V0 must be positive, got {self.V0!r}")
+        if not (0.0 < self.A < math.inf):
+            raise ValueError(f"A must be positive and finite, got {self.A!r}")
+        if not math.isfinite(self.B):
+            raise ValueError(f"B must be finite, got {self.B!r}")
+        if not (0.0 < self.V0 < math.inf):
+            raise ValueError(f"V0 must be positive and finite, got {self.V0!r}")
         object.__setattr__(self, "A", float(self.A))
         object.__setattr__(self, "B", float(self.B))
         object.__setattr__(self, "V0", float(self.V0))
@@ -118,15 +128,9 @@ class Parabolic:
 DiabaticModel = Union[Superparabolic, Parabolic]
 
 
-def diabatic(model: DiabaticModel, t: float) -> tuple[float, float]:
-    """Diabatic level eps(t) and coupling V(t)."""
-    return model.level(t)[0], model.V
-
-
 def adiabatic_levels(model: DiabaticModel, t: float) -> tuple[float, float]:
     """Instantaneous eigenvalues (lower, upper) = (-W, +W)."""
-    eps, v = diabatic(model, t)
-    w = math.hypot(eps, v)
+    w = math.hypot(model.level(t)[0], model.V)
     return -w, w
 
 
@@ -142,16 +146,6 @@ def nonadiabatic_coupling(model: DiabaticModel, t: complex) -> complex:
     if w2 == 0.0:
         raise ValueError(f"adiabatic gap vanishes at t={t!r}")
     return v * deps / (2.0 * w2)
-
-
-def reduced_parameters(model: DiabaticModel) -> tuple[float, float]:
-    """Reduced (a^2, b^2) of the equivalent stationary crossing problem.
-
-    Parabolic{A, B} maps identically to (A, B).  For the glancing family
-    the N = 2 correspondence a^2 = 1/(4 alpha^3) is applied at every N,
-    with b^2 = 0 encoding the glancing geometry.
-    """
-    return model.reduced_parameters()
 
 
 def model_from_params(model: str, *, N=None, alpha=None, A=None, B=None, V0=None) -> DiabaticModel:

@@ -49,7 +49,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp  # noqa: F401  (quad: levelbench/spans.py wraps it by name)
 
 from .errors import NonConvergence, ToleranceFailure
-from .models import DiabaticModel, diabatic
+from .models import DiabaticModel
 
 __all__ = [
     "PropagatorSettings",
@@ -75,8 +75,10 @@ class PropagatorSettings:
     tail_tol: float = 3e-12
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (0.0 < self.tail_tol < 1e-6):
             raise ValueError(f"tail_tol must lie in (0, 1e-6), got {self.tail_tol!r}")
 
@@ -214,7 +216,7 @@ def _mixing_half_angle(model: DiabaticModel, t: float) -> tuple[float, float]:
     # cos(theta/2), sin(theta/2) of the adiabatic mixing angle theta = atan2(V, eps);
     # for eps < 0 the half angle comes from pi - theta = atan2(V, -eps), so the
     # small cosine does not inherit the rounding of theta near pi
-    eps, v = diabatic(model, t)
+    eps, v = model.level(t)[0], model.V
     if eps >= 0.0:
         half = 0.5 * math.atan2(v, eps)
         return math.cos(half), math.sin(half)

@@ -21,7 +21,7 @@ from scipy.optimize import minimize_scalar
 
 from .ddp import glancing_phase
 from .errors import BracketingError, BranchFailure, DegenerateGeometry
-from .models import Superparabolic, reduced_parameters
+from .models import Superparabolic
 from .specialfn import arg_gamma_imag, log_gamma
 
 __all__ = [
@@ -276,7 +276,7 @@ def znt_phase_estimate(
 def glancing_inputs(N: int, alpha: float) -> ZntInputs:
     """Reduced parameters for the glancing family: a^2 = 1/(4 alpha^3), b^2 = 0,
     sigma and delta from the exact dominant-zero gap integral."""
-    a_sq, b_sq = reduced_parameters(Superparabolic(N, alpha))
+    a_sq, b_sq = Superparabolic(N, alpha).reduced_parameters()
     ph = glancing_phase(N, alpha)
     return ZntInputs(a_sq=a_sq, sigma=ph.sigma, delta=ph.delta, b_sq=b_sq)
 

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from levelcross.errors import ToleranceFailure
-from levelcross.models import DiabaticModel, diabatic
+from levelcross.models import DiabaticModel
 from levelcross.propagator import (
     PropagatorSettings,
     _mixing_half_angle,
@@ -19,7 +19,7 @@ from levelcross.propagator import (
 def phase_half(model: DiabaticModel, t_core: float) -> float:
     """Lam(t_core) = int_0^{t_core} W dt, by quadrature."""
     val, _ = quad(
-        lambda t: math.hypot(*diabatic(model, t)),
+        lambda t: math.hypot(model.level(t)[0], model.V),
         0.0,
         t_core,
         epsabs=1e-12,
@@ -52,7 +52,7 @@ def propagate_diabatic(
     y0 = np.array([up * c_half - dn * s_half, up * s_half + dn * c_half], dtype=complex)
 
     def rhs(t, y):
-        eps, v = diabatic(model, t)
+        eps, v = model.level(t)[0], model.V
         return (-1j * (eps * y[0] + v * y[1]), -1j * (v * y[0] - eps * y[1]))
 
     sol = solve_ivp(

@@ -2,12 +2,13 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 import levelcross.propagator as propagator
-from levelcross.cli import main
+from levelcross.cli import _build_parser, _merge_config, main
 from levelcross.ddp import ddp_probability
 from levelcross.harness import SweepRow, parse_sweep_csv, write_sweep_csv
 from levelcross.models import Superparabolic
@@ -208,12 +209,15 @@ class TestSweepCommand:
             assert 0.0 <= r.values["znt-tunnel"] <= 1.0
 
     def test_rejects_parabolic(self, tmp_path, capsys):
-        rc = main(
-            ["sweep", "--model", "parabolic", "--N", "2", "--alpha-min", "0.5",
-             "--alpha-max", "1.0", "--points", "2", "--out", str(tmp_path / "x.csv")]
-        )
-        assert rc == 2
-        assert "glancing" in capsys.readouterr().err
+        # sweep covers the glancing family only and has no --model option
+        for family in ("parabolic", "superparabolic"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    ["sweep", "--model", family, "--N", "2", "--alpha-min", "0.5",
+                     "--alpha-max", "1.0", "--points", "2", "--out", str(tmp_path / "x.csv")]
+                )
+            assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_rejects_unknown_method(self, tmp_path, capsys):
         rc = main(
@@ -325,6 +329,80 @@ class TestFitCommand:
         rc = main(["fit", "--curves", str(path)])
         assert rc == 1
         assert "DegenerateGeometry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, param",
+    [
+        (["ddp", "--N", "2", "--alpha", "inf"], "alpha"),
+        (["ddp", "--N", "2", "--alpha", "nan"], "alpha"),
+        (["znt", "--branch", "double", "--N", "2", "--alpha", "inf"], "alpha"),
+        (["zeros", "--N", "2", "--alpha", "inf"], "alpha"),
+        (["propagate", "--model", "parabolic", "--A", "inf", "--B", "1", "--V0", "1"], "A"),
+        (["sweep", "--N", "2", "--alpha-min", "1", "--alpha-max", "inf", "--points", "3",
+          "--methods", "ddp", "--out", "{out}"], "alpha_max"),
+        (["propagate", "--N", "2", "--alpha", "1", "--rel-tol", "inf"], "rel_tol"),
+    ],
+)
+def test_non_finite_input_exits_2(argv, param, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    rc = main([tok.format(out=out) for tok in argv])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert elapsed < 5.0
+    assert f"{param} must be positive" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# the config keys each subcommand accepts: its long flags other than --help
+_SETTINGS_KEYS = {"rel-tol", "abs-tol", "tail-tol"}
+_SUB_OPTIONS = {
+    "sweep": {"N", "alpha-min", "alpha-max", "points", "spacing", "methods", "out", "workers"}
+    | _SETTINGS_KEYS,
+    "propagate": {"model", "N", "alpha", "A", "B", "V0", "trace", "samples"} | _SETTINGS_KEYS,
+    "zeros": {"N", "alpha"},
+    "phase": {"N", "alpha", "k"},
+    "ddp": {"N", "alpha"},
+    "znt": {"branch", "N", "alpha"},
+    "fit": {"curves"},
+    "compare": {"threshold", "report"},
+}
+
+
+class TestConfigKeys:
+    def test_keys_are_the_long_flags(self):
+        _, subparsers = _build_parser()
+        assert set(subparsers) == set(_SUB_OPTIONS)
+        every = set().union(*_SUB_OPTIONS.values()) | {"help", "csv", "config", "unknown"}
+        config = {key: "v" for key in every}
+        for name, keys in _SUB_OPTIONS.items():
+            merged = _merge_config([name, "--x"], config, subparsers)
+            assert merged[0] == name and merged[-1] == "--x"
+            flags = merged[1:-1]
+            assert {f[2:] for f in flags[::2]} == keys
+            assert set(flags[1::2]) == {"v"}
+
+    def test_help_key_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("help = 1\nN = 2\nalpha = 1.0\n", encoding="ascii")
+        rc = main(["ddp", "--config", str(cfg)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "usage" not in out
+        assert float(_values(out)["P"]) == pytest.approx(ddp_probability(2, 1.0))
+
+    @pytest.mark.parametrize("name", sorted(_SUB_OPTIONS))
+    def test_subcommand_help(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for key in _SUB_OPTIONS[name]:
+            assert f"--{key}" in out
 
 
 class TestConfigFile:

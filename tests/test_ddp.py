@@ -75,7 +75,8 @@ class TestZeroPoints:
                 assert mate.t_c == pytest.approx(-z.t_c.conjugate(), rel=1e-14)
 
     def test_rejects_bad_inputs(self):
-        for n, alpha in ((3, 1.0), (0, 1.0), (2.5, 1.0), (2, 0.0), (2, -1.0)):
+        for n, alpha in ((3, 1.0), (0, 1.0), (2.5, 1.0), (2, 0.0), (2, -1.0), (2, math.inf),
+                         (2, math.nan)):
             with pytest.raises(ValueError):
                 zero_points(n, alpha)
 

@@ -34,9 +34,12 @@ class TestSweepConfig:
             dict(n_values=()),
             dict(n_values=(3,)),
             dict(n_values=(0,)),
+            dict(n_values=(2.5,)),
             dict(alpha_min=0.0),
             dict(alpha_min=-1.0),
             dict(alpha_max=0.05),
+            dict(alpha_max=math.inf),
+            dict(alpha_min=math.nan),
             dict(points=1),
             dict(spacing="cubic"),
             dict(methods=("numeric", "euler")),

@@ -9,10 +9,8 @@ from levelcross.models import (
     Parabolic,
     Superparabolic,
     adiabatic_levels,
-    diabatic,
     model_from_params,
     nonadiabatic_coupling,
-    reduced_parameters,
 )
 
 
@@ -34,13 +32,13 @@ def _seeded_models(rng):
 
 class TestConstruction:
     def test_superparabolic_rejects_bad_n(self):
-        for bad in (1, 3, 0, -2, 2.5):
-            with pytest.raises(ValueError):
+        for bad in (1, 3, 0, -2, 2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="N must be an even integer"):
                 Superparabolic(bad, 1.0)
 
     def test_superparabolic_rejects_bad_alpha(self):
-        for bad in (0.0, -1.0, -1e-300):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, -1e-300, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha must be positive"):
                 Superparabolic(2, bad)
 
     def test_superparabolic_coerces_integral_float_n(self):
@@ -57,6 +55,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Parabolic(1.0, 1.0, -0.5)
 
+    def test_parabolic_rejects_non_finite(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="A must be positive"):
+                Parabolic(bad, 1.0, 1.0)
+            with pytest.raises(ValueError, match="B must be finite"):
+                Parabolic(1.0, bad, 1.0)
+            with pytest.raises(ValueError, match="V0 must be positive"):
+                Parabolic(1.0, 1.0, bad)
+
     def test_parabolic_b_unrestricted(self):
         for b in (-10.0, 0.0, 10.0):
             assert Parabolic(1.0, b, 1.0).B == b
@@ -70,15 +77,17 @@ class TestConstruction:
 
 class TestDiabatic:
     def test_glancing_point(self):
-        assert diabatic(Superparabolic(2, 1.0), 0.0) == (0.0, 1.0)
+        m = Superparabolic(2, 1.0)
+        assert (m.level(0.0)[0], m.V) == (0.0, 1.0)
 
     def test_even_power(self):
-        eps, v = diabatic(Superparabolic(6, 0.5), -1.0)
-        assert eps == 1.0
-        assert v == 0.5
+        m = Superparabolic(6, 0.5)
+        assert m.level(-1.0)[0] == 1.0
+        assert m.V == 0.5
 
     def test_parabolic_substitution(self):
-        assert diabatic(Parabolic(1.0, 0.0, 0.5), 2.0) == (2.0, 0.5)
+        m = Parabolic(1.0, 0.0, 0.5)
+        assert (m.level(2.0)[0], m.V) == (2.0, 0.5)
 
     def test_superparabolic_eps_even_nonnegative(self):
         rng = np.random.default_rng(20240821)
@@ -86,11 +95,11 @@ class TestDiabatic:
             if not isinstance(m, Superparabolic):
                 continue
             for t in rng.uniform(-4.0, 4.0, size=25):
-                eps_p, _ = diabatic(m, float(t))
-                eps_m, _ = diabatic(m, float(-t))
+                eps_p = m.level(float(t))[0]
+                eps_m = m.level(float(-t))[0]
                 assert eps_p >= 0.0
                 assert eps_p == pytest.approx(eps_m, rel=1e-14, abs=0.0)
-        assert diabatic(Superparabolic(8, 2.0), 0.0)[0] == 0.0
+        assert Superparabolic(8, 2.0).level(0.0)[0] == 0.0
 
 
 class TestAdiabaticLevels:
@@ -150,8 +159,8 @@ class TestNonadiabaticCoupling:
             for t in rng.uniform(-3.0, 3.0, size=12):
                 t = float(t)
                 h = 1e-6 * max(1.0, abs(t))
-                eps, _ = diabatic(m, t)
-                deps = (diabatic(m, t + h)[0] - diabatic(m, t - h)[0]) / (2.0 * h)
+                eps = m.level(t)[0]
+                deps = (m.level(t + h)[0] - m.level(t - h)[0]) / (2.0 * h)
                 fd = v * deps / (2.0 * (eps * eps + v * v))
                 assert nonadiabatic_coupling(m, t) == pytest.approx(fd, rel=2e-7, abs=1e-12)
 
@@ -167,23 +176,23 @@ class TestNonadiabaticCoupling:
 
 class TestReducedParameters:
     def test_parabolic_identity(self):
-        assert reduced_parameters(Parabolic(0.25, 0.0, 1.0)) == (0.25, 0.0)
+        assert Parabolic(0.25, 0.0, 1.0).reduced_parameters() == (0.25, 0.0)
         rng = np.random.default_rng(20240825)
         for _ in range(10):
             a = float(rng.uniform(0.05, 5.0))
             b = float(rng.uniform(-5.0, 5.0))
-            assert reduced_parameters(Parabolic(a, b, 0.7)) == (a, b)
+            assert Parabolic(a, b, 0.7).reduced_parameters() == (a, b)
 
     def test_glancing_convention(self):
-        assert reduced_parameters(Superparabolic(2, 1.0)) == (0.25, 0.0)
-        a_sq, b_sq = reduced_parameters(Superparabolic(6, 2.0))
+        assert Superparabolic(2, 1.0).reduced_parameters() == (0.25, 0.0)
+        a_sq, b_sq = Superparabolic(6, 2.0).reduced_parameters()
         assert a_sq == pytest.approx(1.0 / 32.0, rel=1e-15)
         assert b_sq == 0.0
 
     def test_same_alpha_same_a_sq_any_n(self):
-        ref = reduced_parameters(Superparabolic(2, 0.37))[0]
+        ref = Superparabolic(2, 0.37).reduced_parameters()[0]
         for n in (4, 6, 10, 14):
-            assert reduced_parameters(Superparabolic(n, 0.37))[0] == ref
+            assert Superparabolic(n, 0.37).reduced_parameters()[0] == ref
 
 
 class TestModelFromParams:
@@ -226,7 +235,6 @@ class TestFamilyProtocol:
                 h = 1e-5
                 eps, d1 = m.level(t)
                 d2, d3 = m.level_derivatives(t)
-                assert diabatic(m, t)[0] == eps
                 fd1 = (m.level(t + h)[0] - m.level(t - h)[0]) / (2.0 * h)
                 fd2 = (m.level(t + h)[1] - m.level(t - h)[1]) / (2.0 * h)
                 fd3 = (m.level_derivatives(t + h)[0] - m.level_derivatives(t - h)[0]) / (2.0 * h)

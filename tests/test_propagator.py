@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 
 import levelcross.propagator as propagator
 from levelcross.ddp import ddp_parabolic_closed_form
-from levelcross.models import Parabolic, Superparabolic, diabatic
+from levelcross.models import Parabolic, Superparabolic
 from levelcross.propagator import (
     PropagationResult,
     PropagatorSettings,
@@ -48,6 +48,10 @@ class TestSettings:
             PropagatorSettings(rel_tol=0.0)
         with pytest.raises(ValueError):
             PropagatorSettings(abs_tol=-1e-12)
+        for name in ("rel_tol", "abs_tol"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be positive"):
+                    PropagatorSettings(**{name: bad})
         for bad in (0.0, -1e-12, 1e-6, 0.5):
             with pytest.raises(ValueError):
                 PropagatorSettings(tail_tol=bad)
@@ -77,7 +81,7 @@ class TestSpanAndTail:
         # max(|v2|^2/|v1|, |v1|^3/|v0|^2) once the terms decrease
         m = Superparabolic(2, 1.0)
         t = 3.0
-        eps, v = diabatic(m, t)
+        eps, v = m.level(t)[0], m.V
         w2 = eps * eps + v * v
         gamma = v * 2.0 * t / (2.0 * w2)
         v0, v1, v2 = _tail_terms(m, t)
@@ -101,7 +105,7 @@ class TestSpanAndTail:
             t = _tail_point(m, PropagatorSettings().tail_tol)
             h = 1e-3 * t
             dv2 = (_tail_terms(m, t + h)[2] - _tail_terms(m, t - h)[2]) / (2.0 * h)
-            v3 = abs(dv2) / (2.0 * math.hypot(*diabatic(m, t)))
+            v3 = abs(dv2) / (2.0 * math.hypot(m.level(t)[0], m.V))
             assert 0.5 < _tail_error(m, t) / v3 < 2.0
 
     def test_estimate_survives_sign_change_of_v2(self):
@@ -154,11 +158,11 @@ def _fd_tail_coefficient(model, t):
     """-v0 + v1 - v2 with v_{m+1} = v_m'/(2iW) taken by central differences."""
 
     def w(x):
-        eps, v = diabatic(model, x)
+        eps, v = model.level(x)[0], model.V
         return math.hypot(eps, v)
 
     def gamma(x):
-        eps, v = diabatic(model, x)
+        eps, v = model.level(x)[0], model.V
         if isinstance(model, Superparabolic):
             deps = model.N * x ** (model.N - 1)
         else:
@@ -262,7 +266,7 @@ class TestPropagate:
             assert sp.floor == pytest.approx(2.0 * math.sqrt(a), rel=1e-15)
             assert pb.floor == 2.0
             for t in (1.5, 2.5, 4.0):
-                assert diabatic(sp, t) == diabatic(pb, t)
+                assert (sp.level(t)[0], sp.V) == (pb.level(t)[0], pb.V)
                 for x, y in zip(_tail_terms(sp, t), _tail_terms(pb, t)):
                     assert x == pytest.approx(y, rel=1e-14)
             assert abs(propagate(sp).probability - propagate(pb).probability) < 1e-9
@@ -347,7 +351,7 @@ class TestMixingHalfAngle:
     def test_matches_atan2_angle(self):
         for m, t in ((Superparabolic(2, 1.0), 0.3), (Parabolic(1.0, 4.0, 1.0), 0.5),
                      (Parabolic(1.0, 4.0, 1.0), 3.0)):
-            eps, v = diabatic(m, t)
+            eps, v = m.level(t)[0], m.V
             half = 0.5 * math.atan2(v, eps)
             c, s = _mixing_half_angle(m, t)
             assert c == pytest.approx(math.cos(half), rel=1e-13)
@@ -398,7 +402,7 @@ class TestTrace:
         m = Superparabolic(2, 1.0)
         t_end = trace_n2[-1][0]
         assert t_end >= _tail_point(m, PropagatorSettings().tail_tol)
-        eps, v = diabatic(m, t_end)
+        eps, v = m.level(t_end)[0], m.V
         assert math.atan2(v, eps) <= 1e-2 * (1.0 + 1e-12)
 
     def test_two_samples(self):
