@@ -15,7 +15,6 @@ from .ddp import (
     glancing_eta,
     glancing_phase,
     phase_integral,
-    residue_prefactor,
     zero_points,
 )
 from .errors import (

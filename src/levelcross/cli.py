@@ -289,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(merged)
     try:
         return args.func(args)
-    except LevelCrossError as exc:
+    except (LevelCrossError, ArithmeticError) as exc:  # ArithmeticError: a range error in the numerics
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -14,8 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import NonSimpleZero
-from .models import DiabaticModel, check_glancing, nonadiabatic_coupling
+from .models import check_glancing
 from .specialfn import PARABOLIC_C, nu_coefficient
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "glancing_eta",
     "phase_integral",
     "glancing_phase",
-    "residue_prefactor",
     "ddp_probability",
     "ddp_parabolic_closed_form",
     "ddp_single_zero",
@@ -82,43 +80,6 @@ def glancing_phase(N: int, alpha: float) -> PhaseIntegral:
     return PhaseIntegral(d1.real, d1.imag)
 
 
-def _coupling_continued(model: DiabaticModel, z: complex) -> complex:
-    # Analytic continuation of the nonadiabatic coupling, with the overall
-    # sign fixed by the contour derivation (basis vectors chosen so the
-    # residue prefactors alternate starting at -1).  The opposite global
-    # sign is used on the real axis by models.nonadiabatic_coupling; final
-    # probabilities are insensitive to this relative convention.
-    return -nonadiabatic_coupling(model, z)
-
-
-def residue_prefactor(model: DiabaticModel, t_c: complex) -> complex:
-    """Gamma = 4i lim_{t->t_c} (t - t_c) gamma(t) by Richardson extrapolation.
-
-    The limit is taken along the ray from t_c toward the origin with
-    offsets h_j = 1e-2 |t_c| 2^{-j}, six stages.  For the glancing family
-    the result is (-1)^k for the k-th zero.
-    """
-    radius = abs(t_c)
-    if radius == 0.0:
-        raise ValueError("t_c must be nonzero")
-    u = -t_c / radius
-    stages = 6
-    tab = []
-    for j in range(stages):
-        dt = (1e-2 * radius * 2.0**-j) * u
-        tab.append(4j * dt * _coupling_continued(model, t_c + dt))
-    for m in range(1, stages):
-        fac = 2.0**m - 1.0
-        for i in range(stages - 1, m - 1, -1):
-            tab[i] = tab[i] + (tab[i] - tab[i - 1]) / fac
-    if abs(tab[-1] - tab[-2]) > 1e-6 * max(1.0, abs(tab[-1])):
-        raise NonSimpleZero(
-            f"residue extrapolation did not stabilize at t_c={t_c!r}: "
-            f"last corrections {abs(tab[-1] - tab[-2]):.3e}"
-        )
-    return tab[-1]
-
-
 def ddp_probability(N: int, alpha: float) -> float:
     """Coherent sum over all upper-half-plane zeros of the glancing family.
 
@@ -140,8 +101,8 @@ def ddp_probability(N: int, alpha: float) -> float:
 
 def ddp_parabolic_closed_form(alpha: float) -> float:
     """P = 4 e^{-2 c alpha^(3/2)} sin^2(c alpha^(3/2)) for the parabolic glancing model."""
-    if not (alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if not (0.0 < alpha < math.inf):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     x = PARABOLIC_C * alpha**1.5
     return 4.0 * math.exp(-2.0 * x) * math.sin(x) ** 2
 

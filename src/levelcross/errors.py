@@ -41,7 +41,8 @@ class BracketingError(LevelCrossError):
 
 class NonConvergence(LevelCrossError):
     """The tail handover point, where the estimated first omitted tail
-    term falls to tail_tol, was not found."""
+    term falls to tail_tol, was not found, or the ODE solve reached its
+    step cap before the end of the window."""
 
 
 class ToleranceFailure(LevelCrossError):

@@ -2,8 +2,9 @@
 
 A sweep evaluates a chosen set of probability methods on an alpha grid
 and writes one CSV row per (N, alpha) point.  Method failures (branch
-breakdown, non-convergence) are recorded in a status column instead of
-aborting the run; the probability cell carries the literal token NaN.
+breakdown, non-convergence, a float overflow or division by zero) are
+recorded in a status column instead of aborting the run; the
+probability cell carries the literal token NaN.
 Floats are written with 17 significant digits so parse(emit(rows))
 round-trips exactly.
 """
@@ -141,7 +142,7 @@ def _evaluate_point(
                 values[m] = glancing_double_crossing(n, alpha)
             else:
                 values[m] = glancing_tunneling(n, alpha)
-        except (LevelCrossError, ValueError) as exc:
+        except (LevelCrossError, ValueError, ArithmeticError) as exc:
             values[m] = None
             failures.append(f"{m}:{type(exc).__name__}")
     return SweepRow(n=n, alpha=alpha, values=values, status=";".join(failures) or "ok")

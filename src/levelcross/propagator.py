@@ -37,19 +37,36 @@ the readout to t = +inf through the exactly unitary map
 Since eps -> +inf at both ends while V stays constant, the upper
 adiabatic label coincides asymptotically with diabatic state 1, so the
 transition probability read in the diabatic basis is |b+(inf)|^2.
+
+The solve steps Hairer's compiled DOP853 (scipy.integrate.ode, Hairer,
+Norsett & Wanner 1993) on the real state (Re a, Im a, Re b, Im b, Lam).
+Its error norm is taken per real component, so a step is judged on Re
+and Im of each amplitude separately.  At most _MAX_STEPS steps are taken
+between consecutive stops of a solve (t_core, and for a trace each
+sample |t| on the way); past that the solve raises NonConvergence.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp  # noqa: F401  (quad: levelbench/spans.py wraps it by name)
+from scipy.integrate import ode
+from scipy.integrate import quad, solve_ivp  # noqa: F401  (unused: levelbench/spans.py wraps both by name)
 
 from .errors import NonConvergence, ToleranceFailure
 from .models import DiabaticModel
+
+# DOP853 steps allowed between consecutive stops of one solve.  At rel_tol
+# 1e-11 and tail_tol 1e-15 the glancing models N = 2, 6, 10 with alpha up
+# to 4 and parabolic ones with |B| <= 10 take at most 2,580 steps; a model
+# whose window would take far more (N=2 at alpha=1e6) fails within seconds
+# instead of running on
+_MAX_STEPS = 100_000
 
 __all__ = [
     "PropagatorSettings",
@@ -158,41 +175,67 @@ def _tail_point(model: DiabaticModel, tol: float, max_angle: float = math.pi) ->
 
 
 def _make_rhs(model: DiabaticModel):
+    """db/dt = M b for the state y = (Re a, Im a, Re b, Im b, Lam), in real arithmetic.
+
+    With a = b+ and b = b-: da/dt = -g e^{2i Lam} b, db/dt = g e^{-2i Lam} a
+    and dLam/dt = W, where g = gamma = V eps' / (2 W^2).
+    """
     level, v = model.level, model.V
-    v2 = v * v
+    v2, half_v = v * v, 0.5 * v
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
     def rhs(t, y):
+        ar, ai, br, bi, lam = y.tolist()
         eps, deps = level(t)
         s = eps * eps + v2
-        g = 0.5 * v * deps / s
-        ph = cmath.exp(2j * y[2])
-        return (-g * ph * y[1], g * y[0] / ph, math.sqrt(s))
+        g = half_v * deps / s
+        gc, gs = g * cos(2.0 * lam), g * sin(2.0 * lam)
+        return (gs * bi - gc * br, -gc * bi - gs * br, gc * ar + gs * ai, gc * ai - gs * ar, sqrt(s))
 
     return rhs
 
 
+def _advance(solver, t: float, t_core: float) -> None:
+    """Integrate the solver on to t, naming the failure if DOP853 stops short."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solver.integrate(t)
+    code = solver.get_return_code()
+    if code == -2:
+        raise NonConvergence(
+            f"ODE step cap of {_MAX_STEPS} steps reached at t = {solver.t!r}, "
+            f"short of t_core = {t_core!r}"
+        )
+    if code < 0:
+        reason = str(caught[-1].message) if caught else f"return code {code}"
+        raise ToleranceFailure(f"step controller failed: {reason}")
+
+
 def _solve_window(
-    model: DiabaticModel, settings: PropagatorSettings, t_core: float, dense: bool = False
-) -> tuple[PropagationResult, object, tuple[complex, complex]]:
+    model: DiabaticModel, settings: PropagatorSettings, t_core: float, times: Sequence[float] = ()
+) -> tuple[PropagationResult, tuple[complex, complex], list[tuple[complex, complex, float]]]:
     """The propagation over [-t_core, t_core] from one solve on [0, t_core].
 
-    Returns the result, the solve (with dense output if asked) and the
-    state (b+, b-) at t = 0, from which U(t, 0) carries it to any t.
+    Returns the result, the state (b+, b-) at t = 0, from which U(t, 0)
+    carries it to any t, and (a, b, Lam) at each of the sorted `times` in
+    [0, t_core], through which the solve integrates on its way to t_core.
     """
-    sol = solve_ivp(
-        _make_rhs(model),
-        (0.0, t_core),
-        np.array([1.0, 0.0, 0.0], dtype=complex),
-        method="DOP853",
+    solver = ode(_make_rhs(model)).set_integrator(
+        "dop853",
         rtol=settings.rel_tol,
         atol=settings.abs_tol,
         max_step=t_core / 8.0,
-        dense_output=dense,
+        nsteps=_MAX_STEPS,
     )
-    if not sol.success:
-        raise ToleranceFailure(f"step controller failed: {sol.message}")
-    a, b, lam = (complex(x) for x in sol.y[:, -1])
-    j = cmath.exp(2j * lam.real) * _tail_coefficient(model, t_core)
+    solver.set_initial_value([1.0, 0.0, 0.0, 0.0, 0.0], 0.0)
+    states = []
+    for t in (*times, t_core):
+        if t > solver.t:
+            _advance(solver, t, t_core)
+        ar, ai, br, bi, lam = solver.y.tolist()
+        states.append((complex(ar, ai), complex(br, bi), lam))
+    a, b, lam = states.pop()
+    j = cmath.exp(2j * lam) * _tail_coefficient(model, t_core)
     norm2 = 1.0 + abs(j) ** 2
     # the state (conj(J), 1)/sqrt(norm2) at -t_core, carried to 0 by U^T and to t_core by U
     bp0 = (a * j.conjugate() + b) / math.sqrt(norm2)
@@ -204,7 +247,7 @@ def _solve_window(
         t_core=t_core,
         tail_error=_tail_error(model, t_core),
     )
-    return result, sol, (bp0, bm0)
+    return result, (bp0, bm0), states
 
 
 def propagate(model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()) -> PropagationResult:
@@ -251,19 +294,21 @@ def _propagate_traced(
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count!r}")
     t_core = _tail_point(model, settings.tail_tol, _TRACE_MIXING_ANGLE)
-    result, sol, (bp0, bm0) = _solve_window(model, settings, t_core, dense=True)
-    ts = np.linspace(-t_core, t_core, sample_count)
+    ts = np.linspace(-t_core, t_core, sample_count).tolist()
+    times = sorted({abs(t) for t in ts})
+    result, (bp0, bm0), states = _solve_window(model, settings, t_core, times)
+    at = dict(zip(times, states))
     out = []
-    for t, (a, b, lam) in zip(ts, sol.sol(np.abs(ts)).T):
+    for t in ts:
+        a, b, lam = at[abs(t)]
         if t < 0.0:  # U(t, 0) = conj(U(-t, 0)) and Lam(t) = -Lam(-t)
             a, b, lam = a.conjugate(), b.conjugate(), -lam
-        lam = lam.real
-        c_half, s_half = _mixing_half_angle(model, float(t))
+        c_half, s_half = _mixing_half_angle(model, t)
         up = (a * bp0 - b.conjugate() * bm0) * cmath.exp(-1j * lam)
         dn = (b * bp0 + a.conjugate() * bm0) * cmath.exp(1j * lam)
         c1 = up * c_half - dn * s_half
         c2 = up * s_half + dn * c_half
         p1 = abs(c1) ** 2
         p2 = abs(c2) ** 2
-        out.append((float(t), p1, p2, p1 + p2))
+        out.append((t, p1, p2, p1 + p2))
     return result, out

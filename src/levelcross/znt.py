@@ -116,6 +116,14 @@ def stokes_phase(delta_eff: float) -> float:
 
 def double_crossing_probability(a_sq: float, b_sq: float, sigma: float, delta: float) -> float:
     """Double-crossing branch: 4 p (1-p) sin^2(sigma + phi_s(delta_psi))."""
+    if not (0.0 < a_sq < math.inf):
+        raise ValueError(f"a_sq must be positive and finite, got {a_sq!r}")
+    if not math.isfinite(b_sq):
+        raise ValueError(f"b_sq must be finite, got {b_sq!r}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
+    if not (0.0 < delta < math.inf):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     p = single_passage_probability(a_sq, b_sq)
     psi = sigma + stokes_phase(delta_psi(a_sq, sigma, delta))
     return 4.0 * p * (1.0 - p) * math.sin(psi) ** 2
@@ -143,12 +151,12 @@ def tunneling_probability(a_sq: float, sigma: float, delta: float) -> float:
     BranchFailure when the Im U1 radicand turns negative, the regime where
     these formulas stop making sense.
     """
-    if not (a_sq > 0.0):
-        raise ValueError(f"a_sq must be positive, got {a_sq!r}")
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if not (delta > 0.0):
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not (0.0 < a_sq < math.inf):
+        raise ValueError(f"a_sq must be positive and finite, got {a_sq!r}")
+    if not (0.0 < sigma < math.inf):
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    if not (0.0 < delta < math.inf):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     g1 = 1.8 * a_sq**0.23 * math.exp(-delta)
     g2 = 3.0 * sigma / (math.pi * delta) * math.log(1.2 + a_sq) - 1.0 / a_sq
     if sigma < 1e-300:

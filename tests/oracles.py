@@ -1,4 +1,10 @@
-"""Reference integrators used only by the tests."""
+"""Reference integrators and limits used only by the tests.
+
+The integrators here step with scipy's solve_ivp DOP853, a pure-Python
+implementation, while the library steps with the compiled Fortran
+DOP853 of scipy.integrate.ode: a test that compares the two compares two
+integrator implementations as well as two formulations.
+"""
 
 import cmath
 import math
@@ -6,8 +12,8 @@ import math
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from levelcross.errors import ToleranceFailure
-from levelcross.models import DiabaticModel
+from levelcross.errors import NonSimpleZero, ToleranceFailure
+from levelcross.models import DiabaticModel, nonadiabatic_coupling
 from levelcross.propagator import (
     PropagatorSettings,
     _mixing_half_angle,
@@ -29,6 +35,22 @@ def phase_half(model: DiabaticModel, t_core: float) -> float:
     return val
 
 
+def interaction_rhs(model: DiabaticModel):
+    """The propagator's interaction-picture equations on a complex state
+    (b+, b-, Lam): db+/dt = -g e^{2i Lam} b-, db-/dt = g e^{-2i Lam} b+,
+    dLam/dt = W, written independently of the library's real state layout."""
+    v = model.V
+
+    def rhs(t, y):
+        eps, deps = model.level(t)
+        s = eps * eps + v * v
+        g = 0.5 * v * deps / s
+        ph = cmath.exp(2j * y[2])
+        return (-g * ph * y[1], g * y[0] / ph, math.sqrt(s))
+
+    return rhs
+
+
 def propagate_diabatic(
     model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()
 ) -> float:
@@ -38,7 +60,8 @@ def propagate_diabatic(
     dynamical phase, i dc/dt = H c with H = [[eps, V], [V, -eps]], over
     the whole window [-T, T] with no use of the time symmetry that lets
     the primary route solve only [0, T]; Lam(T) comes from a quadrature,
-    not from that solve.  Kept as an independently-structured oracle.
+    not from that solve.  Its solve_ivp stepper is a second DOP853
+    implementation, independent of the compiled one the library uses.
     """
     t_core = _tail_point(model, settings.tail_tol)
     lam_half = phase_half(model, t_core)
@@ -73,3 +96,40 @@ def propagate_diabatic(
     j_out = cmath.exp(2j * lam_half) * coeff
     bp_inf = (bp - j_out * bm) / math.sqrt(1.0 + abs(j_out) ** 2)
     return min(max(abs(bp_inf) ** 2, 0.0), 1.0)
+
+
+def coupling_continued(model: DiabaticModel, z: complex) -> complex:
+    # Analytic continuation of the nonadiabatic coupling, with the overall
+    # sign fixed by the contour derivation (basis vectors chosen so the
+    # residue prefactors alternate starting at -1).  The opposite global
+    # sign is used on the real axis by models.nonadiabatic_coupling; final
+    # probabilities are insensitive to this relative convention.
+    return -nonadiabatic_coupling(model, z)
+
+
+def residue_prefactor(model: DiabaticModel, t_c: complex) -> complex:
+    """Gamma = 4i lim_{t->t_c} (t - t_c) gamma(t) by Richardson extrapolation.
+
+    The limit is taken along the ray from t_c toward the origin with
+    offsets h_j = 1e-2 |t_c| 2^{-j}, six stages.  For the glancing family
+    the result is (-1)^k for the k-th zero.
+    """
+    radius = abs(t_c)
+    if radius == 0.0:
+        raise ValueError("t_c must be nonzero")
+    u = -t_c / radius
+    stages = 6
+    tab = []
+    for j in range(stages):
+        dt = (1e-2 * radius * 2.0**-j) * u
+        tab.append(4j * dt * coupling_continued(model, t_c + dt))
+    for m in range(1, stages):
+        fac = 2.0**m - 1.0
+        for i in range(stages - 1, m - 1, -1):
+            tab[i] = tab[i] + (tab[i] - tab[i - 1]) / fac
+    if abs(tab[-1] - tab[-2]) > 1e-6 * max(1.0, abs(tab[-1])):
+        raise NonSimpleZero(
+            f"residue extrapolation did not stabilize at t_c={t_c!r}: "
+            f"last corrections {abs(tab[-1] - tab[-2]):.3e}"
+        )
+    return tab[-1]

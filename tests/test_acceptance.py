@@ -17,12 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levelcross.ddp import (
-    ddp_parabolic_closed_form,
-    ddp_probability,
-    residue_prefactor,
-    zero_points,
-)
+from levelcross.ddp import ddp_parabolic_closed_form, ddp_probability, zero_points
 from levelcross.harness import (
     SweepConfig,
     compare_methods,
@@ -42,7 +37,7 @@ from levelcross.znt import (
     tunneling_B,
     znt_phase_estimate,
 )
-from oracles import propagate_diabatic
+from oracles import propagate_diabatic, residue_prefactor
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:

@@ -61,13 +61,13 @@ class TestPropagate:
         # the printed result and the trace file come from the same solve,
         # on the trace window, which ends no earlier than the handover point
         calls = []
-        real = propagator.solve_ivp
+        real = propagator.ode
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(propagator, "solve_ivp", counting)
+        monkeypatch.setattr(propagator, "ode", counting)
         rc = main(
             ["propagate", "--N", "2", "--alpha", "1.0", "--trace", str(tmp_path / "t.csv"),
              "--samples", "8"]
@@ -356,6 +356,40 @@ def test_non_finite_input_exits_2(argv, param, tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["ddp", "--N", "2", "--alpha", "1e300"], "OverflowError"),
+        (["phase", "--N", "2", "--alpha", "1e300"], "OverflowError"),
+        (["znt", "--branch", "double", "--N", "2", "--alpha", "1e300"], "OverflowError"),
+        (["znt", "--branch", "double", "--N", "2", "--alpha", "1e-300"], "ZeroDivisionError"),
+        (["znt", "--branch", "tunnel", "--N", "2", "--alpha", "1e-300"], "ZeroDivisionError"),
+        (["propagate", "--N", "2", "--alpha", "1e-300"], "ZeroDivisionError"),
+        (["propagate", "--N", "200", "--alpha", "1"], "OverflowError"),
+        (["propagate", "--model", "parabolic", "--A", "1", "--B", "1e300", "--V0", "1"], "OverflowError"),
+        (["propagate", "--N", "2", "--alpha", "1e6"], "NonConvergence"),
+    ],
+)
+def test_numeric_failure_exits_1(argv, error, capsys):
+    # range errors in the numerics and the ODE step cap end in exit 1, not a traceback
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: {error}: ")
+    assert captured.out == ""
+
+
+def test_sweep_records_range_errors(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--N", "2", "--alpha-min", "1e200", "--alpha-max", "1e300", "--points", "3",
+               "--methods", "ddp,znt-double,znt-tunnel", "--out", str(out)])
+    assert rc == 0
+    rows, _ = parse_sweep_csv(out.read_text(encoding="ascii"))
+    assert len(rows) == 3
+    assert rows[-1].status == "ddp:OverflowError;znt-double:OverflowError;znt-tunnel:OverflowError"
+    assert all(v is None for v in rows[-1].values.values())
 
 
 # the config keys each subcommand accepts: its long flags other than --help

@@ -21,13 +21,13 @@ from levelcross.ddp import (
     glancing_eta,
     glancing_phase,
     phase_integral,
-    residue_prefactor,
     zero_points,
 )
 from levelcross.errors import NonSimpleZero
 from levelcross.models import Superparabolic
 from levelcross.propagator import propagate
 from levelcross.specialfn import PARABOLIC_C
+from oracles import coupling_continued, residue_prefactor
 
 
 def gap_integral_oracle(n, alpha, k):
@@ -143,9 +143,7 @@ class TestResiduePrefactor:
         m = Superparabolic(6, 0.7)
         z = zero_points(6, 0.7)[2]
         dt = -1e-7 * z.t_c
-        from levelcross.ddp import _coupling_continued
-
-        crude = 4j * dt * _coupling_continued(m, z.t_c + dt)
+        crude = 4j * dt * coupling_continued(m, z.t_c + dt)
         assert residue_prefactor(m, z.t_c) == pytest.approx(crude, abs=1e-4)
 
     def test_perturbed_point_fails(self):
@@ -263,6 +261,9 @@ class TestClosedFormAndSingleZero:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             ddp_parabolic_closed_form(0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+                ddp_parabolic_closed_form(bad)
         with pytest.raises(ValueError):
             ddp_single_zero(0.0, 2)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ differences of the exact integrand.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from scipy.integrate import solve_ivp
 
 import levelcross.propagator as propagator
 from levelcross.ddp import ddp_parabolic_closed_form
+from levelcross.errors import NonConvergence, ToleranceFailure
 from levelcross.models import Parabolic, Superparabolic
 from levelcross.propagator import (
     PropagationResult,
     PropagatorSettings,
-    _make_rhs,
     _mixing_half_angle,
     _tail_coefficient,
     _tail_error,
@@ -28,7 +29,7 @@ from levelcross.propagator import (
     propagate,
     propagate_trace,
 )
-from oracles import phase_half, propagate_diabatic
+from oracles import interaction_rhs, phase_half, propagate_diabatic
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +295,7 @@ class TestPropagate:
         # the identities behind the [0, T] solve, from solves on [-T, 0]:
         # U(0, -T) = U(T, 0)^T and U(-s, 0) = conj(U(s, 0))
         t_core = _tail_point(m, PropagatorSettings().tail_tol)
-        rhs = _make_rhs(m)
+        rhs = interaction_rhs(m)
 
         def columns(t0, t1, lam0):
             sols = [
@@ -314,16 +315,29 @@ class TestPropagate:
             assert np.abs(backward(-s) - forward(s).conj()).max() < 1e-9
 
 
+def test_real_state_rhs_matches_complex_form():
+    # the library's (Re a, Im a, Re b, Im b, Lam) RHS is the oracle's complex one, split
+    rng = np.random.default_rng(7)
+    for m in (Superparabolic(2, 1.0), Superparabolic(10, 0.3), Parabolic(1.0, -4.0, 1.0)):
+        real, cplx = propagator._make_rhs(m), interaction_rhs(m)
+        for t, (ar, ai, br, bi, lam) in zip(rng.uniform(-3.0, 3.0, 20), rng.normal(size=(20, 5)) * 3.0):
+            da, db, dlam = cplx(t, (complex(ar, ai), complex(br, bi), lam))
+            want = [da.real, da.imag, db.real, db.imag, dlam]
+            got = real(t, np.array([ar, ai, br, bi, lam]))
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * max(map(abs, want)))
+
+
 @pytest.fixture()
 def count_solves(monkeypatch):
+    # one integrator run is one scipy.integrate.ode instance
     calls = []
-    real = propagator.solve_ivp
+    real = propagator.ode
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(propagator, "solve_ivp", counting)
+    monkeypatch.setattr(propagator, "ode", counting)
     return calls
 
 
@@ -339,6 +353,21 @@ def count_solves(monkeypatch):
 def test_one_solve_per_propagation(count_solves, run):
     run()
     assert len(count_solves) == 1
+
+
+def test_step_cap_raises_non_convergence(monkeypatch):
+    monkeypatch.setattr(propagator, "_MAX_STEPS", 10)
+    with pytest.raises(NonConvergence, match=r"step cap of 10 steps reached at t = .*, short of t_core = "):
+        propagate(Superparabolic(2, 1.0))
+
+
+def test_integrator_failure_is_tolerance_failure(monkeypatch):
+    # any other DOP853 failure keeps scipy's message, and its warning is not shown
+    monkeypatch.setattr(propagator, "_make_rhs", lambda model: lambda t, y: (math.nan,) * 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceFailure, match=r"step controller failed: dop853: \w"):
+            propagate(Superparabolic(2, 1.0))
 
 
 class TestMixingHalfAngle:

@@ -146,6 +146,15 @@ class TestDoubleCrossing:
     def test_strong_coupling_limit(self):
         assert glancing_double_crossing(2, 50.0) < 1e-100
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("index, name", list(enumerate(("a_sq", "b_sq", "sigma", "delta"))))
+    def test_rejects_non_finite(self, index, name, bad):
+        # the message names the argument, not a quantity derived from it
+        args = [0.25, 0.0, C, C]
+        args[index] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            double_crossing_probability(*args)
+
 
 class TestTunnelingB:
     def test_exact_points(self):
@@ -227,6 +236,14 @@ class TestTunneling:
         for args in ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (1.0, -2.0, 1.0)):
             with pytest.raises(ValueError):
                 tunneling_probability(*args)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("index, name", list(enumerate(("a_sq", "sigma", "delta"))))
+    def test_rejects_non_finite(self, index, name, bad):
+        args = [0.25, 1.0, 1.0]
+        args[index] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            tunneling_probability(*args)
 
 
 def test_branches_disagree_at_glancing():
