@@ -7,13 +7,11 @@ parameter grids and compares.
 """
 
 from .ddp import (
-    PhaseIntegral,
     ZeroPoint,
     ddp_parabolic_closed_form,
     ddp_probability,
     ddp_single_zero,
     glancing_eta,
-    glancing_phase,
     phase_integral,
     zero_points,
 )
@@ -24,7 +22,6 @@ from .errors import (
     LevelCrossError,
     MissingColumn,
     NonConvergence,
-    NonSimpleZero,
     ToleranceFailure,
 )
 from .harness import (
@@ -54,12 +51,10 @@ from .propagator import (
 from .specialfn import arg_gamma_imag, beta, log_gamma, nu_coefficient
 from .znt import (
     FitGeometry,
-    ZntInputs,
     delta_psi,
     double_crossing_probability,
     fit_parameters,
     glancing_double_crossing,
-    glancing_inputs,
     glancing_tunneling,
     single_passage_parabolic,
     single_passage_probability,

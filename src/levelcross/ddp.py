@@ -19,11 +19,9 @@ from .specialfn import PARABOLIC_C, nu_coefficient
 
 __all__ = [
     "ZeroPoint",
-    "PhaseIntegral",
     "zero_points",
     "glancing_eta",
     "phase_integral",
-    "glancing_phase",
     "ddp_probability",
     "ddp_parabolic_closed_form",
     "ddp_single_zero",
@@ -36,18 +34,6 @@ class ZeroPoint:
 
     k: int
     t_c: complex
-
-
-@dataclass(frozen=True)
-class PhaseIntegral:
-    """Real/imaginary split of the gap integral D(t_c^1) = sigma + i delta."""
-
-    sigma: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
 
 
 def zero_points(N: int, alpha: float) -> list[ZeroPoint]:
@@ -67,17 +53,14 @@ def glancing_eta(N: int, alpha: float) -> float:
 
 
 def phase_integral(N: int, alpha: float, k: int) -> complex:
-    """Gap integral D(t_c^k) = eta e^{i pi (2k-1)/(2N)} for the k-th zero."""
+    """Gap integral D(t_c^k) = eta e^{i pi (2k-1)/(2N)} for the k-th zero.
+
+    D(t_c^1) = sigma + i delta is what the Zhu-Nakamura forms take.
+    """
     eta = glancing_eta(N, alpha)
     if int(k) != k or not (1 <= k <= N):
         raise ValueError(f"k must be an integer in 1..{N}, got {k!r}")
     return cmath.rect(eta, math.pi * (2 * k - 1) / (2 * N))
-
-
-def glancing_phase(N: int, alpha: float) -> PhaseIntegral:
-    """sigma, delta of the dominant (k = 1) zero, the inputs to the ZNT formulas."""
-    d1 = phase_integral(N, alpha, 1)
-    return PhaseIntegral(d1.real, d1.imag)
 
 
 def ddp_probability(N: int, alpha: float) -> float:

@@ -15,7 +15,6 @@ __all__ = [
     "BracketingError",
     "NonConvergence",
     "ToleranceFailure",
-    "NonSimpleZero",
     "MissingColumn",
 ]
 
@@ -47,11 +46,6 @@ class NonConvergence(LevelCrossError):
 
 class ToleranceFailure(LevelCrossError):
     """The ODE step controller could not meet the requested tolerances."""
-
-
-class NonSimpleZero(LevelCrossError):
-    """Residue extrapolation did not stabilize; the supplied point is not
-    a simple zero of the squared adiabatic gap."""
 
 
 class MissingColumn(LevelCrossError):

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -51,7 +53,8 @@ class SweepConfig:
 
     Methods are stored in canonical METHODS order regardless of the
     order requested.  workers=0 evaluates serially; workers>0 uses a
-    process pool of that size.
+    process pool of that size, capped at the number of grid points and
+    of CPUs.
     """
 
     n_values: tuple[int, ...]
@@ -148,10 +151,6 @@ def _evaluate_point(
     return SweepRow(n=n, alpha=alpha, values=values, status=";".join(failures) or "ok")
 
 
-def _evaluate_task(task: tuple[int, float, tuple[str, ...], PropagatorSettings]) -> SweepRow:
-    return _evaluate_point(*task)
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every requested method on the grid; optionally write CSV.
 
@@ -159,12 +158,17 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     are recorded in the row status, never raised.
     """
     grid = config.alpha_grid()
-    tasks = [(n, a, config.methods, config.settings) for n in config.n_values for a in grid]
+    ns = [n for n in config.n_values for _ in grid]
+    alphas = grid * len(config.n_values)
+    args = (ns, alphas, repeat(config.methods), repeat(config.settings))
     if config.workers > 0:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_evaluate_task, tasks))
+        # the pool starts all its processes at once, so never more than
+        # there are points or cores
+        workers = min(config.workers, len(ns), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_evaluate_point, *args))
     else:
-        rows = [_evaluate_task(t) for t in tasks]
+        rows = list(map(_evaluate_point, *args))
     if config.out_path is not None:
         write_sweep_csv(rows, config.methods, config.out_path)
     return rows

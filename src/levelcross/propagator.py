@@ -68,6 +68,10 @@ from .models import DiabaticModel
 # instead of running on
 _MAX_STEPS = 100_000
 
+# smallest rel_tol a double-precision step can resolve (100 eps); below it
+# DOP853 shrinks the step until it reaches the step cap
+_MIN_REL_TOL = 100.0 * np.finfo(float).eps
+
 __all__ = [
     "PropagatorSettings",
     "PropagationResult",
@@ -80,7 +84,8 @@ __all__ = [
 class PropagatorSettings:
     """Integration controls.
 
-    rel_tol and abs_tol are the DOP853 step-controller tolerances.
+    rel_tol and abs_tol are the DOP853 step-controller tolerances;
+    rel_tol must be at least 100 eps = 2.22e-14.
     tail_tol bounds the estimated first omitted term |v3| of the
     integrated-by-parts tail at the handover point t_core; it alone fixes
     the window [-t_core, t_core], which each propagation covers with one
@@ -96,6 +101,11 @@ class PropagatorSettings:
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.rel_tol < _MIN_REL_TOL:
+            raise ValueError(
+                f"rel_tol must be positive and at least 100 eps = {_MIN_REL_TOL!r}, "
+                f"got {self.rel_tol!r}"
+            )
         if not (0.0 < self.tail_tol < 1e-6):
             raise ValueError(f"tail_tol must lie in (0, 1e-6), got {self.tail_tol!r}")
 

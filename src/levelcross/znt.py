@@ -19,13 +19,12 @@ from typing import Callable
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from .ddp import glancing_phase
+from .ddp import phase_integral
 from .errors import BracketingError, BranchFailure, DegenerateGeometry
 from .models import Superparabolic
 from .specialfn import arg_gamma_imag, log_gamma
 
 __all__ = [
-    "ZntInputs",
     "FitGeometry",
     "single_passage_probability",
     "single_passage_parabolic",
@@ -36,28 +35,11 @@ __all__ = [
     "tunneling_probability",
     "fit_parameters",
     "znt_phase_estimate",
-    "glancing_inputs",
     "glancing_double_crossing",
     "glancing_tunneling",
 ]
 
 _DEGENERACY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ZntInputs:
-    """Reduced parameters feeding the closed forms: a^2, b^2 and sigma + i delta."""
-
-    a_sq: float
-    sigma: float
-    delta: float
-    b_sq: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (self.a_sq > 0.0):
-            raise ValueError(f"a_sq must be positive, got {self.a_sq!r}")
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -281,21 +263,16 @@ def znt_phase_estimate(
     return int_b - int_t + math.sqrt(b_sq / a_sq) + first + second
 
 
-def glancing_inputs(N: int, alpha: float) -> ZntInputs:
-    """Reduced parameters for the glancing family: a^2 = 1/(4 alpha^3), b^2 = 0,
-    sigma and delta from the exact dominant-zero gap integral."""
-    a_sq, b_sq = Superparabolic(N, alpha).reduced_parameters()
-    ph = glancing_phase(N, alpha)
-    return ZntInputs(a_sq=a_sq, sigma=ph.sigma, delta=ph.delta, b_sq=b_sq)
-
-
 def glancing_double_crossing(N: int, alpha: float) -> float:
-    """Double-crossing branch wired to the glancing family."""
-    z = glancing_inputs(N, alpha)
-    return double_crossing_probability(z.a_sq, z.b_sq, z.sigma, z.delta)
+    """Double-crossing branch wired to the glancing family: a^2 = 1/(4 alpha^3),
+    b^2 = 0, and sigma + i delta the dominant-zero gap integral."""
+    a_sq, b_sq = Superparabolic(N, alpha).reduced_parameters()
+    d = phase_integral(N, alpha, 1)
+    return double_crossing_probability(a_sq, b_sq, d.real, d.imag)
 
 
 def glancing_tunneling(N: int, alpha: float) -> float:
-    """Tunneling branch wired to the glancing family."""
-    z = glancing_inputs(N, alpha)
-    return tunneling_probability(z.a_sq, z.sigma, z.delta)
+    """Tunneling branch wired to the glancing family (b^2 = 0 is not used)."""
+    a_sq, _ = Superparabolic(N, alpha).reduced_parameters()
+    d = phase_integral(N, alpha, 1)
+    return tunneling_probability(a_sq, d.real, d.imag)

@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.special import airy
 
-from levelcross.errors import NonSimpleZero, ToleranceFailure
+from levelcross.errors import LevelCrossError, ToleranceFailure
 from levelcross.models import DiabaticModel, nonadiabatic_coupling
 from levelcross.propagator import (
     PropagatorSettings,
@@ -20,6 +21,11 @@ from levelcross.propagator import (
     _tail_coefficient,
     _tail_point,
 )
+
+
+class NonSimpleZero(LevelCrossError):
+    """Residue extrapolation did not stabilize; the supplied point is not
+    a simple zero of the squared adiabatic gap."""
 
 
 def phase_half(model: DiabaticModel, t_core: float) -> float:
@@ -133,3 +139,22 @@ def residue_prefactor(model: DiabaticModel, t_c: complex) -> complex:
             f"last corrections {abs(tab[-1] - tab[-2]):.3e}"
         )
     return tab[-1]
+
+
+def born_glancing(N: int, alpha: float) -> float:
+    """First-order (Born) P for eps = t^N, V = alpha: P1 = alpha^2 I^2 with
+    I = int exp(2i t^m/m) dt = 2 Gamma(1 + 1/m) cos(pi/2m) (2/m)^(-1/m),
+    m = N + 1.  Exact as alpha -> 0; shares no code with the propagator."""
+    m = N + 1
+    integral = (
+        2.0 * math.gamma(1.0 + 1.0 / m) * math.cos(math.pi / (2 * m)) * (2.0 / m) ** (-1.0 / m)
+    )
+    return (alpha * integral) ** 2
+
+
+def born_parabolic(A: float, B: float, V0: float) -> float:
+    """First-order (Born) P for eps = (A t^2 - B)/2, V = V0:
+    P1 = 4 pi^2 V0^2 A^(-2/3) Ai(-B A^(-1/3))^2, from
+    int exp(i (A t^3/3 - B t)) dt = 2 pi A^(-1/3) Ai(-B A^(-1/3))."""
+    ai = airy(-B * A ** (-1.0 / 3.0))[0]
+    return 4.0 * math.pi**2 * V0**2 * A ** (-2.0 / 3.0) * ai**2

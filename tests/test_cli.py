@@ -342,6 +342,8 @@ class TestFitCommand:
         (["sweep", "--N", "2", "--alpha-min", "1", "--alpha-max", "inf", "--points", "3",
           "--methods", "ddp", "--out", "{out}"], "alpha_max"),
         (["propagate", "--N", "2", "--alpha", "1", "--rel-tol", "inf"], "rel_tol"),
+        (["propagate", "--N", "2", "--alpha", "1", "--rel-tol", "1e-300", "--abs-tol", "1e-30"],
+         "rel_tol"),
     ],
 )
 def test_non_finite_input_exits_2(argv, param, tmp_path, capsys):

@@ -13,21 +13,18 @@ import pytest
 from scipy.integrate import quad
 
 from levelcross.ddp import (
-    PhaseIntegral,
     ZeroPoint,
     ddp_parabolic_closed_form,
     ddp_probability,
     ddp_single_zero,
     glancing_eta,
-    glancing_phase,
     phase_integral,
     zero_points,
 )
-from levelcross.errors import NonSimpleZero
 from levelcross.models import Superparabolic
 from levelcross.propagator import propagate
 from levelcross.specialfn import PARABOLIC_C
-from oracles import coupling_continued, residue_prefactor
+from oracles import NonSimpleZero, coupling_continued, residue_prefactor
 
 
 def gap_integral_oracle(n, alpha, k):
@@ -113,15 +110,6 @@ class TestPhaseIntegral:
         for k in (0, 3, -1, 1.5):
             with pytest.raises(ValueError):
                 phase_integral(2, 1.0, k)
-
-    def test_glancing_phase_struct(self):
-        ph = glancing_phase(2, 1.0)
-        assert isinstance(ph, PhaseIntegral)
-        assert ph.sigma == pytest.approx(ph.delta, rel=1e-14)
-        with pytest.raises(ValueError):
-            PhaseIntegral(1.0, 0.0)
-        with pytest.raises(ValueError):
-            PhaseIntegral(1.0, -2.0)
 
 
 class TestResiduePrefactor:

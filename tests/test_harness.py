@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from levelcross import harness
 from levelcross.ddp import ddp_parabolic_closed_form, ddp_probability
 from levelcross.errors import MissingColumn
 from levelcross.harness import (
@@ -152,6 +156,32 @@ class TestRunSweep:
         parallel = run_sweep(SweepConfig(**base, workers=2))
         assert serial == parallel
 
+    def test_pool_size_capped(self, monkeypatch):
+        # the pool forks all its workers up front, so a huge --workers must
+        # not reach it; a serial fake records the size instead of forking
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        base = dict(n_values=(2, 6), alpha_min=0.3, alpha_max=1.5, points=3, methods=("ddp",))
+        serial = run_sweep(SweepConfig(**base))
+        pooled = run_sweep(SweepConfig(**base, workers=10_000))
+        assert len(sizes) == 1
+        assert 1 <= sizes[0] <= min(len(serial), os.cpu_count() or 1)
+        assert pooled == serial
+
     def test_out_path_written(self, tmp_path):
         out = tmp_path / "sweep.csv"
         cfg = SweepConfig(
@@ -176,7 +206,37 @@ def _rows_with_failure():
     ]
 
 
+_ERROR_NAMES = ("BranchFailure", "NonConvergence", "ValueError", "OverflowError")
+
+
+@st.composite
+def _sweep_tables(draw):
+    methods = tuple(draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True)))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        values = {
+            m: draw(st.none() | st.floats(min_value=0.0, max_value=1.0)) for m in methods
+        }
+        failures = [
+            f"{m}:{draw(st.sampled_from(_ERROR_NAMES))}" for m in methods if values[m] is None
+        ]
+        rows.append(SweepRow(
+            n=draw(st.integers(min_value=1, max_value=500)) * 2,
+            alpha=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+            values=values,
+            status=";".join(failures) or "ok",
+        ))
+    return rows, methods
+
+
 class TestCsv:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(table=_sweep_tables())
+    def test_round_trip_property(self, table):
+        # subnormal and huge alphas, P at the ends of [0, 1], failed cells
+        rows, methods = table
+        assert parse_sweep_csv(emit_sweep_csv(rows, methods)) == (rows, methods)
+
     def test_round_trip_exact(self):
         rows = _rows_with_failure()
         methods = ("numeric", "znt-tunnel")

@@ -29,7 +29,13 @@ from levelcross.propagator import (
     propagate,
     propagate_trace,
 )
-from oracles import interaction_rhs, phase_half, propagate_diabatic
+from oracles import (
+    born_glancing,
+    born_parabolic,
+    interaction_rhs,
+    phase_half,
+    propagate_diabatic,
+)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +63,11 @@ class TestSettings:
             with pytest.raises(ValueError):
                 PropagatorSettings(tail_tol=bad)
         assert PropagatorSettings(tail_tol=1e-15).tail_tol == 1e-15
+        # below 100 eps a double cannot resolve the step error DOP853 asks for
+        for bad in (1e-15, 2.2e-14):
+            with pytest.raises(ValueError, match="rel_tol must be positive and at least"):
+                PropagatorSettings(rel_tol=bad)
+        assert PropagatorSettings(rel_tol=2.3e-14).rel_tol == 2.3e-14
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -442,3 +453,23 @@ class TestTrace:
     def test_rejects_short_sample_count(self):
         with pytest.raises(ValueError):
             propagate_trace(Superparabolic(2, 1.0), sample_count=1)
+
+
+class TestBornOracle:
+    """Weak coupling: P tends to the first-order (Born) closed form, an
+    oracle that shares no code with the tail or the ODE."""
+
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    def test_glancing_limit_and_alpha_squared_slope(self, n):
+        dev = {
+            a: propagate(Superparabolic(n, a)).probability / born_glancing(n, a) - 1.0
+            for a in (1e-3, 1e-2)
+        }
+        assert abs(dev[1e-3]) < 1e-5
+        # P/P1 - 1 = -c alpha^2: ten times alpha, a hundred times the deviation
+        assert 90.0 <= dev[1e-2] / dev[1e-3] <= 110.0
+
+    @pytest.mark.parametrize("B", [-4.0, 0.0, 4.0])
+    def test_parabolic_limit(self, B):
+        p = propagate(Parabolic(1.0, B, 3e-3)).probability
+        assert abs(p / born_parabolic(1.0, B, 3e-3) - 1.0) < 5e-4

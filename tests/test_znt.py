@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from levelcross.ddp import phase_integral
 from levelcross.errors import BracketingError, BranchFailure, DegenerateGeometry
 from levelcross.models import Superparabolic, adiabatic_levels
 from levelcross.specialfn import PARABOLIC_C, arg_gamma_imag
 from levelcross.znt import (
     FitGeometry,
-    ZntInputs,
     delta_psi,
     double_crossing_probability,
     fit_parameters,
     glancing_double_crossing,
-    glancing_inputs,
     glancing_tunneling,
     single_passage_parabolic,
     single_passage_probability,
@@ -260,28 +259,29 @@ def test_branches_disagree_at_glancing():
 
 
 class TestGlancingWiring:
+    # the glancing forms take a^2, b^2 from the model and sigma + i delta
+    # from the dominant-zero gap integral
     def test_inputs(self):
-        z = glancing_inputs(2, 1.0)
-        assert z.a_sq == pytest.approx(0.25, rel=1e-15)
-        assert z.b_sq == 0.0
-        assert z.sigma == pytest.approx(C, rel=1e-14)
-        assert z.delta == pytest.approx(C, rel=1e-14)
+        a_sq, b_sq = Superparabolic(2, 1.0).reduced_parameters()
+        d = phase_integral(2, 1.0, 1)
+        assert a_sq == pytest.approx(0.25, rel=1e-15)
+        assert b_sq == 0.0
+        assert d.real == pytest.approx(C, rel=1e-14)
+        assert d.imag == pytest.approx(C, rel=1e-14)
 
     def test_composition(self):
-        z = glancing_inputs(2, 1.0)
+        a_sq, b_sq = Superparabolic(2, 1.0).reduced_parameters()
+        d = phase_integral(2, 1.0, 1)
         assert glancing_double_crossing(2, 1.0) == double_crossing_probability(
-            z.a_sq, z.b_sq, z.sigma, z.delta
+            a_sq, b_sq, d.real, d.imag
         )
-        assert glancing_tunneling(2, 1.0) == tunneling_probability(z.a_sq, z.sigma, z.delta)
+        assert glancing_tunneling(2, 1.0) == tunneling_probability(a_sq, d.real, d.imag)
 
     def test_same_a_sq_for_all_n(self):
-        assert glancing_inputs(6, 0.9).a_sq == glancing_inputs(2, 0.9).a_sq
-
-    def test_inputs_validation(self):
-        with pytest.raises(ValueError):
-            ZntInputs(a_sq=0.0, sigma=1.0, delta=1.0)
-        with pytest.raises(ValueError):
-            ZntInputs(a_sq=1.0, sigma=1.0, delta=0.0)
+        assert (
+            Superparabolic(6, 0.9).reduced_parameters()[0]
+            == Superparabolic(2, 0.9).reduced_parameters()[0]
+        )
 
 
 SYN_E1 = lambda t: -1.0 - (t + 0.4) ** 2  # noqa: E731
