@@ -104,7 +104,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         methods=tuple(tok.strip() for tok in args.methods.split(",") if tok.strip()),
         settings=_settings_from_args(args),
         out_path=args.out,
-        workers=args.workers,
     )
     rows = run_sweep(config)
     failed = sum(1 for r in rows if r.status != "ok")
@@ -165,10 +164,12 @@ def _cmd_znt(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    data = np.genfromtxt(args.curves, delimiter=",", names=True)
-    for col in ("t", "E1", "E2"):
-        if col not in (data.dtype.names or ()):
-            raise ValueError(f"curves file needs columns t,E1,E2; missing {col!r}")
+    with open(args.curves, "r", encoding="utf-8") as fh:  # genfromtxt fails on an empty file
+        lines = [ln for ln in fh if ln.strip()]
+    data = np.genfromtxt(lines, delimiter=",", names=True, ndmin=1) if lines else np.empty(0)
+    if len(data) < 2 or not {"t", "E1", "E2"} <= set(data.dtype.names or ()):
+        raise ValueError(f"curves file needs columns t,E1,E2 and 2 or more rows; got "
+                         f"columns {list(data.dtype.names or ())} and {len(data)} row(s)")
     order = np.argsort(data["t"])
     t = data["t"][order]
     e1 = CubicSpline(t, data["E1"][order])
@@ -228,7 +229,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--spacing", choices=("linear", "log"), default="log")
     sp.add_argument("--methods", type=str, default=",".join(METHODS))
     sp.add_argument("--out", type=str, required=True)
-    sp.add_argument("--workers", type=int, default=0)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser(

@@ -17,6 +17,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
+from multiprocessing import get_all_start_methods, get_start_method
 
 import numpy as np
 
@@ -46,16 +47,15 @@ METHODS = ("numeric", "ddp", "znt-double", "znt-tunnel")
 
 _NAN_TOKEN = "NaN"
 
+# numeric points per pooled process; on 2 cores a fork pool first beats
+# serial map between 6 and 16 of them (BENCH_sweep_pool_rule.json).  Only
+# fork pools: a spawn or forkserver child imports scipy and __main__ again
+_POINTS_PER_PROCESS = 8
+
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid description for run_sweep.
-
-    Methods are stored in canonical METHODS order regardless of the
-    order requested.  workers=0 evaluates serially; workers>0 uses a
-    process pool of that size, capped at the number of grid points and
-    of CPUs.
-    """
+    """Grid description for run_sweep; methods are kept in canonical METHODS order."""
 
     n_values: tuple[int, ...]
     alpha_min: float
@@ -65,7 +65,6 @@ class SweepConfig:
     methods: tuple[str, ...] = METHODS
     settings: PropagatorSettings = field(default_factory=PropagatorSettings)
     out_path: str | None = None
-    workers: int = 0
 
     def __post_init__(self) -> None:
         for n in self.n_values:
@@ -88,8 +87,6 @@ class SweepConfig:
         if not requested:
             raise ValueError("method set must be nonempty")
         object.__setattr__(self, "methods", tuple(m for m in METHODS if m in requested))
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers!r}")
 
     def alpha_grid(self) -> list[float]:
         if self.spacing == "linear":
@@ -161,10 +158,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     ns = [n for n in config.n_values for _ in grid]
     alphas = grid * len(config.n_values)
     args = (ns, alphas, repeat(config.methods), repeat(config.settings))
-    if config.workers > 0:
-        # the pool starts all its processes at once, so never more than
-        # there are points or cores
-        workers = min(config.workers, len(ns), os.cpu_count() or 1)
+    start = get_start_method(allow_none=True) or get_all_start_methods()[0]
+    numeric = len(ns) if start == "fork" and "numeric" in config.methods else 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(numeric // _POINTS_PER_PROCESS, cpus)
+    if workers >= 2:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_evaluate_point, *args))
     else:

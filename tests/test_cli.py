@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levelcross.propagator as propagator
 from levelcross.cli import _build_parser, _merge_config, main
@@ -219,6 +224,21 @@ class TestSweepCommand:
             assert exc.value.code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_workers_option_removed(self, tmp_path, capsys):
+        # the pool size is chosen by run_sweep; the old flag is an unknown
+        # argument and the old config key is ignored like any foreign key
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--N", "2", "--alpha-min", "0.5", "--alpha-max", "1.0",
+                "--points", "2", "--methods", "ddp", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", "2"])
+        assert exc.value.code == 2
+        assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\n", encoding="ascii")
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert out.exists()
+
     def test_rejects_unknown_method(self, tmp_path, capsys):
         rc = main(
             ["sweep", "--N", "2", "--alpha-min", "0.5", "--alpha-max", "1.0",
@@ -318,6 +338,21 @@ class TestFitCommand:
         assert rc == 2
         assert "E2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, problem", [
+        ("", "got columns [] and 0 row(s)"),
+        ("\n  \n", "got columns [] and 0 row(s)"),
+        ("t,E1,E2\n", "and 0 row(s)"),
+        ("t,E1,E2\n0,1,2\n", "and 1 row(s)"),
+    ])
+    def test_fit_too_few_rows(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "short.csv"
+        path.write_text(text, encoding="ascii")
+        rc = main(["fit", "--curves", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: curves file needs columns t,E1,E2 and 2 or more rows")
+        assert problem in err
+
     def test_fit_degenerate_exit_code(self, tmp_path, capsys):
         t = np.linspace(-2.0, 2.0, 201)
         w = np.sqrt((t**2) ** 2 + 1.0)
@@ -394,10 +429,89 @@ def test_sweep_records_range_errors(tmp_path, capsys):
     assert all(v is None for v in rows[-1].values.values())
 
 
+def _assert_clean_exit(argv):
+    """main exits 0, 1 or 2 (argparse: SystemExit(2)); exit 1 names the error class."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejected an argument
+            assert exc.code == 2
+            return
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert re.match(r"error: [A-Z]\w*: ", err.getvalue()), err.getvalue()
+
+
+# the second branch draws only even N, so that the model is often valid
+_N_ARG = (
+    st.integers(min_value=-10, max_value=400).map(str)
+    | st.integers(min_value=-5, max_value=200).map(lambda k: str(2 * k))
+    | st.sampled_from(["2.5", "abc", "1e3", ""])
+)
+# repr covers nan, inf, subnormals and the float extremes; 1.8e308 parses as
+# inf; the second branch spreads positive alphas over every decade
+_ALPHA_ARG = (
+    st.floats().map(repr)
+    | st.floats(min_value=-323.0, max_value=308.0).map(lambda x: repr(10.0**x))
+    | st.sampled_from(["5e-324", "1.8e308", "-0.0"])
+)
+_CLOSED_FORM_COMMANDS = (
+    ["zeros"], ["phase"], ["ddp"], ["znt", "--branch", "double"], ["znt", "--branch", "tunnel"]
+)
+
+
+@st.composite
+def _closed_form_argv(draw):
+    argv = [*draw(st.sampled_from(_CLOSED_FORM_COMMANDS)),
+            f"--N={draw(_N_ARG)}", f"--alpha={draw(_ALPHA_ARG)}"]
+    if argv[0] == "phase":
+        argv.append(f"--k={draw(st.integers(min_value=-2, max_value=12))}")
+    return argv
+
+
+_LEVEL = st.floats(min_value=-5.0, max_value=5.0).map(repr)
+_CURVE_CELL = (
+    _LEVEL
+    | st.sampled_from(["0", "1"])
+    | st.sampled_from(["nan", "inf", "-1e308", "", "x"])
+)
+
+
+@st.composite
+def _curves_text(draw):
+    """0-4 data rows under a right, reordered, short or missing header."""
+    width = draw(st.just(3) | st.integers(min_value=2, max_value=4))
+    names = ["t", "E1", "E2", "x"][:width]
+    header = draw(st.sampled_from([",".join(names), ",".join(names[::-1]), "", "# t,E1,E2"]))
+    row = st.lists(_CURVE_CELL, min_size=width, max_size=width)
+    rows = [draw(row) for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+    if draw(st.booleans()):  # increasing t and finite levels, so the fit gets to run
+        rows = [[str(i), *(draw(_LEVEL) for _ in cells[1:])] for i, cells in enumerate(rows)]
+    lines = ([header] if header else []) + [",".join(cells) for cells in rows]
+    return "".join(f"{line}\n" for line in lines)
+
+
+# propagate and numeric sweeps are left out: a step-cap case takes about
+# 3.5 s, and test_numeric_failure_exits_1 covers them
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=_closed_form_argv())
+def test_fuzzed_closed_form_arguments_exit_cleanly(argv):
+    _assert_clean_exit(argv)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=_curves_text())
+def test_fuzzed_curves_files_exit_cleanly(text, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_curves.csv"
+    path.write_text(text, encoding="ascii")
+    _assert_clean_exit(["fit", "--curves", str(path)])
+
+
 # the config keys each subcommand accepts: its long flags other than --help
 _SETTINGS_KEYS = {"rel-tol", "abs-tol", "tail-tol"}
 _SUB_OPTIONS = {
-    "sweep": {"N", "alpha-min", "alpha-max", "points", "spacing", "methods", "out", "workers"}
+    "sweep": {"N", "alpha-min", "alpha-max", "points", "spacing", "methods", "out"}
     | _SETTINGS_KEYS,
     "propagate": {"model", "N", "alpha", "A", "B", "V0", "trace", "samples"} | _SETTINGS_KEYS,
     "zeros": {"N", "alpha"},

@@ -4,6 +4,9 @@ import json
 import math
 import os
 import random
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_all_start_methods, get_start_method
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +51,6 @@ class TestSweepConfig:
             dict(spacing="cubic"),
             dict(methods=("numeric", "euler")),
             dict(methods=()),
-            dict(workers=-1),
         ):
             with pytest.raises(ValueError):
                 SweepConfig(**{**good, **overrides})
@@ -83,6 +85,44 @@ class TestSweepConfig:
         grid = cfg.alpha_grid()
         ratios = [b / a for a, b in zip(grid, grid[1:])]
         assert max(ratios) - min(ratios) < 1e-12
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The sizes run_sweep asks ProcessPoolExecutor for; nothing is forked."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.fixture()
+def cheap_propagate(monkeypatch):
+    """A numeric column that costs microseconds per point."""
+
+    def fake(model, settings):
+        return SimpleNamespace(probability=model.alpha / (1.0 + model.alpha))
+
+    monkeypatch.setattr(harness, "propagate", fake)
 
 
 class TestRunSweep:
@@ -144,43 +184,65 @@ class TestRunSweep:
         b = emit_sweep_csv(run_sweep(cfg), cfg.methods)
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        base = dict(
-            n_values=(2,),
-            alpha_min=0.3,
-            alpha_max=1.5,
-            points=4,
-            methods=("ddp", "znt-double"),
-        )
-        serial = run_sweep(SweepConfig(**base))
-        parallel = run_sweep(SweepConfig(**base, workers=2))
-        assert serial == parallel
+    def test_parallel_matches_serial(self, monkeypatch):
+        # 16 numeric points make two processes' work, so with fork and two
+        # CPUs this sweep runs in a real pool
+        made = []
 
-    def test_pool_size_capped(self, monkeypatch):
-        # the pool forks all its workers up front, so a huge --workers must
-        # not reach it; a serial fake records the size instead of forking
-        sizes = []
-
-        class SerialPool:
+        class CountingPool(ProcessPoolExecutor):
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                made.append(max_workers)
+                super().__init__(max_workers=max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-        base = dict(n_values=(2, 6), alpha_min=0.3, alpha_max=1.5, points=3, methods=("ddp",))
-        serial = run_sweep(SweepConfig(**base))
-        pooled = run_sweep(SweepConfig(**base, workers=10_000))
-        assert len(sizes) == 1
-        assert 1 <= sizes[0] <= min(len(serial), os.cpu_count() or 1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        cfg = SweepConfig(n_values=(2,), alpha_min=0.3, alpha_max=2.0, points=16)
+        pooled = run_sweep(cfg)
+        serial = [
+            harness._evaluate_point(2, a, cfg.methods, cfg.settings) for a in cfg.alpha_grid()
+        ]
         assert pooled == serial
+        forks = (get_start_method(allow_none=True) or get_all_start_methods()[0]) == "fork"
+        assert made == ([2] if forks and _usable_cpus() >= 2 else [])
+
+    def test_small_and_closed_form_sweeps_stay_serial(self, pool_sizes, cheap_propagate):
+        # the benchmark's 4-point sweeps, too few points for two processes,
+        # and closed forms at any size
+        for points in (4, 15):
+            run_sweep(SweepConfig(n_values=(2,), alpha_min=0.3, alpha_max=1.5, points=points))
+        closed = ("ddp", "znt-double", "znt-tunnel")
+        run_sweep(SweepConfig(n_values=(2,), alpha_min=0.1, alpha_max=3.0, points=300,
+                              methods=closed))
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("set_method, methods", [
+        ("spawn", ["fork", "spawn", "forkserver"]),
+        ("forkserver", ["fork", "spawn", "forkserver"]),
+        (None, ["spawn", "fork", "forkserver"]),  # the macOS default
+        (None, ["forkserver", "fork", "spawn"]),  # the Linux default from Python 3.14
+    ])
+    def test_no_pool_without_fork(self, pool_sizes, cheap_propagate, monkeypatch,
+                                  set_method, methods):
+        monkeypatch.setattr(harness, "get_start_method", lambda allow_none=False: set_method)
+        monkeypatch.setattr(harness, "get_all_start_methods", lambda: methods)
+        run_sweep(SweepConfig(n_values=(2,), alpha_min=0.1, alpha_max=3.0, points=300))
+        assert pool_sizes == []
+
+    def test_pool_size_capped(self, pool_sizes, cheap_propagate, monkeypatch):
+        # the pool starts all its processes at once, so a huge numeric grid
+        # must ask for no more than the usable CPUs; fork is the default
+        # start method here, as on Linux up to Python 3.13
+        monkeypatch.setattr(harness, "get_start_method", lambda allow_none=False: None)
+        monkeypatch.setattr(harness, "get_all_start_methods", lambda: ["fork", "spawn"])
+        cfg = SweepConfig(n_values=(2, 6), alpha_min=0.1, alpha_max=3.0, points=5_000)
+        pooled = run_sweep(cfg)
+        serial = [
+            harness._evaluate_point(n, a, cfg.methods, cfg.settings)
+            for n in cfg.n_values
+            for a in cfg.alpha_grid()
+        ]
+        assert pooled == serial
+        cpus = _usable_cpus()
+        assert pool_sizes == ([cpus] if cpus >= 2 else [])
 
     def test_out_path_written(self, tmp_path):
         out = tmp_path / "sweep.csv"
