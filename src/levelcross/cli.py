@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -124,6 +125,8 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     print(f"final_norm_drift = {result.final_norm_drift:.17g}")
     print(f"t_core = {result.t_core:.17g}")
     print(f"tail_error = {result.tail_error:.17g}")
+    print(f"nfev = {result.nfev}")
+    print(f"n_steps = {result.n_steps}")
     if args.trace is not None:
         with open(args.trace, "w", encoding="ascii", newline="") as fh:
             fh.write("t,P1,P2,norm\n")
@@ -172,10 +175,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                          f"columns {list(data.dtype.names or ())} and {len(data)} row(s)")
     order = np.argsort(data["t"])
     t = data["t"][order]
-    e1 = CubicSpline(t, data["E1"][order])
-    e2 = CubicSpline(t, data["E2"][order])
-    geom, a_sq, b_sq = fit_parameters(e1, e2, (float(t[0]), float(t[-1])))
-    estimate = znt_phase_estimate(geom, e1, e2, a_sq, b_sq)
+    # curves near the float range overflow inside numpy/scipy: the error
+    # raised for them is the message, not the RuntimeWarnings on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        e1 = CubicSpline(t, data["E1"][order])
+        e2 = CubicSpline(t, data["E2"][order])
+        geom, a_sq, b_sq = fit_parameters(e1, e2, (float(t[0]), float(t[-1])))
+        estimate = znt_phase_estimate(geom, e1, e2, a_sq, b_sq)
     print(f"t_b = {geom.t_b:.17g}")
     print(f"t_t = {geom.t_t:.17g}")
     print(f"t_0 = {geom.t_0:.17g}")

@@ -14,7 +14,8 @@ family supplies just what is specific to it:
 
 - ``V``, the constant coupling;
 - ``level(t)``, the pair (eps, deps/dt), valid for complex t too;
-- ``level_derivatives(t)``, the second and third derivatives of eps;
+- ``level_series(t, L)``, the Taylor coefficients eps^(k)(t)/k! for
+  k < L, exact (eps is a polynomial), for a float t or an array of them;
 - ``floor``, a time past all level structure, where the search for the
   propagator's tail handover starts;
 - ``reduced_parameters()``, the reduced (a^2, b^2) of the equivalent
@@ -29,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 __all__ = [
     "Superparabolic",
@@ -68,16 +71,18 @@ class Superparabolic:
 
     @property
     def floor(self) -> float:
-        return 2.0 * self.alpha ** (1.0 / self.N)
+        return 1.2 * self.alpha ** (1.0 / self.N)
 
     def level(self, t):
         tn1 = t ** (self.N - 1)
         return tn1 * t, self.N * tn1
 
-    def level_derivatives(self, t):
+    def level_series(self, t, L: int) -> np.ndarray:
         n = self.N
-        c2 = n * (n - 1)
-        return c2 * t ** (n - 2), c2 * (n - 2) * t ** (n - 3) if n > 2 else 0.0
+        t = np.asarray(t, dtype=float)
+        return np.array(
+            [math.comb(n, k) * t ** (n - k) if k <= n else np.zeros_like(t) for k in range(L)]
+        )
 
     def reduced_parameters(self) -> tuple[float, float]:
         # the N = 2 correspondence a^2 = 1/(4 alpha^3), applied at every N;
@@ -113,13 +118,16 @@ class Parabolic:
 
     @property
     def floor(self) -> float:
-        return 2.0 * math.sqrt(max(self.B, 0.0) / self.A + 1.0)
+        return 1.2 * math.sqrt(max(self.B, 0.0) / self.A + 1.0)
 
     def level(self, t):
         return 0.5 * (self.A * t * t - self.B), self.A * t
 
-    def level_derivatives(self, t):
-        return self.A, 0.0
+    def level_series(self, t, L: int) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        out = np.zeros((max(L, 3),) + t.shape)
+        out[0], out[1], out[2] = self.level(t) + (0.5 * self.A,)
+        return out[:L]
 
     def reduced_parameters(self) -> tuple[float, float]:
         return self.A, self.B

@@ -14,7 +14,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import airy
 
 from levelcross.errors import LevelCrossError, ToleranceFailure
-from levelcross.models import DiabaticModel, nonadiabatic_coupling
+from levelcross.models import DiabaticModel, Superparabolic, nonadiabatic_coupling
 from levelcross.propagator import (
     PropagatorSettings,
     _mixing_half_angle,
@@ -69,9 +69,9 @@ def propagate_diabatic(
     not from that solve.  Its solve_ivp stepper is a second DOP853
     implementation, independent of the compiled one the library uses.
     """
-    t_core = _tail_point(model, settings.tail_tol)
+    t_core, terms = _tail_point(model, settings.tail_tol)
     lam_half = phase_half(model, t_core)
-    coeff = _tail_coefficient(model, t_core)
+    coeff = _tail_coefficient(terms)
     j_in = cmath.exp(2j * lam_half) * coeff
     norm = math.sqrt(1.0 + abs(j_in) ** 2)
     bp0, bm0 = j_in.conjugate() / norm, 1.0 / norm
@@ -102,6 +102,36 @@ def propagate_diabatic(
     j_out = cmath.exp(2j * lam_half) * coeff
     bp_inf = (bp - j_out * bm) / math.sqrt(1.0 + abs(j_out) ** 2)
     return min(max(abs(bp_inf) ** 2, 0.0), 1.0)
+
+
+def contour_tail(model: DiabaticModel, T: float) -> complex:
+    """J(T) e^{-2i Lam(T)} = int_T^inf gamma e^{2i (Lam - Lam(T))} dt by
+    integration along the steepest-descent path t(s) = (T^m + i s)^(1/m),
+    s in [0, 60 m], with m = N + 1 (m = 3 for the parabolic family).
+
+    On that path 2i (Lam - Lam(T)) ~ -2 s/m for eps ~ t^N, so the integrand
+    decays like e^{-2s/m} (like e^{-A s/3} for the parabolic family) instead
+    of oscillating.  One complex DOP853 solve in s carries
+    phi = Lam - Lam(T) and the integral.  W = eps sqrt(1 + V^2/eps^2) keeps
+    the square root on one continuous branch, since the path stays clear
+    of the zero points.  Shares no code with the propagator's tail series.
+    """
+    m = model.N + 1 if isinstance(model, Superparabolic) else 3
+    v = model.V
+
+    def rhs(s, y):
+        t = (T**m + 1j * s) ** (1.0 / m)
+        dt = 1j / (m * t ** (m - 1))
+        eps, deps = model.level(t)
+        w = eps * cmath.sqrt(1.0 + (v / eps) ** 2)
+        gamma = v * deps / (2.0 * w * w)
+        return (w * dt, gamma * cmath.exp(2j * y[0]) * dt)
+
+    sol = solve_ivp(rhs, (0.0, 60.0 * m), np.zeros(2, dtype=complex), method="DOP853",
+                    rtol=1e-13, atol=1e-30)
+    if not sol.success:
+        raise ToleranceFailure(f"contour solve failed: {sol.message}")
+    return complex(sol.y[1, -1])
 
 
 def coupling_continued(model: DiabaticModel, z: complex) -> complex:

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -38,8 +39,10 @@ class TestPropagate:
         vals = _values(capsys.readouterr().out)
         assert float(vals["probability"]) == pytest.approx(0.3392589574803294, rel=1e-9)
         assert float(vals["final_norm_drift"]) < 1e-9
-        assert float(vals["t_core"]) == _tail_point(Superparabolic(2, 1.0), 3e-12)
+        assert float(vals["t_core"]) == _tail_point(Superparabolic(2, 1.0), 3e-12)[0]
         assert 0.0 < float(vals["tail_error"]) <= 3e-12
+        r = propagate(Superparabolic(2, 1.0))
+        assert (int(vals["nfev"]), int(vals["n_steps"])) == (r.nfev, r.n_steps)
 
     def test_parabolic(self, capsys):
         rc = main(
@@ -82,7 +85,7 @@ class TestPropagate:
         vals = _values(capsys.readouterr().out)
         p = propagate(Superparabolic(2, 1.0)).probability
         assert abs(float(vals["probability"]) - p) < 1e-9
-        assert float(vals["t_core"]) >= _tail_point(Superparabolic(2, 1.0), 3e-12)
+        assert float(vals["t_core"]) >= _tail_point(Superparabolic(2, 1.0), 3e-12)[0]
         assert float(vals["tail_error"]) <= 3e-12
 
     def test_settings_flags(self, capsys):
@@ -93,7 +96,7 @@ class TestPropagate:
         assert rc == 0
         vals = _values(capsys.readouterr().out)
         assert float(vals["probability"]) == pytest.approx(0.3392589574803294, abs=1e-7)
-        assert float(vals["t_core"]) == _tail_point(Superparabolic(2, 1.0), 1e-13)
+        assert float(vals["t_core"]) == _tail_point(Superparabolic(2, 1.0), 1e-13)[0]
         assert float(vals["tail_error"]) <= 1e-13
 
     def test_removed_settings_flags_rejected(self, capsys):
@@ -353,6 +356,19 @@ class TestFitCommand:
         assert err.startswith("error: curves file needs columns t,E1,E2 and 2 or more rows")
         assert problem in err
 
+    def test_fit_overflowing_curves_one_error_line(self, tmp_path, capsys):
+        # energies near the float range overflow inside numpy/scipy; no
+        # RuntimeWarning reaches the user, only the one error line
+        path = tmp_path / "huge.csv"
+        path.write_text("t,E1,E2\n0,-1e308,1\n1,1e308,2\n2,-1e308,3\n", encoding="ascii")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["fit", "--curves", str(path)])
+        assert rc == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_fit_degenerate_exit_code(self, tmp_path, capsys):
         t = np.linspace(-2.0, 2.0, 201)
         w = np.sqrt((t**2) ** 2 + 1.0)
@@ -404,7 +420,7 @@ def test_non_finite_input_exits_2(argv, param, tmp_path, capsys):
         (["znt", "--branch", "double", "--N", "2", "--alpha", "1e-300"], "ZeroDivisionError"),
         (["znt", "--branch", "tunnel", "--N", "2", "--alpha", "1e-300"], "ZeroDivisionError"),
         (["propagate", "--N", "2", "--alpha", "1e-300"], "ZeroDivisionError"),
-        (["propagate", "--N", "200", "--alpha", "1"], "OverflowError"),
+        (["propagate", "--N", "200", "--alpha", "1e300"], "OverflowError"),
         (["propagate", "--model", "parabolic", "--A", "1", "--B", "1e300", "--V0", "1"], "OverflowError"),
         (["propagate", "--N", "2", "--alpha", "1e6"], "NonConvergence"),
     ],

@@ -228,18 +228,22 @@ class TestFamilyProtocol:
     )
 
     def test_derivatives_match_central_differences(self):
-        # each derivative against a central difference of the order below,
-        # on the real axis and off it (eps is analytic in t)
+        # level_series(t, L)[k] = eps^(k)(t)/k!: orders 0 and 1 are level(t),
+        # and (k + 1) times order k + 1 is a central difference of order k;
+        # an array of times gives each time's series
+        ts = np.array([0.9, 1.7, 3.1])
+        h = 1e-5
         for m in self.MODELS:
-            for t in (0.9, 1.7, 1.2 + 0.8j, -0.6 + 1.1j):
-                h = 1e-5
-                eps, d1 = m.level(t)
-                d2, d3 = m.level_derivatives(t)
-                fd1 = (m.level(t + h)[0] - m.level(t - h)[0]) / (2.0 * h)
-                fd2 = (m.level(t + h)[1] - m.level(t - h)[1]) / (2.0 * h)
-                fd3 = (m.level_derivatives(t + h)[0] - m.level_derivatives(t - h)[0]) / (2.0 * h)
-                for exact, fd in ((d1, fd1), (d2, fd2), (d3, fd3)):
-                    assert abs(exact - fd) <= 1e-7 * max(1.0, abs(exact))
+            series = m.level_series(ts, 9)
+            assert series.shape == (9, 3)
+            for i, t in enumerate(ts):
+                one = m.level_series(float(t), 9)
+                assert one == pytest.approx(series[:, i], rel=1e-14)
+                assert tuple(one[:2]) == pytest.approx(m.level(float(t)), rel=1e-14)
+                fd = (m.level_series(t + h, 9) - m.level_series(t - h, 9)) / (2.0 * h)
+                for k in range(8):
+                    exact = (k + 1) * one[k + 1]
+                    assert abs(exact - fd[k]) <= 1e-7 * max(1.0, abs(exact))
 
     def test_level_is_even_in_time(self):
         # eps(-t) = eps(t), so eps'(-t) = -eps'(t): with V constant, the
@@ -252,7 +256,7 @@ class TestFamilyProtocol:
     def test_coupling_and_floor(self):
         assert Superparabolic(6, 1.3).V == 1.3
         assert Parabolic(1.3, 2.0, 0.8).V == 0.8
-        assert Superparabolic(2, 0.25).floor == pytest.approx(1.0, rel=1e-15)
-        assert Parabolic(1.0, 3.0, 0.5).floor == 4.0
+        assert Superparabolic(2, 0.25).floor == pytest.approx(0.6, rel=1e-15)
+        assert Parabolic(1.0, 3.0, 0.5).floor == pytest.approx(2.4, rel=1e-15)
         # B < 0 never crosses: the floor does not depend on B or A
-        assert Parabolic(0.3, -5.0, 0.5).floor == 2.0
+        assert Parabolic(0.3, -5.0, 0.5).floor == pytest.approx(1.2, rel=1e-15)
