@@ -8,10 +8,9 @@ parameter grids and compares.
 
 from .ddp import (
     ZeroPoint,
-    ddp_parabolic_closed_form,
     ddp_probability,
-    ddp_single_zero,
     glancing_eta,
+    nu_coefficient,
     phase_integral,
     zero_points,
 )
@@ -48,15 +47,14 @@ from .propagator import (
     propagate,
     propagate_trace,
 )
-from .specialfn import arg_gamma_imag, beta, log_gamma, nu_coefficient
 from .znt import (
     FitGeometry,
+    arg_gamma_imag,
     delta_psi,
     double_crossing_probability,
     fit_parameters,
     glancing_double_crossing,
     glancing_tunneling,
-    single_passage_parabolic,
     single_passage_probability,
     stokes_phase,
     tunneling_B,

@@ -2,10 +2,9 @@
 
 For the glancing family eps = t^N, V = alpha the adiabatic gap vanishes
 at N points on the upper-half-plane circle |t| = alpha^(1/N), and the
-gap integral up to each of them is known in closed form.  The coherent
-sum over all of them approximates the transition probability well into
-the nonadiabatic regime; the single dominant zero reproduces the plain
-adiabatic-limit exponential.
+gap integral up to each of them is known in closed form through the
+coefficient nu_N.  The coherent sum over all of them approximates the
+transition probability well into the nonadiabatic regime.
 """
 
 from __future__ import annotations
@@ -15,17 +14,28 @@ import math
 from dataclasses import dataclass
 
 from .models import check_glancing
-from .specialfn import PARABOLIC_C, nu_coefficient
 
 __all__ = [
+    "nu_coefficient",
     "ZeroPoint",
     "zero_points",
     "glancing_eta",
     "phase_integral",
     "ddp_probability",
-    "ddp_parabolic_closed_form",
-    "ddp_single_zero",
 ]
+
+
+def nu_coefficient(N) -> float:
+    """nu_N = integral_0^1 sqrt(1 - y^(2N)) dy = B(1/(2N), 3/2)/(2N).
+
+    The even values N = 2, 4, ... are the glancing family; N = 1 is the
+    quarter-circle sanity case (pi/4).
+    """
+    n = int(N) if not isinstance(N, bool) else 0
+    if n != N or n <= 0:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
+    x = 1.0 / (2.0 * n)  # Beta(x, 3/2) through log-Gamma
+    return math.exp(math.lgamma(x) + math.lgamma(1.5) - math.lgamma(x + 1.5)) / (2.0 * n)
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,11 @@ def zero_points(N: int, alpha: float) -> list[ZeroPoint]:
 def glancing_eta(N: int, alpha: float) -> float:
     """Magnitude eta = 2 nu_N alpha^((N+1)/N) of every gap integral D(t_c^k)."""
     check_glancing(N, alpha)
-    return 2.0 * nu_coefficient(int(N)) * alpha ** ((N + 1.0) / N)
+    try:
+        return 2.0 * nu_coefficient(int(N)) * alpha ** ((N + 1.0) / N)
+    except OverflowError as exc:
+        msg = f"eta = 2 nu_N alpha^((N+1)/N) overflows at N={N}, alpha={alpha!r}"
+        raise OverflowError(msg) from exc
 
 
 def phase_integral(N: int, alpha: float, k: int) -> complex:
@@ -81,16 +95,3 @@ def ddp_probability(N: int, alpha: float) -> float:
         raise ValueError(f"coherent sum gave P={p!r} > 1 at N={N}, alpha={alpha}")
     return min(p, 1.0)
 
-
-def ddp_parabolic_closed_form(alpha: float) -> float:
-    """P = 4 e^{-2 c alpha^(3/2)} sin^2(c alpha^(3/2)) for the parabolic glancing model."""
-    if not (0.0 < alpha < math.inf):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    x = PARABOLIC_C * alpha**1.5
-    return 4.0 * math.exp(-2.0 * x) * math.sin(x) ** 2
-
-
-def ddp_single_zero(eta: float, N: int) -> float:
-    """Dominant-zero truncation e^{-2 eta sin(pi/(2N))} (adiabatic-limit form)."""
-    check_glancing(N, eta, "eta")
-    return math.exp(-2.0 * eta * math.sin(math.pi / (2 * N)))

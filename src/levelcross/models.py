@@ -19,7 +19,9 @@ family supplies just what is specific to it:
 - ``floor``, a time past all level structure, where the search for the
   propagator's tail handover starts;
 - ``reduced_parameters()``, the reduced (a^2, b^2) of the equivalent
-  stationary crossing problem.
+  stationary crossing problem, built from scale-free combinations of the
+  parameters: one Hamiltonian, written as either family or rescaled in
+  time, gives one pair.
 
 Everything derived from eps and V (gamma, W, the propagator's right-hand
 side and its tail terms) is written once, against these members.
@@ -87,7 +89,11 @@ class Superparabolic:
     def reduced_parameters(self) -> tuple[float, float]:
         # the N = 2 correspondence a^2 = 1/(4 alpha^3), applied at every N;
         # b^2 = 0 encodes the glancing geometry
-        return 1.0 / (4.0 * self.alpha**3), 0.0
+        try:
+            return 1.0 / (4.0 * self.alpha**3), 0.0
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise type(exc)(f"a^2 = 1/(4 alpha^3) leaves the float range at N={self.N}, "
+                            f"alpha={self.alpha!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,9 @@ class Parabolic:
         return out[:L]
 
     def reduced_parameters(self) -> tuple[float, float]:
-        return self.A, self.B
+        # a^2 = A/(8 V0^3) matches Superparabolic(2, V0) at A = 2, B = 0;
+        # both are invariant under (A, B, V0) -> (A c^3, B c, V0 c)
+        return self.A / (8.0 * self.V0**3), self.B / (2.0 * self.V0)
 
 
 DiabaticModel = Union[Superparabolic, Parabolic]

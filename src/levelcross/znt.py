@@ -18,16 +18,16 @@ from typing import Callable
 
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import loggamma
 
 from .ddp import phase_integral
 from .errors import BracketingError, BranchFailure, DegenerateGeometry
 from .models import Superparabolic
-from .specialfn import arg_gamma_imag, log_gamma
 
 __all__ = [
     "FitGeometry",
     "single_passage_probability",
-    "single_passage_parabolic",
+    "arg_gamma_imag",
     "delta_psi",
     "stokes_phase",
     "double_crossing_probability",
@@ -69,13 +69,15 @@ def single_passage_probability(a_sq: float, b_sq: float) -> float:
     return math.exp(-(math.pi / (4.0 * a)) * math.sqrt(2.0 / denom))
 
 
-def single_passage_parabolic(alpha: float) -> float:
-    """Single-passage probability of the parabolic glancing model in alpha form."""
-    if not (alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    return math.exp(
-        -(math.pi * alpha**1.5 / math.sqrt(2.0)) * (0.1 * alpha**-3 + 0.7) ** -0.25
-    )
+def arg_gamma_imag(y: float) -> float:
+    """arg Gamma(iy) for y > 0, continued from the y -> 0+ limit -pi/2.
+
+    This is Im log Gamma(iy) on the principal branch of scipy's loggamma,
+    which is continuous along the imaginary axis.
+    """
+    if not (y > 0.0) or math.isinf(y):
+        raise ValueError(f"arg_gamma_imag requires y > 0, got {y!r}")
+    return float(loggamma(complex(0.0, y)).imag)
 
 
 def delta_psi(a_sq: float, sigma: float, delta: float) -> float:
@@ -112,9 +114,9 @@ def double_crossing_probability(a_sq: float, b_sq: float, sigma: float, delta: f
 
 
 def _log_tunneling_B(x: float) -> float:
-    if not (x > 0.0):
-        raise ValueError(f"x must be positive, got {x!r}")
-    return math.log(2.0 * math.pi) + (2.0 * x - 1.0) * math.log(x) - 2.0 * log_gamma(x)
+    if not (0.0 < x < math.inf):
+        raise ValueError(f"x must be positive and finite, got {x!r}")
+    return math.log(2.0 * math.pi) + (2.0 * x - 1.0) * math.log(x) - 2.0 * math.lgamma(x)
 
 
 def tunneling_B(x: float) -> float:
@@ -129,9 +131,8 @@ def tunneling_probability(a_sq: float, sigma: float, delta: float) -> float:
     large sigma underflows x, and P, to 0 instead of overflowing.  As
     sigma -> 0, p -> 1 and P -> 0: P is 0.0 once p rounds to 1 (sigma
     below ~5e-17), and sigma < 1e-300, where x would overflow, returns
-    that 0.0 directly.  Raises
-    BranchFailure when the Im U1 radicand turns negative, the regime where
-    these formulas stop making sense.
+    that 0.0 directly.  Raises BranchFailure when the Im U1 radicand
+    turns negative, the regime where these formulas stop making sense.
     """
     if not (0.0 < a_sq < math.inf):
         raise ValueError(f"a_sq must be positive and finite, got {a_sq!r}")
@@ -142,8 +143,6 @@ def tunneling_probability(a_sq: float, sigma: float, delta: float) -> float:
     g1 = 1.8 * a_sq**0.23 * math.exp(-delta)
     g2 = 3.0 * sigma / (math.pi * delta) * math.log(1.2 + a_sq) - 1.0 / a_sq
     if sigma < 1e-300:
-        # the sigma -> 0 limit p = 1, P = 0, which p = x/(x + denom) already
-        # rounds to below sigma ~ 5e-17; x itself overflows below ~1e-308
         return 0.0
     x = math.exp(-(_log_tunneling_B(sigma / math.pi) + 2.0 * sigma))
     sin_s = math.sin(sigma)
@@ -172,6 +171,16 @@ def tunneling_probability(a_sq: float, sigma: float, delta: float) -> float:
     im_u1 = sin_s * math.sqrt(radicand)
     psi = math.atan2(im_u1, re_u1)
     return 4.0 * p * (1.0 - p) * math.sin(psi) ** 2
+
+
+def _check_nondegenerate(geom: FitGeometry) -> float:
+    """|t_t^2 - t_b^2|; a coincident (glancing) geometry raises DegenerateGeometry."""
+    dt2 = abs(geom.t_t * geom.t_t - geom.t_b * geom.t_b)
+    if abs(geom.d_sq - 1.0) < _DEGENERACY_TOL or dt2 < _DEGENERACY_TOL:
+        raise DegenerateGeometry(
+            f"coincident geometry: t_b={geom.t_b!r}, t_t={geom.t_t!r}, d_sq={geom.d_sq!r}"
+        )
+    return dt2
 
 
 def _interior_minimum(f: Callable[[float], float], lo: float, hi: float, what: str) -> float:
@@ -210,11 +219,7 @@ def fit_parameters(
     v0 = 0.5 * gap_0
     d_sq = (e2(t_b) - e1(t_b)) * (e2(t_t) - e1(t_t)) / (gap_0 * gap_0)
     geom = FitGeometry(t_b=t_b, t_t=t_t, t_0=t_0, V0_fit=v0, d_sq=d_sq)
-    dt2 = abs(t_t * t_t - t_b * t_b)
-    if abs(d_sq - 1.0) < _DEGENERACY_TOL or dt2 < _DEGENERACY_TOL:
-        raise DegenerateGeometry(
-            f"coincident geometry: t_b={t_b!r}, t_t={t_t!r}, d_sq={d_sq!r}"
-        )
+    dt2 = _check_nondegenerate(geom)
     if d_sq < 1.0:
         raise ValueError(f"gap ratio d_sq={d_sq!r} < 1; t_0 is not the gap minimum")
     root = math.sqrt(d_sq - 1.0)
@@ -236,11 +241,7 @@ def znt_phase_estimate(
     where Delta carries a 1/sqrt(d^2 - 1) factor and a quadrature along
     the straight segment from 0 to i; degenerate geometries raise.
     """
-    dt2 = abs(geom.t_t**2 - geom.t_b**2)
-    if abs(geom.d_sq - 1.0) < _DEGENERACY_TOL or dt2 < _DEGENERACY_TOL:
-        raise DegenerateGeometry(
-            f"coincident geometry: t_b={geom.t_b!r}, t_t={geom.t_t!r}, d_sq={geom.d_sq!r}"
-        )
+    _check_nondegenerate(geom)
     if not (a_sq > 0.0):
         raise ValueError(f"a_sq must be positive, got {a_sq!r}")
     if b_sq < 0.0:

@@ -1,9 +1,11 @@
-"""Reference integrators and limits used only by the tests.
+"""Reference integrators, limits and closed forms used only by the tests.
 
 The integrators here step with scipy's solve_ivp DOP853, a pure-Python
 implementation, while the library steps with the compiled Fortran
 DOP853 of scipy.integrate.ode: a test that compares the two compares two
-integrator implementations as well as two formulations.
+integrator implementations as well as two formulations.  The closed
+forms at the end are special cases of library routes, written out
+separately so that a test compares two derivations.
 """
 
 import cmath
@@ -14,13 +16,19 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import airy
 
 from levelcross.errors import LevelCrossError, ToleranceFailure
-from levelcross.models import DiabaticModel, Superparabolic, nonadiabatic_coupling
-from levelcross.propagator import (
-    PropagatorSettings,
-    _mixing_half_angle,
-    _tail_coefficient,
-    _tail_point,
+from levelcross.models import (
+    DiabaticModel,
+    Superparabolic,
+    check_glancing,
+    nonadiabatic_coupling,
 )
+from levelcross.propagator import PropagatorSettings, _mixing_half_angle, _tail_point
+
+EULER_GAMMA = 0.5772156649015328606
+
+# Phase coefficient of the parabolic glancing model, sigma = delta = c alpha^(3/2);
+# equals sqrt(2) * nu_2 (checked to 1e-10 in the tests).
+PARABOLIC_C = math.sqrt(math.pi) * math.gamma(0.25) / (3.0 * math.sqrt(2.0) * math.gamma(0.75))
 
 
 class NonSimpleZero(LevelCrossError):
@@ -62,16 +70,17 @@ def propagate_diabatic(
 ) -> float:
     """Cross-check integrator in the plain diabatic basis.
 
-    Same window and tail completion, but the ODE carries the full
-    dynamical phase, i dc/dt = H c with H = [[eps, V], [V, -eps]], over
-    the whole window [-T, T] with no use of the time symmetry that lets
-    the primary route solve only [0, T]; Lam(T) comes from a quadrature,
-    not from that solve.  Its solve_ivp stepper is a second DOP853
+    Same window, but the ODE carries the full dynamical phase,
+    i dc/dt = H c with H = [[eps, V], [V, -eps]], over the whole window
+    [-T, T] with no use of the time symmetry that lets the primary route
+    solve only [0, T]; Lam(T) comes from a quadrature, not from that
+    solve, and the tail J(T) from contour_tail, not from the library's
+    tail series.  Its solve_ivp stepper is a second DOP853
     implementation, independent of the compiled one the library uses.
     """
-    t_core, terms = _tail_point(model, settings.tail_tol)
+    t_core, _ = _tail_point(model, settings.tail_tol)
     lam_half = phase_half(model, t_core)
-    coeff = _tail_coefficient(terms)
+    coeff = contour_tail(model, t_core)
     j_in = cmath.exp(2j * lam_half) * coeff
     norm = math.sqrt(1.0 + abs(j_in) ** 2)
     bp0, bm0 = j_in.conjugate() / norm, 1.0 / norm
@@ -188,3 +197,26 @@ def born_parabolic(A: float, B: float, V0: float) -> float:
     int exp(i (A t^3/3 - B t)) dt = 2 pi A^(-1/3) Ai(-B A^(-1/3))."""
     ai = airy(-B * A ** (-1.0 / 3.0))[0]
     return 4.0 * math.pi**2 * V0**2 * A ** (-2.0 / 3.0) * ai**2
+
+
+def ddp_parabolic_closed_form(alpha: float) -> float:
+    """P = 4 e^{-2 c alpha^(3/2)} sin^2(c alpha^(3/2)) for the parabolic glancing model."""
+    if not (0.0 < alpha < math.inf):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    x = PARABOLIC_C * alpha**1.5
+    return 4.0 * math.exp(-2.0 * x) * math.sin(x) ** 2
+
+
+def ddp_single_zero(eta: float, N: int) -> float:
+    """Dominant-zero truncation e^{-2 eta sin(pi/(2N))} (adiabatic-limit form)."""
+    check_glancing(N, eta, "eta")
+    return math.exp(-2.0 * eta * math.sin(math.pi / (2 * N)))
+
+
+def single_passage_parabolic(alpha: float) -> float:
+    """Single-passage probability of the parabolic glancing model in alpha form."""
+    if not (alpha > 0.0):
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    return math.exp(
+        -(math.pi * alpha**1.5 / math.sqrt(2.0)) * (0.1 * alpha**-3 + 0.7) ** -0.25
+    )

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levelcross.ddp import ddp_parabolic_closed_form, ddp_probability, zero_points
+from levelcross.ddp import ddp_probability, nu_coefficient, zero_points
 from levelcross.harness import (
     SweepConfig,
     compare_methods,
@@ -27,17 +27,21 @@ from levelcross.harness import (
 from levelcross.models import Superparabolic, adiabatic_levels
 from levelcross.errors import DegenerateGeometry
 from levelcross.propagator import propagate
-from levelcross.specialfn import PARABOLIC_C, nu_coefficient
 from levelcross.znt import (
     FitGeometry,
     fit_parameters,
-    single_passage_parabolic,
     single_passage_probability,
     stokes_phase,
     tunneling_B,
     znt_phase_estimate,
 )
-from oracles import propagate_diabatic, residue_prefactor
+from oracles import (
+    PARABOLIC_C,
+    ddp_parabolic_closed_form,
+    propagate_diabatic,
+    residue_prefactor,
+    single_passage_parabolic,
+)
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:

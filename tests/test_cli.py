@@ -19,7 +19,7 @@ from levelcross.ddp import ddp_probability
 from levelcross.harness import SweepRow, parse_sweep_csv, write_sweep_csv
 from levelcross.models import Superparabolic
 from levelcross.propagator import _tail_point, propagate
-from levelcross.specialfn import PARABOLIC_C
+from oracles import PARABOLIC_C
 
 
 def _values(out):
@@ -411,6 +411,14 @@ def test_non_finite_input_exits_2(argv, param, tmp_path, capsys):
     assert not out.exists()
 
 
+# the quantity that a closed-form subcommand's range error names
+_RANGE_QUANTITY = {
+    "ddp": "eta = 2 nu_N alpha^((N+1)/N)",
+    "phase": "eta = 2 nu_N alpha^((N+1)/N)",
+    "znt": "a^2 = 1/(4 alpha^3)",
+}
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -432,6 +440,11 @@ def test_numeric_failure_exits_1(argv, error, capsys):
     assert rc == 1
     assert captured.err.startswith(f"error: {error}: ")
     assert captured.out == ""
+    # a range error names what left the float range and the inputs, not an errno
+    assert "out of range" not in captured.err and "division by zero" not in captured.err
+    if argv[0] in _RANGE_QUANTITY:
+        assert f": {_RANGE_QUANTITY[argv[0]]} " in captured.err
+        assert f"at N={argv[-3]}, alpha={float(argv[-1])!r}" in captured.err
 
 
 def test_sweep_records_range_errors(tmp_path, capsys):

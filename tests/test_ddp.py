@@ -14,17 +14,22 @@ from scipy.integrate import quad
 
 from levelcross.ddp import (
     ZeroPoint,
-    ddp_parabolic_closed_form,
     ddp_probability,
-    ddp_single_zero,
     glancing_eta,
+    nu_coefficient,
     phase_integral,
     zero_points,
 )
 from levelcross.models import Superparabolic
 from levelcross.propagator import propagate
-from levelcross.specialfn import PARABOLIC_C
-from oracles import NonSimpleZero, coupling_continued, residue_prefactor
+from oracles import (
+    PARABOLIC_C,
+    NonSimpleZero,
+    coupling_continued,
+    ddp_parabolic_closed_form,
+    ddp_single_zero,
+    residue_prefactor,
+)
 
 
 def gap_integral_oracle(n, alpha, k):
@@ -88,8 +93,6 @@ class TestPhaseIntegral:
         d1 = phase_integral(2, 1.0, 1)
         assert d1.real == pytest.approx(PARABOLIC_C, abs=1e-10)
         assert d1.imag == pytest.approx(PARABOLIC_C, abs=1e-10)
-        from levelcross.specialfn import nu_coefficient
-
         assert glancing_eta(2, 1.0) == pytest.approx(2.0 * nu_coefficient(2), rel=1e-15)
         assert glancing_eta(2, 1.0) == pytest.approx(1.74804, abs=1e-5)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelcross import harness
-from levelcross.ddp import ddp_parabolic_closed_form, ddp_probability
+from levelcross.ddp import ddp_probability
 from levelcross.errors import MissingColumn
 from levelcross.harness import (
     METHODS,
@@ -30,7 +30,7 @@ from levelcross.harness import (
     run_sweep,
     write_sweep_csv,
 )
-from levelcross.specialfn import PARABOLIC_C
+from oracles import PARABOLIC_C, ddp_parabolic_closed_form
 
 
 class TestSweepConfig:

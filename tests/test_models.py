@@ -176,12 +176,23 @@ class TestNonadiabaticCoupling:
 
 class TestReducedParameters:
     def test_parabolic_identity(self):
-        assert Parabolic(0.25, 0.0, 1.0).reduced_parameters() == (0.25, 0.0)
+        # (a^2, b^2) = (A/(8 V0^3), B/(2 V0)): the glancing Hamiltonian
+        # eps = t^2, V = alpha written as either family gives one pair ...
+        for alpha in (0.1, 0.7, 1.0, 2.5):
+            assert (Parabolic(2.0, 0.0, alpha).reduced_parameters()
+                    == Superparabolic(2, alpha).reduced_parameters())
         rng = np.random.default_rng(20240825)
         for _ in range(10):
             a = float(rng.uniform(0.05, 5.0))
             b = float(rng.uniform(-5.0, 5.0))
-            assert Parabolic(a, b, 0.7).reduced_parameters() == (a, b)
+            v0 = float(rng.uniform(0.1, 2.0))
+            c = float(rng.uniform(0.2, 5.0))
+            # ... so does the time rescaling (A, B, V0) -> (A c^3, B c, V0 c) ...
+            assert Parabolic(a * c**3, b * c, v0 * c).reduced_parameters() == pytest.approx(
+                Parabolic(a, b, v0).reduced_parameters(), rel=1e-14
+            )
+            # ... and at V0 = 1/2 the pair is (A, B) itself
+            assert Parabolic(a, b, 0.5).reduced_parameters() == (a, b)
 
     def test_glancing_convention(self):
         assert Superparabolic(2, 1.0).reduced_parameters() == (0.25, 0.0)

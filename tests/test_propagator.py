@@ -17,7 +17,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import levelcross.propagator as propagator
-from levelcross.ddp import ddp_parabolic_closed_form
 from levelcross.errors import NonConvergence, ToleranceFailure
 from levelcross.models import Parabolic, Superparabolic
 from levelcross.propagator import (
@@ -35,6 +34,7 @@ from oracles import (
     born_glancing,
     born_parabolic,
     contour_tail,
+    ddp_parabolic_closed_form,
     interaction_rhs,
     phase_half,
     propagate_diabatic,
@@ -313,13 +313,14 @@ class TestPropagate:
         assert r.nfev < 6160
 
     def test_basis_agreement_grid(self):
-        # the invariant grid: two formulations, error < 1e-6 (observed ~1e-9)
+        # the invariant grid: two formulations and two tails, error < 1e-8
+        # (observed ~1.2e-10)
         for n in (2, 6, 10):
             for alpha in (0.3, 1.0, 2.0):
                 m = Superparabolic(n, alpha)
                 r = propagate(m)
                 p_diab = propagate_diabatic(m)
-                assert abs(r.probability - p_diab) < 1e-6
+                assert abs(r.probability - p_diab) < 1e-8
                 assert r.final_norm_drift < 1e-9
 
     def test_high_n_within_float_range(self):
@@ -335,7 +336,7 @@ class TestPropagate:
         r_dn = propagate(Parabolic(1.0, -4.0, 1.0))
         assert r_up.probability == pytest.approx(0.47353450333929537, rel=1e-9)
         assert r_dn.probability == pytest.approx(2.9890030649184634e-6, rel=1e-8)
-        assert abs(r_up.probability - propagate_diabatic(Parabolic(1.0, 4.0, 1.0))) < 1e-6
+        assert abs(r_up.probability - propagate_diabatic(Parabolic(1.0, 4.0, 1.0))) < 1e-8
 
     def test_window_sufficiency(self):
         # a far later handover (longer window, smaller tail) must not move P

@@ -1,7 +1,10 @@
-"""Special-function kernels against independent oracles.
+"""Special functions behind the closed forms, against independent oracles.
 
-The arg Gamma(iy) oracle is the plain truncated Weierstrass series with
-a rigorous tail bound, independent of the scipy loggamma the kernel uses.
+arg Gamma(iy) (in znt, for the Stokes phase) is checked against the plain
+truncated Weierstrass series with a rigorous tail bound, independent of
+the scipy loggamma it uses; nu_N (in ddp, for the gap integral) against
+quadrature of its defining integral, which also checks the Beta function
+written into it.
 """
 
 import math
@@ -11,14 +14,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import loggamma
 
-from levelcross.specialfn import (
-    EULER_GAMMA,
-    PARABOLIC_C,
-    arg_gamma_imag,
-    beta,
-    log_gamma,
-    nu_coefficient,
-)
+from levelcross.ddp import nu_coefficient
+from levelcross.znt import arg_gamma_imag
+from oracles import EULER_GAMMA, PARABOLIC_C
 
 
 def weierstrass_arg_gamma(y: float, terms: int) -> tuple[float, float]:
@@ -31,43 +29,6 @@ def weierstrass_arg_gamma(y: float, terms: int) -> tuple[float, float]:
     s = float(np.sum(y / k - np.arctan(y / k)))
     bound = y**3 / (6.0 * terms**2) * (1.0 + 2.0 / terms)
     return -0.5 * math.pi - EULER_GAMMA * y + s, bound
-
-
-class TestLogGammaBeta:
-    def test_log_gamma_matches_reference(self):
-        for x in (1e-3, 0.25, 1.0, 1.5, 7.0, 123.456, 1e3):
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-14)
-
-    def test_log_gamma_rejects_nonpositive(self):
-        for bad in (0.0, -1.0, -1e-9, math.inf):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
-
-    def test_beta_quadrature_oracle(self):
-        # B(x, y) = int_0^1 t^{x-1} (1-t)^{y-1} dt
-        for x, y in ((0.25, 1.5), (0.5, 0.5), (2.0, 3.0), (1.0 / 12.0, 1.5)):
-            ref, err = quad(
-                lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0),
-                0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=300,
-            )
-            assert beta(x, y) == pytest.approx(ref, rel=1e-10, abs=err * 10)
-
-    def test_beta_exact_values(self):
-        assert beta(1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
-        assert beta(2.0, 2.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
-
-    def test_beta_symmetry(self):
-        rng = np.random.default_rng(20240817)
-        for _ in range(25):
-            x, y = rng.uniform(0.05, 8.0, size=2)
-            assert beta(x, y) == pytest.approx(beta(y, x), rel=1e-13)
-
-    def test_beta_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            beta(0.0, 1.0)
-        with pytest.raises(ValueError):
-            beta(1.0, -2.0)
 
 
 class TestArgGammaImag:

@@ -10,21 +10,21 @@ from scipy.integrate import simpson
 from levelcross.ddp import phase_integral
 from levelcross.errors import BracketingError, BranchFailure, DegenerateGeometry
 from levelcross.models import Superparabolic, adiabatic_levels
-from levelcross.specialfn import PARABOLIC_C, arg_gamma_imag
 from levelcross.znt import (
     FitGeometry,
+    arg_gamma_imag,
     delta_psi,
     double_crossing_probability,
     fit_parameters,
     glancing_double_crossing,
     glancing_tunneling,
-    single_passage_parabolic,
     single_passage_probability,
     stokes_phase,
     tunneling_B,
     tunneling_probability,
     znt_phase_estimate,
 )
+from oracles import PARABOLIC_C, single_passage_parabolic
 
 C = PARABOLIC_C
 
@@ -162,8 +162,9 @@ class TestTunnelingB:
         assert tunneling_B(2.0) == pytest.approx(16.0 * math.pi, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        # inf too: there x^(2x) / Gamma(x)^2 is inf/inf and would give nan
+        for bad in (0.0, -1.0, -1e-9, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^x must be positive and finite"):
                 tunneling_B(bad)
 
 
