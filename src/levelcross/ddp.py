@@ -94,4 +94,3 @@ def ddp_probability(N: int, alpha: float) -> float:
     if p > 1.0 + 1e-9:
         raise ValueError(f"coherent sum gave P={p!r} > 1 at N={N}, alpha={alpha}")
     return min(p, 1.0)
-
