@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import warnings
 
@@ -211,8 +212,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name."""
+    """The parser and its subcommand parsers by name, built once per
+    process: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="levelcross",
         description="Transition probabilities for level-glancing and parabolic two-level models.",

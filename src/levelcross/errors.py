@@ -40,12 +40,12 @@ class BracketingError(LevelCrossError):
 
 class NonConvergence(LevelCrossError):
     """The tail handover point, where the estimated first omitted tail
-    term falls to tail_tol, was not found, or the ODE solve reached its
-    step cap before the end of the window."""
+    term falls to tail_tol, was not found, or resolving the window would
+    take the collocation solve past its node cap."""
 
 
 class ToleranceFailure(LevelCrossError):
-    """The ODE step controller could not meet the requested tolerances."""
+    """The collocation solve's Picard iteration did not converge."""
 
 
 class MissingColumn(LevelCrossError):

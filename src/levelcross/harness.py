@@ -47,10 +47,11 @@ METHODS = ("numeric", "ddp", "znt-double", "znt-tunnel")
 
 _NAN_TOKEN = "NaN"
 
-# numeric points per pooled process; on 2 cores a fork pool first beats
-# serial map between 6 and 16 of them (BENCH_sweep_pool_rule.json).  Only
-# fork pools: a spawn or forkserver child imports scipy and __main__ again
-_POINTS_PER_PROCESS = 8
+# numeric points per pooled process; on 2 cores a 2-process fork pool
+# breaks even with serial map at about 300 points, 1.5-2 ms each
+# (BENCH_collocation.json).  Only fork pools: a spawn or forkserver child
+# imports scipy and __main__ again
+_POINTS_PER_PROCESS = 150
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ family supplies just what is specific to it:
   parameters: one Hamiltonian, written as either family or rescaled in
   time, gives one pair.
 
-Everything derived from eps and V (gamma, W, the propagator's right-hand
-side and its tail terms) is written once, against these members.
+Everything derived from eps and V (gamma, W, the propagator's coupling
+and its tail terms) is written once, against these members.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ remaining coupling integral
     v0 = gamma/(2iW),  v_{m+1} = v_m' / (2iW),
 
 is summed by repeated integration by parts (a superadiabatic series,
-Berry 1990), with Lam(T) the third component of the same solve.  The
+Berry 1990), with Lam(T) from the same solve's quadrature.  The
 terms are v_m = (-i)^(m+1) u_m with u_m real, u_0 = V eps'/(4 W^3) and
 u_{m+1} = u_m'/(2W); one Taylor-mode recursion (Griewank & Walther 2008,
 ch. 13) gets them all from the exact Taylor coefficients of eps at T by
@@ -44,38 +44,74 @@ Since eps -> +inf at both ends while V stays constant, the upper
 adiabatic label coincides asymptotically with diabatic state 1, so the
 transition probability read in the diabatic basis is |b+(inf)|^2.
 
-The solve steps Hairer's compiled DOP853 (scipy.integrate.ode, Hairer,
-Norsett & Wanner 1993) on the real state (Re a, Im a, Re b, Im b, Lam).
-Its error norm is taken per real component, so a step is judged on Re
-and Im of each amplitude separately.  At most _MAX_STEPS steps are taken
-between consecutive stops of a solve (t_core, and for a trace each
-sample |t| on the way); past that the solve raises NonConvergence.
+M depends on t alone, not on the state, and so does Lam, so the solve
+evaluates every coupling value it needs in a few numpy passes before any
+state exists.  It splits [0, T] into steps of _NODES = 16 Gauss-Legendre
+nodes, first at every eighth of the window (and, for a trace, at each
+sample |t|), and evaluates W and gamma at all their nodes in one pass.
+Lam - Lam(start) at a step's nodes comes from the spectral integration
+matrix of the interpolant of W, and the step's whole integral of W from
+Gauss-Legendre quadrature; their cumulative sum gives Lam at each step's
+start.  With h the step's width and c = int |gamma| over it (its
+coupling), a step is resolved when
+
+    h (|f_14| + |f_15|) + 2 c h (|W_14| + |W_15|) <= rel_tol c + abs_tol,
+
+where f_k and W_k are the trailing Legendre coefficients of
+f = gamma e^{2i (Lam - Lam(start))} and of W on the step: the first term
+bounds the error of the interpolated coupling, the second the phase error
+the step leaves, weighted by its coupling.  A step whose whole coupling
+integral h max|gamma| is below abs_tol is resolved too, however fast its
+phase turns: it can move the amplitudes by no more than that.  So rel_tol
+bounds the error relative to the coupling a step carries and abs_tol the
+error any step may add; summed over the half window, whose coupling is at
+most pi/2, the error of P is of order rel_tol + (steps) abs_tol, and in
+practice far below it (the trailing coefficients overstate the error of a
+converged interpolant).  Steps that fail are bisected, and only the new
+halves are evaluated again.  On every resolved step, a' = -f b,
+b' = conj(f) a is solved from (1, 0) at once by Picard iteration to
+convergence: the Gauss collocation solution (Hairer, Norsett & Wanner
+1993, sec. II.7), of order 2 x 16 = 32 at the step's end.
+The steps chain as SU(2) matrices [[a, -b*], [b, a*]] (b rotated by
+e^{-2i Lam(start)}), and their prefix products give U(t, 0) at every step
+end.  nfev counts the coupling evaluations, those on rejected steps
+included; a solve that would need more than _MAX_NODES of them raises
+NonConvergence before it allocates them.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode
 from scipy.integrate import quad, solve_ivp  # noqa: F401  (unused: levelbench/spans.py wraps both by name)
 
 from .errors import NonConvergence, ToleranceFailure
 from .models import DiabaticModel
 
-# DOP853 steps allowed between consecutive stops of one solve.  At rel_tol
-# 1e-11 and tail_tol 1e-15 the glancing models N = 2, 6, 10 with alpha up
-# to 4 and parabolic ones with |B| <= 10 take at most 2,580 steps; a model
-# whose window would take far more (N=2 at alpha=1e6) fails within seconds
-# instead of running on
-_MAX_STEPS = 100_000
+# Gauss-Legendre nodes per collocation step
+_NODES = 16
+
+# coupling evaluations allowed in one solve, checked before each pass
+# allocates its nodes, and the steps one pass evaluates (which bounds its
+# memory).  The largest working solve measured, N=200 at alpha=3, takes
+# 2.6 million; a window that would need far more (N=2 at alpha=1e6) fails
+# within seconds instead of running on
+_MAX_NODES = 1 << 22
+_PASS_STEPS = 1 << 13
+
+# Picard sweeps allowed per solve, and the change in the node values at
+# which they have converged
+_PICARD_ITERATIONS = 64
+_PICARD_TOL = 1e-15
 
 # smallest rel_tol a double-precision step can resolve (100 eps); below it
-# DOP853 shrinks the step until it reaches the step cap
+# the roundoff in the trailing coefficients could fail every bisection
+# until the node cap
 _MIN_REL_TOL = 100.0 * np.finfo(float).eps
 
 __all__ = [
@@ -90,8 +126,10 @@ __all__ = [
 class PropagatorSettings:
     """Integration controls.
 
-    rel_tol and abs_tol are the DOP853 step-controller tolerances;
-    rel_tol must be at least 100 eps = 2.22e-14.
+    rel_tol and abs_tol set the collocation steps' resolution rule (see
+    the module docstring): the error a step may add, relative to the
+    coupling it carries and in absolute terms; rel_tol must be at least
+    100 eps = 2.22e-14.
     tail_tol bounds the part of the integrated-by-parts tail that the
     sum omits at the handover point t_core, hypot(u_6, u_7) (see
     _tail_error); it alone fixes the window [-t_core, t_core], which each
@@ -122,9 +160,9 @@ class PropagationResult:
 
     t_core is the half-width of the window [-t_core, t_core] (the solve
     covers [0, t_core]); tail_error is the size of the tail terms the sum
-    omits at t_core (see _tail_error); nfev and n_steps are the
-    right-hand-side evaluations and the steps (accepted and rejected) of
-    the solve, as DOP853 counts them.
+    omits at t_core (see _tail_error); nfev is the number of coupling
+    evaluations of the solve, rejected steps included, and n_steps the
+    number of collocation steps it accepted.
     """
 
     probability: float
@@ -254,49 +292,102 @@ def _tail_coefficient(terms: np.ndarray) -> complex:
     return sum(p * float(u) for p, u in zip(_TAIL_PHASES, terms))
 
 
-def _make_rhs(model: DiabaticModel):
-    """db/dt = M b for the state y = (Re a, Im a, Re b, Im b, Lam), in real arithmetic.
+@functools.cache
+def _collocation() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes x and weights w on [-1, 1] for _NODES nodes, and
+    the matrices that take values at the nodes to the two highest Legendre
+    coefficients of their interpolant, and to its integral from -1 to each
+    node.
 
-    With a = b+ and b = b-: da/dt = -g e^{2i Lam} b, db/dt = g e^{-2i Lam} a
-    and dLam/dt = W, where g = gamma = V eps' / (2 W^2).
+    Both act from the right on rows of node values (hence transposed).
+    Built on first use, so that a process that never propagates does not
+    start the LAPACK and BLAS libraries (about 1 MB of memory)."""
+    leg, m = np.polynomial.legendre, _NODES
+    x, w = leg.leggauss(m)
+    # c_j = (j + 1/2) sum_i w_i P_j(x_i) v_i, exact for the interpolant (degree < 2m)
+    to_coeffs = (np.arange(m) + 0.5)[:, None] * leg.legvander(x, m - 1).T * w
+    antiderivatives = np.column_stack([leg.legval(x, leg.legint(e, lbnd=-1)) for e in np.eye(m)])
+    return x, w, to_coeffs[-2:].T.copy(), (antiderivatives @ to_coeffs).T.copy()
+
+
+def _resolve(
+    model: DiabaticModel, settings: PropagatorSettings, t_core: float, times: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Steps of [0, t_core] on which the coupling is resolved.
+
+    Returns, sorted by position, each step's end and half-width, the
+    coupling f = gamma e^{2i (Lam - Lam(start))} at its nodes and the
+    integral of W over it, and the number of coupling evaluations made.
+    Every eighth of the window is a step boundary, and so is each of the
+    `times` in [0, t_core].  Steps that fail the resolution rule (see the
+    module docstring) are bisected, and only the new halves are
+    evaluated; a pass evaluates at most _PASS_STEPS steps.
     """
-    level, v = model.level, model.V
+    nodes, weights, trailing, integrate = _collocation()
+    v = model.V
     v2, half_v = v * v, 0.5 * v
-    if v2 == 0.0:  # where eps = 0 (t = 0 for a glancing model) g would be 0/0
+    if v2 == 0.0:  # where eps = 0 (t = 0 for a glancing model) gamma would be 0/0
         raise ZeroDivisionError(f"squared coupling V^2 underflows to 0 for {model!r}")
-    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+    grid = np.union1d(np.asarray(times, dtype=float), np.linspace(0.0, t_core, 9))
+    lo, hi = grid[:-1], grid[1:]
+    done = []
+    nfev = 0
+    while lo.size:
+        if nfev + min(lo.size, _PASS_STEPS) * _NODES > _MAX_NODES:
+            raise NonConvergence(
+                f"collocation node cap of {_MAX_NODES} nodes reached with {lo.size} steps of "
+                f"[0, {t_core!r}] unresolved, the shortest {float((hi - lo).min())!r} wide"
+            )
+        lo, hi, rest_lo, rest_hi = lo[:_PASS_STEPS], hi[:_PASS_STEPS], lo[_PASS_STEPS:], hi[_PASS_STEPS:]
+        nfev += lo.size * _NODES
+        half = 0.5 * (hi - lo)
+        t = (lo + half)[:, None] + half[:, None] * nodes
+        with np.errstate(all="ignore"):  # a range error is named below
+            eps, deps = model.level(t)
+            s = eps * eps + v2
+            big_w = np.sqrt(s)
+            g = half_v * deps / s
+        bad = ~(np.isfinite(big_w) & np.isfinite(g))
+        if bad.any():
+            raise OverflowError(f"level or coupling leaves the float range at t = {float(t[bad][0])!r} "
+                                f"for {model!r}")
+        f = g * np.exp(2j * half[:, None] * (big_w @ integrate))
+        coupling = half * (np.abs(g) @ weights)
+        f_err = 2.0 * half * np.abs(f @ trailing).sum(axis=1)
+        phase_err = 4.0 * half * np.abs(big_w @ trailing).sum(axis=1)
+        ok = f_err + phase_err * coupling <= settings.rel_tol * coupling + settings.abs_tol
+        ok |= 2.0 * half * np.abs(g).max(axis=1) <= settings.abs_tol
+        done.append((lo[ok], hi[ok], half[ok], f[ok], half[ok] * (big_w[ok] @ weights)))
+        mid = (lo + half)[~ok]
+        lo, hi = np.concatenate((rest_lo, lo[~ok], mid)), np.concatenate((rest_hi, mid, hi[~ok]))
+    lo, hi, half, f, lam = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(lo)
+    return hi[order], half[order], f[order], lam[order], nfev
 
-    def rhs(t, y):
-        ar, ai, br, bi, lam = y.tolist()
-        eps, deps = level(t)
-        s = eps * eps + v2
-        g = half_v * deps / s
-        gc, gs = g * cos(2.0 * lam), g * sin(2.0 * lam)
-        return (gs * bi - gc * br, -gc * bi - gs * br, gc * ar + gs * ai, gc * ai - gs * ar, sqrt(s))
 
-    return rhs
-
-
-def _advance(solver, t: float, t_core: float) -> tuple[int, int]:
-    """Integrate the solver on to t, naming the failure if DOP853 stops short.
-
-    Returns the RHS evaluations and steps of this call (DOP853 counts
-    afresh at each call).
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solver.integrate(t)
-    code = solver.get_return_code()
-    if code == -2:
-        raise NonConvergence(
-            f"ODE step cap of {_MAX_STEPS} steps reached at t = {solver.t!r}, "
-            f"short of t_core = {t_core!r}"
-        )
-    if code < 0:
-        reason = str(caught[-1].message) if caught else f"return code {code}"
-        raise ToleranceFailure(f"step controller failed: {reason}")
-    nfev, n_steps = solver._integrator.iwork[16:18].tolist()
-    return nfev, n_steps
+def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) at the end of each step from (1, 0) at its start, for
+    a' = -f b, b' = conj(f) a: the Gauss-Legendre collocation solution, by
+    Picard iteration to convergence on up to _PASS_STEPS steps at once."""
+    _, weights, _, integrate = _collocation()
+    a_end, b_end = np.empty(half.size, dtype=complex), np.empty(half.size, dtype=complex)
+    for k in range(0, half.size, _PASS_STEPS):
+        hf = half[k : k + _PASS_STEPS, None] * f[k : k + _PASS_STEPS]
+        hfc = hf.conj()
+        a, b = np.ones_like(hf), np.zeros_like(hf)
+        for _ in range(_PICARD_ITERATIONS):
+            b_next = (hfc * a) @ integrate
+            a_next = 1.0 - (hf * b_next) @ integrate
+            change = max(np.abs(a_next - a).max(), np.abs(b_next - b).max())
+            a, b = a_next, b_next
+            if change <= _PICARD_TOL:
+                break
+        else:
+            raise ToleranceFailure(f"collocation iteration did not converge in {_PICARD_ITERATIONS} "
+                                   f"sweeps (last change {change!r})")
+        a_end[k : k + _PASS_STEPS] = 1.0 - (hf * b) @ weights
+        b_end[k : k + _PASS_STEPS] = (hfc * a) @ weights
+    return a_end, b_end
 
 
 def _solve_window(
@@ -310,27 +401,23 @@ def _solve_window(
     `handover` is (t_core, tail terms there), as _tail_point returns it.
     Returns the result, the state (b+, b-) at t = 0, from which U(t, 0)
     carries it to any t, and (a, b, Lam) at each of the sorted `times` in
-    [0, t_core], through which the solve integrates on its way to t_core.
+    [0, t_core], which are step boundaries of the solve.
     """
     t_core, terms = handover
-    solver = ode(_make_rhs(model)).set_integrator(
-        "dop853",
-        rtol=settings.rel_tol,
-        atol=settings.abs_tol,
-        max_step=t_core / 8.0,
-        nsteps=_MAX_STEPS,
-    )
-    solver.set_initial_value([1.0, 0.0, 0.0, 0.0, 0.0], 0.0)
-    states = []
-    nfev = n_steps = 0
-    for t in (*times, t_core):
-        if t > solver.t:
-            calls, steps = _advance(solver, t, t_core)
-            nfev, n_steps = nfev + calls, n_steps + steps
-        ar, ai, br, bi, lam = solver.y.tolist()
-        states.append((complex(ar, ai), complex(br, bi), lam))
-    a, b, lam = states.pop()
-    j = cmath.exp(2j * lam) * _tail_coefficient(terms)
+    ends, half, f, lam_steps, nfev = _resolve(model, settings, t_core, times)
+    a_steps, b_steps = _step_maps(half, f)
+    lam_ends = np.cumsum(lam_steps)
+    # f carries the phase from each step's start; Lam there rotates b
+    b_steps *= np.exp(-2j * (lam_ends - lam_steps))
+    a, b = 1.0 + 0.0j, 0.0j
+    prefix = [(a, b)]  # U(t, 0) = [[a, -b*], [b, a*]] at t = 0 and at each step's end
+    for ak, bk in zip(a_steps.tolist(), b_steps.tolist()):
+        a, b = ak * a - bk.conjugate() * b, bk * a + ak.conjugate() * b
+        prefix.append((a, b))
+    at = np.searchsorted(ends, times, side="right")
+    lams = np.concatenate(([0.0], lam_ends))
+    states = [(*prefix[k], float(lams[k])) for k in at.tolist()]
+    j = cmath.exp(2j * float(lam_ends[-1])) * _tail_coefficient(terms)
     norm2 = 1.0 + abs(j) ** 2
     # the state (conj(J), 1)/sqrt(norm2) at -t_core, carried to 0 by U^T and to t_core by U
     bp0 = (a * j.conjugate() + b) / math.sqrt(norm2)
@@ -342,7 +429,7 @@ def _solve_window(
         t_core=t_core,
         tail_error=float(_tail_error(terms)),
         nfev=nfev,
-        n_steps=n_steps,
+        n_steps=len(ends),
     )
     return result, (bp0, bm0), states
 
@@ -379,7 +466,8 @@ def propagate_trace(
     ones by about theta/2 for the mixing angle theta = atan2(V, eps).  The
     window therefore ends at the first point of the handover scan that also
     has theta <= 1e-2, so that the last sample is within about 5e-3 of the
-    asymptotic P.
+    asymptotic P.  Each distinct |t| is a step boundary of the solve, so a
+    sample_count above about 500,000 reaches its node cap.
     """
     return _propagate_traced(model, settings, sample_count)[1]
 

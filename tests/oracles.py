@@ -1,9 +1,9 @@
 """Reference integrators, limits and closed forms used only by the tests.
 
-The integrators here step with scipy's solve_ivp DOP853, a pure-Python
-implementation, while the library steps with the compiled Fortran
-DOP853 of scipy.integrate.ode: a test that compares the two compares two
-integrator implementations as well as two formulations.  The closed
+The integrators here step with scipy's solve_ivp DOP853, while the
+library solves by vectorized Gauss-Legendre collocation: a test that
+compares the two compares two integration methods as well as two
+formulations.  The closed
 forms at the end are special cases of library routes, written out
 separately so that a test compares two derivations.
 """
@@ -66,19 +66,20 @@ def interaction_rhs(model: DiabaticModel):
 
 
 def propagate_diabatic(
-    model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()
+    model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings(), t_core: float | None = None
 ) -> float:
     """Cross-check integrator in the plain diabatic basis.
 
-    Same window, but the ODE carries the full dynamical phase,
-    i dc/dt = H c with H = [[eps, V], [V, -eps]], over the whole window
-    [-T, T] with no use of the time symmetry that lets the primary route
-    solve only [0, T]; Lam(T) comes from a quadrature, not from that
-    solve, and the tail J(T) from contour_tail, not from the library's
-    tail series.  Its solve_ivp stepper is a second DOP853
-    implementation, independent of the compiled one the library uses.
+    Same window unless t_core is given, but the ODE carries the full
+    dynamical phase, i dc/dt = H c with H = [[eps, V], [V, -eps]], over
+    the whole window [-T, T] with no use of the time symmetry that lets
+    the primary route solve only [0, T]; Lam(T) comes from a quadrature,
+    not from that solve, and the tail J(T) from contour_tail, not from
+    the library's tail series.  Its solve_ivp DOP853 stepper shares no
+    code with the library's collocation solve.
     """
-    t_core, _ = _tail_point(model, settings.tail_tol)
+    if t_core is None:
+        t_core, _ = _tail_point(model, settings.tail_tol)
     lam_half = phase_half(model, t_core)
     coeff = contour_tail(model, t_core)
     j_in = cmath.exp(2j * lam_half) * coeff

@@ -69,13 +69,13 @@ class TestPropagate:
         # the printed result and the trace file come from the same solve,
         # on the trace window, which ends no earlier than the handover point
         calls = []
-        real = propagator.ode
+        real = propagator._resolve
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(propagator, "ode", counting)
+        monkeypatch.setattr(propagator, "_resolve", counting)
         rc = main(
             ["propagate", "--N", "2", "--alpha", "1.0", "--trace", str(tmp_path / "t.csv"),
              "--samples", "8"]
@@ -434,7 +434,7 @@ _RANGE_QUANTITY = {
     ],
 )
 def test_numeric_failure_exits_1(argv, error, capsys):
-    # range errors in the numerics and the ODE step cap end in exit 1, not a traceback
+    # range errors in the numerics and the collocation node cap end in exit 1, not a traceback
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1
@@ -624,6 +624,44 @@ class TestConfigFile:
     def test_nonexistent_config_file(self, tmp_path, capsys):
         rc = main(["ddp", "--N", "2", "--alpha", "1.0", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_behaves_as_fresh(tmp_path):
+    # main builds its parser once per process; a sequence of calls with
+    # different subcommands, a config file, flags overriding it and
+    # argparse errors gives what a fresh parser gives for each call
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 6\nalpha = 0.7\nrel_tol = 1e-11\nk = 2\n", encoding="ascii")
+    calls = [
+        ["ddp", "--config", str(cfg)],
+        ["propagate", "--config", str(cfg), "--alpha", "0.5"],
+        ["phase", "--config", str(cfg)],
+        ["ddp", "--N", "2", "--alpha", "1.0"],
+        ["znt", "--config", str(cfg), "--branch", "double"],
+        ["propagate", "--N", "2", "--alpha", "1.0"],
+        ["znt", "--config", str(cfg)],
+        ["ddp", "--N", "3", "--alpha", "1.0"],
+        ["phase", "--N", "2", "--alpha", "1.0"],
+    ]
+    cached = [_run(argv) for argv in calls]
+    assert _build_parser() is _build_parser()
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(_run(argv))
+    assert cached == fresh
+    assert [rc for rc, _, _ in cached] == [0, 0, 0, 0, 0, 0, ("exit", 2), 2, 0]
+    assert "sigma" in cached[2][1] and "sigma" in cached[-1][1] and cached[2][1] != cached[-1][1]
 
 
 def test_unknown_subcommand_exits_via_argparse():

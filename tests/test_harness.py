@@ -185,8 +185,8 @@ class TestRunSweep:
         assert a == b
 
     def test_parallel_matches_serial(self, monkeypatch):
-        # 16 numeric points make two processes' work, so with fork and two
-        # CPUs this sweep runs in a real pool
+        # 2 x _POINTS_PER_PROCESS numeric points make two processes' work,
+        # so with fork and two CPUs this sweep runs in a real pool
         made = []
 
         class CountingPool(ProcessPoolExecutor):
@@ -195,7 +195,7 @@ class TestRunSweep:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        cfg = SweepConfig(n_values=(2,), alpha_min=0.3, alpha_max=2.0, points=16)
+        cfg = SweepConfig(n_values=(2,), alpha_min=0.3, alpha_max=2.0, points=2 * harness._POINTS_PER_PROCESS)
         pooled = run_sweep(cfg)
         serial = [
             harness._evaluate_point(2, a, cfg.methods, cfg.settings) for a in cfg.alpha_grid()
@@ -207,7 +207,7 @@ class TestRunSweep:
     def test_small_and_closed_form_sweeps_stay_serial(self, pool_sizes, cheap_propagate):
         # the benchmark's 4-point sweeps, too few points for two processes,
         # and closed forms at any size
-        for points in (4, 15):
+        for points in (4, 2 * harness._POINTS_PER_PROCESS - 1):
             run_sweep(SweepConfig(n_values=(2,), alpha_min=0.3, alpha_max=1.5, points=points))
         closed = ("ddp", "znt-double", "znt-tunnel")
         run_sweep(SweepConfig(n_values=(2,), alpha_min=0.1, alpha_max=3.0, points=300,

@@ -41,6 +41,10 @@ from oracles import (
 )
 
 
+# oracle settings tight enough that the oracle's own error stays below 1e-11
+_TIGHT = PropagatorSettings(rel_tol=1e-12, abs_tol=1e-14)
+
+
 @pytest.fixture(scope="module")
 def result_n2_unit():
     return propagate(Superparabolic(2, 1.0))
@@ -66,7 +70,8 @@ class TestSettings:
             with pytest.raises(ValueError):
                 PropagatorSettings(tail_tol=bad)
         assert PropagatorSettings(tail_tol=1e-15).tail_tol == 1e-15
-        # below 100 eps a double cannot resolve the step error DOP853 asks for
+        # below 100 eps the roundoff in a step's trailing coefficients could
+        # fail the resolution rule however short the step
         for bad in (1e-15, 2.2e-14):
             with pytest.raises(ValueError, match="rel_tol must be positive and at least"):
                 PropagatorSettings(rel_tol=bad)
@@ -289,39 +294,57 @@ class TestPropagate:
         assert isinstance(r.nfev, int) and isinstance(r.n_steps, int)
         assert 0 < r.n_steps < r.nfev
 
-    def test_nfev_counts_rhs_calls(self, monkeypatch):
-        # nfev is DOP853's own count of right-hand-side calls.  Depending on
-        # what ran before in the process, scipy's compiled DOP853 may also
-        # re-evaluate the RHS once at the start of each step without
-        # counting it.  The six-term tail's window needs fewer calls than
-        # the 6,160 of the three-term window before it (at tail_tol 3e-12)
-        calls = []
-        real = propagator._make_rhs
-
-        def counting(model):
-            rhs = real(model)
-
-            def counted(t, y):
-                calls.append(t)
-                return rhs(t, y)
-
-            return counted
-
-        monkeypatch.setattr(propagator, "_make_rhs", counting)
-        r = propagate(Superparabolic(2, 1.0))
-        assert len(calls) in (r.nfev, r.nfev + r.n_steps)
-        assert r.nfev < 6160
+    @pytest.mark.parametrize("times", [(), (0.5, 1.0, 2.0)], ids=["window", "trace-stops"])
+    def test_nfev_counts_coupling_evaluations(self, times):
+        # nfev is every time point the solve passes through model.level,
+        # rejected steps included (816-832 here), at 16 per step
+        m = Superparabolic(2, 1.0)
+        handover = _tail_point(m, PropagatorSettings().tail_tol)
+        counted = CountingModel(m)
+        r, _, states = propagator._solve_window(counted, PropagatorSettings(), handover, times)
+        assert r.nfev == counted.points
+        assert r.n_steps * 16 <= r.nfev < 1000
+        assert len(states) == len(times)
 
     def test_basis_agreement_grid(self):
-        # the invariant grid: two formulations and two tails, error < 1e-8
-        # (observed ~1.2e-10)
+        # the invariant grid: two formulations, two integrators and two
+        # tails, with the oracle run tighter than the default so that its
+        # own error does not count
         for n in (2, 6, 10):
             for alpha in (0.3, 1.0, 2.0):
                 m = Superparabolic(n, alpha)
                 r = propagate(m)
-                p_diab = propagate_diabatic(m)
-                assert abs(r.probability - p_diab) < 1e-8
+                p_diab = propagate_diabatic(m, _TIGHT)
+                assert abs(r.probability - p_diab) < 1e-10
                 assert r.final_norm_drift < 1e-9
+
+    @pytest.mark.parametrize(
+        "m, t_core",
+        [(Parabolic(1.0, 4.0, 1.0), None), (Parabolic(1.0, -4.0, 1.0), None),
+         (Parabolic(1.0, 4.0, 3e-3), None), (Parabolic(1.0, -4.0, 3e-3), None),
+         (Superparabolic(200, 1.0), 1.05)],
+        ids=["b+4", "b-4", "born-b+4", "born-b-4", "n200"],
+    )
+    def test_agrees_with_diabatic_oracle(self, m, t_core):
+        # the basis agreement beyond the glancing grid (observed gaps
+        # <= 1.2e-11).  At N = 200 the oracle cannot carry the full phase
+        # to the window end (Lam(1.2) = 4e13 rad); it hands over to its
+        # contour tail at 1.05, where the tail is 1.6e-7 and the series'
+        # error 2e-17
+        oracle = propagate_diabatic(m, _TIGHT, t_core=t_core)
+        assert abs(propagate(m).probability - oracle) < 1e-10
+
+    def test_tighter_rel_tol_moves_p_little(self):
+        # the trailing coefficients overstate a converged step's error, so
+        # P at the default rel_tol is already within 1e-11 of a much tighter
+        # solve (observed <= 4.4e-16)
+        for m in (Superparabolic(2, 0.3), Superparabolic(2, 1.0), Superparabolic(6, 1.0),
+                  Superparabolic(10, 2.0), Parabolic(1.0, 4.0, 1.0), Parabolic(1.0, -4.0, 1.0),
+                  Parabolic(1.0, 4.0, 3e-3)):
+            loose = propagate(m, PropagatorSettings(rel_tol=1e-10))
+            tight = propagate(m, PropagatorSettings(rel_tol=1e-13))
+            assert tight.nfev >= loose.nfev
+            assert abs(tight.probability - loose.probability) < 1e-11
 
     def test_high_n_within_float_range(self):
         # N = 200: the three-term tail's eps'^3 and s^4 overflowed here; the
@@ -409,29 +432,53 @@ class TestPropagate:
             assert np.abs(backward(-s) - forward(s).conj()).max() < 1e-9
 
 
-def test_real_state_rhs_matches_complex_form():
-    # the library's (Re a, Im a, Re b, Im b, Lam) RHS is the oracle's complex one, split
-    rng = np.random.default_rng(7)
-    for m in (Superparabolic(2, 1.0), Superparabolic(10, 0.3), Parabolic(1.0, -4.0, 1.0)):
-        real, cplx = propagator._make_rhs(m), interaction_rhs(m)
-        for t, (ar, ai, br, bi, lam) in zip(rng.uniform(-3.0, 3.0, 20), rng.normal(size=(20, 5)) * 3.0):
-            da, db, dlam = cplx(t, (complex(ar, ai), complex(br, bi), lam))
-            want = [da.real, da.imag, db.real, db.imag, dlam]
-            got = real(t, np.array([ar, ai, br, bi, lam]))
-            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * max(map(abs, want)))
+def test_window_states_match_interaction_rhs():
+    # U(t, 0) (1, 0) and Lam(t) at the trace stops and at t_core, from the
+    # chained collocation steps, against one solve_ivp run of the oracle's
+    # complex interaction-picture equations over [0, t_core]
+    for m in (Superparabolic(2, 1.0), Superparabolic(10, 0.3), Parabolic(1.0, -4.0, 1.0),
+              Parabolic(1.0, 4.0, 0.05)):
+        handover = _tail_point(m, PropagatorSettings().tail_tol)
+        t_core = handover[0]
+        times = [0.0, 0.1 * t_core, 0.5 * t_core, t_core]
+        _, _, states = propagator._solve_window(m, PropagatorSettings(), handover, times)
+        sol = solve_ivp(interaction_rhs(m), (0.0, t_core), np.array([1.0, 0.0, 0.0], dtype=complex),
+                        method="DOP853", rtol=1e-12, atol=1e-14, t_eval=times)
+        for (a, b, lam), want in zip(states, sol.y.T):
+            assert abs(a - want[0]) < 1e-9 and abs(b - want[1]) < 1e-9
+            assert lam == pytest.approx(want[2].real, rel=1e-12, abs=1e-12)
+
+
+class CountingModel:
+    """A model that counts the time points its level is evaluated at."""
+
+    def __init__(self, model, fail=None):
+        self.model, self.points, self.fail = model, 0, fail
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def __repr__(self):
+        return f"CountingModel({self.model!r})"
+
+    def level(self, t):
+        self.points += np.size(t)
+        if self.fail is not None and self.points > 16:
+            raise self.fail
+        return self.model.level(t)
 
 
 @pytest.fixture()
 def count_solves(monkeypatch):
-    # one integrator run is one scipy.integrate.ode instance
+    # one solve is one call of the collocation grid's refinement
     calls = []
-    real = propagator.ode
+    real = propagator._resolve
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(propagator, "ode", counting)
+    monkeypatch.setattr(propagator, "_resolve", counting)
     return calls
 
 
@@ -449,19 +496,47 @@ def test_one_solve_per_propagation(count_solves, run):
     assert len(count_solves) == 1
 
 
-def test_step_cap_raises_non_convergence(monkeypatch):
-    monkeypatch.setattr(propagator, "_MAX_STEPS", 10)
-    with pytest.raises(NonConvergence, match=r"step cap of 10 steps reached at t = .*, short of t_core = "):
-        propagate(Superparabolic(2, 1.0))
+def test_node_cap_raises_non_convergence(monkeypatch):
+    # the cap is checked before a pass evaluates its nodes, so the solve
+    # never evaluates more than the cap
+    monkeypatch.setattr(propagator, "_MAX_NODES", 300)
+    counted = CountingModel(Superparabolic(2, 1.0))
+    handover = _tail_point(counted.model, PropagatorSettings().tail_tol)
+    with pytest.raises(NonConvergence,
+                       match=r"node cap of 300 nodes reached with \d+ steps of \[0, .*\] unresolved"):
+        propagator._solve_window(counted, PropagatorSettings(), handover)
+    assert 0 < counted.points <= 300
 
 
 def test_integrator_failure_is_tolerance_failure(monkeypatch):
-    # any other DOP853 failure keeps scipy's message, and its warning is not shown
-    monkeypatch.setattr(propagator, "_make_rhs", lambda model: lambda t, y: (math.nan,) * 5)
+    # a Picard iteration that has not converged within its sweeps is named
+    monkeypatch.setattr(propagator, "_PICARD_ITERATIONS", 2)
+    with pytest.raises(ToleranceFailure, match=r"collocation iteration did not converge in 2 sweeps"):
+        propagate(Superparabolic(2, 1.0))
+
+
+def test_level_exception_reaches_caller_as_itself():
+    class LevelBroke(RuntimeError):
+        pass
+
+    m = CountingModel(Superparabolic(2, 1.0), fail=LevelBroke("level failed"))
+    handover = _tail_point(m.model, PropagatorSettings().tail_tol)
+    with pytest.raises(LevelBroke, match="level failed"):
+        propagator._solve_window(m, PropagatorSettings(), handover)
+
+
+def test_non_finite_coupling_is_named_without_warnings():
+    # eps^2 overflows inside the window: an OverflowError naming t, and no
+    # numpy RuntimeWarning on the way
+    class Steep(CountingModel):
+        def level(self, t):
+            return 1e200 * t, 1e200 + 0.0 * t
+
+    m = Steep(Superparabolic(2, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ToleranceFailure, match=r"step controller failed: dop853: \w"):
-            propagate(Superparabolic(2, 1.0))
+        with pytest.raises(OverflowError, match=r"leaves the float range at t = "):
+            propagator._solve_window(m, PropagatorSettings(), (2.0, np.zeros(8)))
 
 
 class TestMixingHalfAngle:
