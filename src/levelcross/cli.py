@@ -305,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input too large to allocate, refused before any allocation
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

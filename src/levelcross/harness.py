@@ -13,18 +13,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+import numbers
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
-from multiprocessing import get_all_start_methods, get_start_method
 
 import numpy as np
 
 from .ddp import ddp_probability
 from .errors import LevelCrossError, MissingColumn
 from .models import Superparabolic, check_glancing
-from .propagator import PropagatorSettings, propagate
+from .propagator import _PASS_STEPS, PropagationResult, PropagatorSettings, _propagate_batch, propagate
 from .znt import glancing_double_crossing, glancing_tunneling
 
 __all__ = [
@@ -47,11 +44,8 @@ METHODS = ("numeric", "ddp", "znt-double", "znt-tunnel")
 
 _NAN_TOKEN = "NaN"
 
-# numeric points per pooled process; on 2 cores a 2-process fork pool
-# breaks even with serial map at about 300 points, 1.5-2 ms each
-# (BENCH_collocation.json).  Only fork pools: a spawn or forkserver child
-# imports scipy and __main__ again
-_POINTS_PER_PROCESS = 150
+# the failures a sweep records in a cell instead of raising
+_CELL_ERRORS = (LevelCrossError, ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -77,8 +71,8 @@ class SweepConfig:
         object.__setattr__(self, "n_values", ns)
         if not self.alpha_max >= self.alpha_min:
             raise ValueError("alpha_max must be >= alpha_min")
-        if self.points < 2:
-            raise ValueError(f"points must be >= 2, got {self.points!r}")
+        if not isinstance(self.points, numbers.Integral) or self.points < 2:
+            raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         requested = set(self.methods)
@@ -125,27 +119,55 @@ class ComparisonReport:
     frequency_agreement: dict[str, float | None]
 
 
+def _attempt(fn, *args):
+    """fn(*args), or the cell failure it raised."""
+    try:
+        return fn(*args)
+    except _CELL_ERRORS as exc:
+        return exc
+
+
+def _numeric_column(
+    n: int, grid: list[float], settings: PropagatorSettings
+) -> list[PropagationResult | Exception]:
+    """propagate at each alpha of one N panel, or the failure it raised.
+
+    The panel is solved in batches of at most _PASS_STEPS // 8 models,
+    whose first steps (eight each) fit one pass of the solve.  A batch that
+    fails is solved again point by point, so that each cell gets the value
+    or the failure of a lone propagate.
+    """
+    column: list[PropagationResult | Exception] = []
+    size = _PASS_STEPS // 8
+    for k in range(0, len(grid), size):
+        models = [Superparabolic(n, alpha) for alpha in grid[k : k + size]]
+        try:
+            column += _propagate_batch(models, settings)
+        except _CELL_ERRORS:
+            column += [_attempt(propagate, model, settings) for model in models]
+    return column
+
+
 def _evaluate_point(
-    n: int,
-    alpha: float,
-    methods: tuple[str, ...],
-    settings: PropagatorSettings,
+    n: int, alpha: float, methods: tuple[str, ...], numeric: PropagationResult | Exception | None
 ) -> SweepRow:
+    """The row at (n, alpha), given the numeric column's outcome there."""
     values: dict[str, float | None] = {}
     failures: list[str] = []
     for m in methods:
-        try:
-            if m == "numeric":
-                values[m] = propagate(Superparabolic(n, alpha), settings).probability
-            elif m == "ddp":
-                values[m] = ddp_probability(n, alpha)
-            elif m == "znt-double":
-                values[m] = glancing_double_crossing(n, alpha)
-            else:
-                values[m] = glancing_tunneling(n, alpha)
-        except (LevelCrossError, ValueError, ArithmeticError) as exc:
+        if m == "numeric":
+            outcome = numeric if isinstance(numeric, Exception) else numeric.probability
+        elif m == "ddp":
+            outcome = _attempt(ddp_probability, n, alpha)
+        elif m == "znt-double":
+            outcome = _attempt(glancing_double_crossing, n, alpha)
+        else:
+            outcome = _attempt(glancing_tunneling, n, alpha)
+        if isinstance(outcome, Exception):
             values[m] = None
-            failures.append(f"{m}:{type(exc).__name__}")
+            failures.append(f"{m}:{type(outcome).__name__}")
+        else:
+            values[m] = outcome
     return SweepRow(n=n, alpha=alpha, values=values, status=";".join(failures) or "ok")
 
 
@@ -156,18 +178,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     are recorded in the row status, never raised.
     """
     grid = config.alpha_grid()
-    ns = [n for n in config.n_values for _ in grid]
-    alphas = grid * len(config.n_values)
-    args = (ns, alphas, repeat(config.methods), repeat(config.settings))
-    start = get_start_method(allow_none=True) or get_all_start_methods()[0]
-    numeric = len(ns) if start == "fork" and "numeric" in config.methods else 0
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(numeric // _POINTS_PER_PROCESS, cpus)
-    if workers >= 2:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_point, *args))
-    else:
-        rows = list(map(_evaluate_point, *args))
+    rows = []
+    for n in config.n_values:
+        numeric = _numeric_column(n, grid, config.settings) if "numeric" in config.methods else [None] * len(grid)
+        rows += [_evaluate_point(n, alpha, config.methods, p) for alpha, p in zip(grid, numeric)]
     if config.out_path is not None:
         write_sweep_csv(rows, config.methods, config.out_path)
     return rows

@@ -17,7 +17,8 @@ family supplies just what is specific to it:
 - ``level_series(t, L)``, the Taylor coefficients eps^(k)(t)/k! for
   k < L, exact (eps is a polynomial), for a float t or an array of them;
 - ``floor``, a time past all level structure, where the search for the
-  propagator's tail handover starts;
+  propagator's tail handover starts (1.2 alpha^(1/N), the margin shrinking
+  as 1 + 10/N past N = 50, or 1.2 sqrt(max(B, 0)/A + 1));
 - ``reduced_parameters()``, the reduced (a^2, b^2) of the equivalent
   stationary crossing problem, built from scale-free combinations of the
   parameters: one Hamiltonian, written as either family or rescaled in
@@ -73,7 +74,10 @@ class Superparabolic:
 
     @property
     def floor(self) -> float:
-        return 1.2 * self.alpha ** (1.0 / self.N)
+        # 1.2 alpha^(1/N) up to N = 50, then (1 + 10/N) alpha^(1/N): the
+        # phase 2W ~ 2 t^N that the window must resolve grows like t^N, and
+        # at large N the tail series already meets tail_tol closer in
+        return self.alpha ** (1.0 / self.N) * min(1.2, 1.0 + 10.0 / self.N)
 
     def level(self, t):
         tn1 = t ** (self.N - 1)

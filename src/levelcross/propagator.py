@@ -77,6 +77,12 @@ e^{-2i Lam(start)}), and their prefix products give U(t, 0) at every step
 end.  nfev counts the coupling evaluations, those on rejected steps
 included; a solve that would need more than _MAX_NODES of them raises
 NonConvergence before it allocates them.
+
+One solve can cover a batch of models, as a sweep's numeric column does:
+their steps share the passes, each model's level is evaluated on its own
+steps, and each step is accepted on its own, so every model gets the
+steps, nfev and n_steps of a lone solve.  The node cap covers the whole
+batch, and propagate is the batch of one.
 """
 
 from __future__ import annotations
@@ -96,10 +102,11 @@ from .models import DiabaticModel
 # Gauss-Legendre nodes per collocation step
 _NODES = 16
 
-# coupling evaluations allowed in one solve, checked before each pass
-# allocates its nodes, and the steps one pass evaluates (which bounds its
-# memory).  The largest working solve measured, N=200 at alpha=3, takes
-# 2.6 million; a window that would need far more (N=2 at alpha=1e6) fails
+# coupling evaluations allowed in one solve of a batch, checked before each
+# pass allocates its nodes, and the steps one pass evaluates (which bounds
+# its memory).  The largest working lone solve measured, N=50 at alpha=10,
+# takes 26,000 and a sweep's batch of 1024 acceptance-grid models about
+# 0.8 million; a window that would need far more (N=2 at alpha=1e6) fails
 # within seconds instead of running on
 _MAX_NODES = 1 << 22
 _PASS_STEPS = 1 << 13
@@ -174,7 +181,7 @@ class PropagationResult:
 
 
 # J sums the tail terms u_0 .. u_5.  Over every frozen benchmark point, six
-# terms with the 1.2 alpha^(1/N) floor keep P within 3.4e-11 of the
+# terms with the 1.2 alpha^(1/N) floor (N <= 50) keep P within 3.4e-11 of the
 # references; seven terms reached 5.6e-11 and eight 1.5e-10, as roundoff
 # in the higher derivatives grows
 _TAIL_TERMS = 6
@@ -311,58 +318,87 @@ def _collocation() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _resolve(
-    model: DiabaticModel, settings: PropagatorSettings, t_core: float, times: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Steps of [0, t_core] on which the coupling is resolved.
+    members: Sequence[tuple[DiabaticModel, tuple[float, np.ndarray]]],
+    settings: PropagatorSettings,
+    times: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Steps of [0, t_core] on which the coupling is resolved, for each
+    member (model, handover) of a batch, t_core being handover[0].
 
-    Returns, sorted by position, each step's end and half-width, the
-    coupling f = gamma e^{2i (Lam - Lam(start))} at its nodes and the
-    integral of W over it, and the number of coupling evaluations made.
-    Every eighth of the window is a step boundary, and so is each of the
-    `times` in [0, t_core].  Steps that fail the resolution rule (see the
-    module docstring) are bisected, and only the new halves are
-    evaluated; a pass evaluates at most _PASS_STEPS steps.
+    Returns, sorted by member and then by position, each step's member
+    index, end and half-width, the coupling f = gamma e^{2i (Lam - Lam(start))}
+    at its nodes and the integral of W over it, and the number of coupling
+    evaluations made for each member.  Every eighth of a member's window is
+    a step boundary, and so is each of the `times` in [0, t_core].  Steps
+    that fail the resolution rule (see the module docstring) are bisected,
+    and only the new halves are evaluated.  A pass evaluates at most
+    _PASS_STEPS steps of any members, each member's level on its own steps;
+    the whole batch evaluates at most _MAX_NODES nodes.
     """
     nodes, weights, trailing, integrate = _collocation()
-    v = model.V
-    v2, half_v = v * v, 0.5 * v
-    if v2 == 0.0:  # where eps = 0 (t = 0 for a glancing model) gamma would be 0/0
-        raise ZeroDivisionError(f"squared coupling V^2 underflows to 0 for {model!r}")
-    grid = np.union1d(np.asarray(times, dtype=float), np.linspace(0.0, t_core, 9))
-    lo, hi = grid[:-1], grid[1:]
+    models = [model for model, _ in members]
+    # the queue of steps, a row (member, start, end) each, kept sorted by
+    # member so that each member's steps in a pass are contiguous
+    queue, initial = [], []
+    for k, (model, (t_core, _)) in enumerate(members):
+        if model.V * model.V == 0.0:  # where eps = 0 (t = 0 for a glancing model) gamma would be 0/0
+            raise ZeroDivisionError(f"squared coupling V^2 underflows to 0 for {model!r}")
+        grid = sorted({*times, *np.linspace(0.0, t_core, 9).tolist()})
+        queue += [(k, a, b) for a, b in zip(grid, grid[1:])]
+        initial.append(len(grid) - 1)
+    queue = np.array(queue)
     done = []
-    nfev = 0
-    while lo.size:
-        if nfev + min(lo.size, _PASS_STEPS) * _NODES > _MAX_NODES:
+    spent = 0
+    while queue.size:
+        if spent + min(len(queue), _PASS_STEPS) * _NODES > _MAX_NODES:
+            width = queue[:, 2] - queue[:, 1]
+            k = int(queue[width.argmin(), 0])
             raise NonConvergence(
-                f"collocation node cap of {_MAX_NODES} nodes reached with {lo.size} steps of "
-                f"[0, {t_core!r}] unresolved, the shortest {float((hi - lo).min())!r} wide"
+                f"collocation node cap of {_MAX_NODES} nodes reached with {np.count_nonzero(queue[:, 0] == k)} "
+                f"steps of [0, {members[k][1][0]!r}] unresolved, the shortest {float(width.min())!r} wide, "
+                f"for {models[k]!r}"
             )
-        lo, hi, rest_lo, rest_hi = lo[:_PASS_STEPS], hi[:_PASS_STEPS], lo[_PASS_STEPS:], hi[_PASS_STEPS:]
-        nfev += lo.size * _NODES
+        steps, queue = queue[:_PASS_STEPS], queue[_PASS_STEPS:]
+        spent += len(steps) * _NODES
+        lo, hi = steps[:, 1], steps[:, 2]
         half = 0.5 * (hi - lo)
         t = (lo + half)[:, None] + half[:, None] * nodes
+        first, last = int(steps[0, 0]), int(steps[-1, 0])
+        bounds = [0, len(steps)] if first == last else steps[:, 0].searchsorted(range(first, last + 2)).tolist()
+        big_w, g = np.empty_like(t), np.empty_like(t)
         with np.errstate(all="ignore"):  # a range error is named below
-            eps, deps = model.level(t)
-            s = eps * eps + v2
-            big_w = np.sqrt(s)
-            g = half_v * deps / s
+            for model, a, b in zip(models[first : last + 1], bounds, bounds[1:]):
+                if a < b:
+                    v = model.V
+                    eps, deps = model.level(t[a:b])
+                    s = eps * eps + v * v
+                    np.sqrt(s, out=big_w[a:b])
+                    np.divide(0.5 * v * deps, s, out=g[a:b])
         bad = ~(np.isfinite(big_w) & np.isfinite(g))
         if bad.any():
-            raise OverflowError(f"level or coupling leaves the float range at t = {float(t[bad][0])!r} "
-                                f"for {model!r}")
+            row, col = np.argwhere(bad)[0]
+            raise OverflowError(f"level or coupling leaves the float range at t = {float(t[row, col])!r} "
+                                f"for {models[int(steps[row, 0])]!r}")
         f = g * np.exp(2j * half[:, None] * (big_w @ integrate))
-        coupling = half * (np.abs(g) @ weights)
+        abs_g = np.abs(g)
+        coupling = half * (abs_g @ weights)
         f_err = 2.0 * half * np.abs(f @ trailing).sum(axis=1)
         phase_err = 4.0 * half * np.abs(big_w @ trailing).sum(axis=1)
         ok = f_err + phase_err * coupling <= settings.rel_tol * coupling + settings.abs_tol
-        ok |= 2.0 * half * np.abs(g).max(axis=1) <= settings.abs_tol
-        done.append((lo[ok], hi[ok], half[ok], f[ok], half[ok] * (big_w[ok] @ weights)))
-        mid = (lo + half)[~ok]
-        lo, hi = np.concatenate((rest_lo, lo[~ok], mid)), np.concatenate((rest_hi, mid, hi[~ok]))
-    lo, hi, half, f, lam = (np.concatenate(parts) for parts in zip(*done))
-    order = np.argsort(lo)
-    return hi[order], half[order], f[order], lam[order], nfev
+        ok |= 2.0 * half * abs_g.max(axis=1) <= settings.abs_tol
+        done.append((steps[ok], half[ok], f[ok], half[ok] * (big_w[ok] @ weights)))
+        # a failed step's two halves go side by side, ahead of the rest, which keeps the queue sorted
+        fail = ~ok
+        halves = steps[fail].repeat(2, axis=0)
+        halves[1::2, 1] = halves[::2, 2] = (lo + half)[fail]
+        queue = np.concatenate((halves, queue))
+    steps, half, f, lam = (np.concatenate(parts) for parts in zip(*done))
+    order = np.lexsort((steps[:, 1], steps[:, 0]))
+    member = steps[order, 0].astype(int)
+    # each failed step gave way to two, so a member evaluated 2 (accepted) - (initial) steps
+    accepted = np.bincount(member, minlength=len(members)).tolist()
+    nfev = [(2 * n - n0) * _NODES for n, n0 in zip(accepted, initial)]
+    return member, steps[order, 2], half[order], f[order], lam[order], nfev
 
 
 def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,52 +427,68 @@ def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _solve_window(
-    model: DiabaticModel,
+    members: Sequence[tuple[DiabaticModel, tuple[float, np.ndarray]]],
     settings: PropagatorSettings,
-    handover: tuple[float, np.ndarray],
     times: Sequence[float] = (),
-) -> tuple[PropagationResult, tuple[complex, complex], list[tuple[complex, complex, float]]]:
-    """The propagation over [-t_core, t_core] from one solve on [0, t_core].
+) -> list[tuple[PropagationResult, tuple[complex, complex], list[tuple[complex, complex, float]]]]:
+    """The propagation over [-t_core, t_core] of each member (model,
+    handover) of a batch, from one solve of all their windows [0, t_core].
 
     `handover` is (t_core, tail terms there), as _tail_point returns it.
-    Returns the result, the state (b+, b-) at t = 0, from which U(t, 0)
-    carries it to any t, and (a, b, Lam) at each of the sorted `times` in
-    [0, t_core], which are step boundaries of the solve.
+    Returns, for each member, the result, the state (b+, b-) at t = 0, from
+    which U(t, 0) carries it to any t, and (a, b, Lam) at each of the
+    sorted `times` in [0, t_core], which are step boundaries of the solve.
     """
-    t_core, terms = handover
-    ends, half, f, lam_steps, nfev = _resolve(model, settings, t_core, times)
+    member, ends, half, f, lam_steps, nfev = _resolve(members, settings, times)
     a_steps, b_steps = _step_maps(half, f)
-    lam_ends = np.cumsum(lam_steps)
-    # f carries the phase from each step's start; Lam there rotates b
-    b_steps *= np.exp(-2j * (lam_ends - lam_steps))
-    a, b = 1.0 + 0.0j, 0.0j
-    prefix = [(a, b)]  # U(t, 0) = [[a, -b*], [b, a*]] at t = 0 and at each step's end
-    for ak, bk in zip(a_steps.tolist(), b_steps.tolist()):
-        a, b = ak * a - bk.conjugate() * b, bk * a + ak.conjugate() * b
-        prefix.append((a, b))
-    at = np.searchsorted(ends, times, side="right")
-    lams = np.concatenate(([0.0], lam_ends))
-    states = [(*prefix[k], float(lams[k])) for k in at.tolist()]
-    j = cmath.exp(2j * float(lam_ends[-1])) * _tail_coefficient(terms)
-    norm2 = 1.0 + abs(j) ** 2
-    # the state (conj(J), 1)/sqrt(norm2) at -t_core, carried to 0 by U^T and to t_core by U
-    bp0 = (a * j.conjugate() + b) / math.sqrt(norm2)
-    bm0 = (a.conjugate() - b.conjugate() * j.conjugate()) / math.sqrt(norm2)
-    bp, bm = a * bp0 - b.conjugate() * bm0, b * bp0 + a.conjugate() * bm0
-    result = PropagationResult(
-        probability=min(max(abs(bp - j * bm) ** 2 / norm2, 0.0), 1.0),
-        final_norm_drift=abs(abs(bp) ** 2 + abs(bm) ** 2 - 1.0),
-        t_core=t_core,
-        tail_error=float(_tail_error(terms)),
-        nfev=nfev,
-        n_steps=len(ends),
-    )
-    return result, (bp0, bm0), states
+    bounds = np.searchsorted(member, np.arange(len(members) + 1)).tolist()
+    out = []
+    for k, (_, (t_core, terms)) in enumerate(members):
+        steps = slice(bounds[k], bounds[k + 1])
+        lam_ends = np.cumsum(lam_steps[steps])
+        # f carries the phase from each step's start; Lam there rotates b
+        b_rotated = b_steps[steps] * np.exp(-2j * (lam_ends - lam_steps[steps]))
+        a, b = 1.0 + 0.0j, 0.0j
+        prefix = [(a, b)]  # U(t, 0) = [[a, -b*], [b, a*]] at t = 0 and at each step's end
+        for ak, bk in zip(a_steps[steps].tolist(), b_rotated.tolist()):
+            a, b = ak * a - bk.conjugate() * b, bk * a + ak.conjugate() * b
+            prefix.append((a, b))
+        at = np.searchsorted(ends[steps], times, side="right")
+        lams = np.concatenate(([0.0], lam_ends))
+        states = [(*prefix[i], float(lams[i])) for i in at.tolist()]
+        j = cmath.exp(2j * float(lam_ends[-1])) * _tail_coefficient(terms)
+        norm2 = 1.0 + abs(j) ** 2
+        # the state (conj(J), 1)/sqrt(norm2) at -t_core, carried to 0 by U^T and to t_core by U
+        bp0 = (a * j.conjugate() + b) / math.sqrt(norm2)
+        bm0 = (a.conjugate() - b.conjugate() * j.conjugate()) / math.sqrt(norm2)
+        bp, bm = a * bp0 - b.conjugate() * bm0, b * bp0 + a.conjugate() * bm0
+        result = PropagationResult(
+            probability=min(max(abs(bp - j * bm) ** 2 / norm2, 0.0), 1.0),
+            final_norm_drift=abs(abs(bp) ** 2 + abs(bm) ** 2 - 1.0),
+            t_core=t_core,
+            tail_error=float(_tail_error(terms)),
+            nfev=nfev[k],
+            n_steps=len(prefix) - 1,
+        )
+        out.append((result, (bp0, bm0), states))
+    return out
+
+
+def _propagate_batch(models: Sequence[DiabaticModel], settings: PropagatorSettings) -> list[PropagationResult]:
+    """propagate for each of `models`, from one solve of all their windows.
+
+    Each member keeps its own handover scan, step acceptance, nfev and
+    n_steps, so its result is that of a lone propagate up to rounding; the
+    passes and the node cap are shared.  Any member's failure raises for the
+    whole batch.
+    """
+    members = [(model, _tail_point(model, settings.tail_tol)) for model in models]
+    return [result for result, _, _ in _solve_window(members, settings)]
 
 
 def propagate(model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()) -> PropagationResult:
     """Transition probability P = |c1(+inf)|^2 starting from |c2(-inf)|^2 = 1."""
-    return _solve_window(model, settings, _tail_point(model, settings.tail_tol))[0]
+    return _propagate_batch([model], settings)[0]
 
 
 def _mixing_half_angle(model: DiabaticModel, t: float) -> tuple[float, float]:
@@ -482,7 +534,7 @@ def _propagate_traced(
     t_core = handover[0]
     ts = np.linspace(-t_core, t_core, sample_count).tolist()
     times = sorted({abs(t) for t in ts})
-    result, (bp0, bm0), states = _solve_window(model, settings, handover, times)
+    result, (bp0, bm0), states = _solve_window([(model, handover)], settings, times)[0]
     at = dict(zip(times, states))
     out = []
     for t in ts:

@@ -65,12 +65,10 @@ def interaction_rhs(model: DiabaticModel):
     return rhs
 
 
-def propagate_diabatic(
-    model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings(), t_core: float | None = None
-) -> float:
+def propagate_diabatic(model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()) -> float:
     """Cross-check integrator in the plain diabatic basis.
 
-    Same window unless t_core is given, but the ODE carries the full
+    Same window, but the ODE carries the full
     dynamical phase, i dc/dt = H c with H = [[eps, V], [V, -eps]], over
     the whole window [-T, T] with no use of the time symmetry that lets
     the primary route solve only [0, T]; Lam(T) comes from a quadrature,
@@ -78,8 +76,7 @@ def propagate_diabatic(
     the library's tail series.  Its solve_ivp DOP853 stepper shares no
     code with the library's collocation solve.
     """
-    if t_core is None:
-        t_core, _ = _tail_point(model, settings.tail_tol)
+    t_core, _ = _tail_point(model, settings.tail_tol)
     lam_half = phase_half(model, t_core)
     coeff = contour_tail(model, t_core)
     j_in = cmath.exp(2j * lam_half) * coeff

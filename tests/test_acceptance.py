@@ -6,8 +6,8 @@ Each test prints exactly one line of the form
 
 and then asserts.  Run ``pytest tests/test_acceptance.py -s -q`` to see
 the lines for passing checks too; on failure the same text appears in
-the assertion message.  The three sweep fixtures dominate the runtime
-(a few minutes of numerical propagation).
+the assertion message.  The three 300-point sweep fixtures dominate the
+runtime (about 1.3 s together on 2 cores).
 """
 
 import itertools

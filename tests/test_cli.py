@@ -228,8 +228,9 @@ class TestSweepCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_workers_option_removed(self, tmp_path, capsys):
-        # the pool size is chosen by run_sweep; the old flag is an unknown
-        # argument and the old config key is ignored like any foreign key
+        # a sweep runs in this process and has no worker setting; the old flag
+        # is an unknown argument and the old config key is ignored like any
+        # foreign key
         out = tmp_path / "s.csv"
         argv = ["sweep", "--N", "2", "--alpha-min", "0.5", "--alpha-max", "1.0",
                 "--points", "2", "--methods", "ddp", "--out", str(out)]
@@ -241,6 +242,18 @@ class TestSweepCommand:
         cfg.write_text("workers = 2\n", encoding="ascii")
         assert main([*argv, "--config", str(cfg)]) == 0
         assert out.exists()
+
+    def test_unallocatable_grid_exits_2(self, tmp_path, capsys):
+        # numpy refuses the 7 TiB alpha grid before allocating any of it; the
+        # input is at fault, so one error line and exit 2, not a traceback
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--N", "2", "--alpha-min", "0.1", "--alpha-max", "1", "--points",
+                   "1000000000000", "--methods", "ddp", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: MemoryError: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_rejects_unknown_method(self, tmp_path, capsys):
         rc = main(

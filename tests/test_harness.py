@@ -2,17 +2,15 @@
 
 import json
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_all_start_methods, get_start_method
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelcross import harness
+from levelcross import harness, propagator
 from levelcross.ddp import ddp_probability
 from levelcross.errors import MissingColumn
 from levelcross.harness import (
@@ -30,6 +28,8 @@ from levelcross.harness import (
     run_sweep,
     write_sweep_csv,
 )
+from levelcross.models import Superparabolic
+from levelcross.propagator import PropagatorSettings, propagate
 from oracles import PARABOLIC_C, ddp_parabolic_closed_form
 
 
@@ -48,12 +48,19 @@ class TestSweepConfig:
             dict(alpha_max=math.inf),
             dict(alpha_min=math.nan),
             dict(points=1),
+            dict(points=2.5),
             dict(spacing="cubic"),
             dict(methods=("numeric", "euler")),
             dict(methods=()),
         ):
             with pytest.raises(ValueError):
                 SweepConfig(**{**good, **overrides})
+
+    def test_non_integer_points_named(self):
+        # 2.5 would otherwise reach np.linspace and fail there with a TypeError
+        with pytest.raises(ValueError, match=r"points must be an integer >= 2, got 2\.5"):
+            SweepConfig(n_values=(2,), alpha_min=0.1, alpha_max=1.0, points=2.5)
+        assert SweepConfig(n_values=(2,), alpha_min=0.1, alpha_max=1.0, points=np.int64(3)).points == 3
 
     def test_methods_canonical_order(self):
         cfg = SweepConfig(
@@ -87,42 +94,18 @@ class TestSweepConfig:
         assert max(ratios) - min(ratios) < 1e-12
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @pytest.fixture()
-def pool_sizes(monkeypatch):
-    """The sizes run_sweep asks ProcessPoolExecutor for; nothing is forked."""
-    sizes = []
+def resolve_calls(monkeypatch):
+    """The member counts of each call of the collocation solve."""
+    calls = []
+    real = propagator._resolve
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting(members, *args):
+        calls.append(len(members))
+        return real(members, *args)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    return sizes
-
-
-@pytest.fixture()
-def cheap_propagate(monkeypatch):
-    """A numeric column that costs microseconds per point."""
-
-    def fake(model, settings):
-        return SimpleNamespace(probability=model.alpha / (1.0 + model.alpha))
-
-    monkeypatch.setattr(harness, "propagate", fake)
+    monkeypatch.setattr(propagator, "_resolve", counting)
+    return calls
 
 
 class TestRunSweep:
@@ -184,65 +167,66 @@ class TestRunSweep:
         b = emit_sweep_csv(run_sweep(cfg), cfg.methods)
         assert a == b
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        # 2 x _POINTS_PER_PROCESS numeric points make two processes' work,
-        # so with fork and two CPUs this sweep runs in a real pool
-        made = []
+    @pytest.mark.parametrize("n, lo, hi, spacing", [(2, 0.2, 2.5, "linear"), (6, 0.1, 3.0, "log"),
+                                                    (10, 0.1, 3.0, "log")], ids=["n2", "n6", "n10"])
+    def test_batched_column_matches_lone_propagate(self, n, lo, hi, spacing):
+        # the three 300-point acceptance grids: each member keeps its own
+        # handover, steps and counts, and P moves only by rounding
+        grid = SweepConfig(n_values=(n,), alpha_min=lo, alpha_max=hi, points=300, spacing=spacing).alpha_grid()
+        batched = harness._numeric_column(n, grid, PropagatorSettings())
+        for alpha, got in zip(grid, batched, strict=True):
+            lone = propagate(Superparabolic(n, alpha))
+            assert (got.nfev, got.n_steps, got.t_core, got.tail_error) == (
+                lone.nfev, lone.n_steps, lone.t_core, lone.tail_error)
+            assert abs(got.probability - lone.probability) <= 1e-13
+            assert abs(got.final_norm_drift - lone.final_norm_drift) <= 1e-13
 
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers=max_workers)
+    def test_capped_point_fails_alone(self, monkeypatch):
+        # alpha = 1e6 takes the batch past the node cap; the panel is then
+        # solved point by point, so only that row fails, and its neighbours
+        # get a lone propagate's values
+        lone_calls = []
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        cfg = SweepConfig(n_values=(2,), alpha_min=0.3, alpha_max=2.0, points=2 * harness._POINTS_PER_PROCESS)
-        pooled = run_sweep(cfg)
-        serial = [
-            harness._evaluate_point(2, a, cfg.methods, cfg.settings) for a in cfg.alpha_grid()
-        ]
-        assert pooled == serial
-        forks = (get_start_method(allow_none=True) or get_all_start_methods()[0]) == "fork"
-        assert made == ([2] if forks and _usable_cpus() >= 2 else [])
+        def lone(model, settings):
+            lone_calls.append(model.alpha)
+            return propagate(model, settings)
 
-    def test_small_and_closed_form_sweeps_stay_serial(self, pool_sizes, cheap_propagate):
-        # the benchmark's 4-point sweeps, too few points for two processes,
-        # and closed forms at any size
-        for points in (4, 2 * harness._POINTS_PER_PROCESS - 1):
-            run_sweep(SweepConfig(n_values=(2,), alpha_min=0.3, alpha_max=1.5, points=points))
-        closed = ("ddp", "znt-double", "znt-tunnel")
+        monkeypatch.setattr(harness, "propagate", lone)
+        monkeypatch.setattr(SweepConfig, "alpha_grid", lambda self: [0.5, 1e6, 2.0])
+        rows = run_sweep(SweepConfig(n_values=(2,), alpha_min=0.5, alpha_max=2.0, points=3,
+                                     methods=("numeric", "ddp")))
+        assert lone_calls == [0.5, 1e6, 2.0]
+        assert [r.status for r in rows] == ["ok", "numeric:NonConvergence", "ok"]
+        assert rows[1].values == {"numeric": None, "ddp": ddp_probability(2, 1e6)}
+        for row in (rows[0], rows[2]):
+            assert row.values["numeric"] == propagate(Superparabolic(2, row.alpha)).probability
+
+    def test_batch_size_capped(self, monkeypatch):
+        # a batch's first steps must fit one pass, so a 5000-point panel
+        # goes to the solve in batches of at most _PASS_STEPS // 8 models,
+        # in grid order, and each N panel separately
+        batches = []
+
+        def recorder(models, settings):
+            batches.append([(m.N, m.alpha) for m in models])
+            return [SimpleNamespace(probability=m.alpha / (1.0 + m.alpha)) for m in models]
+
+        monkeypatch.setattr(harness, "_propagate_batch", recorder)
+        cfg = SweepConfig(n_values=(2, 6), alpha_min=0.1, alpha_max=3.0, points=5_000, methods=("numeric",))
+        rows = run_sweep(cfg)
+        assert max(map(len, batches)) == propagator._PASS_STEPS // 8
+        assert [point for batch in batches for point in batch] == [(r.n, r.alpha) for r in rows]
+        assert all(len({n for n, _ in batch}) == 1 for batch in batches)
+        assert [r.values["numeric"] for r in rows] == [r.alpha / (1.0 + r.alpha) for r in rows]
+
+    def test_one_resolve_per_batch(self, resolve_calls):
+        # two 4-point panels are two solves of four members each; a
+        # closed-form sweep makes none
+        run_sweep(SweepConfig(n_values=(2, 6), alpha_min=0.3, alpha_max=1.5, points=4))
+        assert resolve_calls == [4, 4]
         run_sweep(SweepConfig(n_values=(2,), alpha_min=0.1, alpha_max=3.0, points=300,
-                              methods=closed))
-        assert pool_sizes == []
-
-    @pytest.mark.parametrize("set_method, methods", [
-        ("spawn", ["fork", "spawn", "forkserver"]),
-        ("forkserver", ["fork", "spawn", "forkserver"]),
-        (None, ["spawn", "fork", "forkserver"]),  # the macOS default
-        (None, ["forkserver", "fork", "spawn"]),  # the Linux default from Python 3.14
-    ])
-    def test_no_pool_without_fork(self, pool_sizes, cheap_propagate, monkeypatch,
-                                  set_method, methods):
-        monkeypatch.setattr(harness, "get_start_method", lambda allow_none=False: set_method)
-        monkeypatch.setattr(harness, "get_all_start_methods", lambda: methods)
-        run_sweep(SweepConfig(n_values=(2,), alpha_min=0.1, alpha_max=3.0, points=300))
-        assert pool_sizes == []
-
-    def test_pool_size_capped(self, pool_sizes, cheap_propagate, monkeypatch):
-        # the pool starts all its processes at once, so a huge numeric grid
-        # must ask for no more than the usable CPUs; fork is the default
-        # start method here, as on Linux up to Python 3.13
-        monkeypatch.setattr(harness, "get_start_method", lambda allow_none=False: None)
-        monkeypatch.setattr(harness, "get_all_start_methods", lambda: ["fork", "spawn"])
-        cfg = SweepConfig(n_values=(2, 6), alpha_min=0.1, alpha_max=3.0, points=5_000)
-        pooled = run_sweep(cfg)
-        serial = [
-            harness._evaluate_point(n, a, cfg.methods, cfg.settings)
-            for n in cfg.n_values
-            for a in cfg.alpha_grid()
-        ]
-        assert pooled == serial
-        cpus = _usable_cpus()
-        assert pool_sizes == ([cpus] if cpus >= 2 else [])
+                              methods=("ddp", "znt-double", "znt-tunnel")))
+        assert resolve_calls == [4, 4]
 
     def test_out_path_written(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -301,7 +301,7 @@ class TestPropagate:
         m = Superparabolic(2, 1.0)
         handover = _tail_point(m, PropagatorSettings().tail_tol)
         counted = CountingModel(m)
-        r, _, states = propagator._solve_window(counted, PropagatorSettings(), handover, times)
+        r, _, states = propagator._solve_window([(counted, handover)], PropagatorSettings(), times)[0]
         assert r.nfev == counted.points
         assert r.n_steps * 16 <= r.nfev < 1000
         assert len(states) == len(times)
@@ -319,20 +319,19 @@ class TestPropagate:
                 assert r.final_norm_drift < 1e-9
 
     @pytest.mark.parametrize(
-        "m, t_core",
-        [(Parabolic(1.0, 4.0, 1.0), None), (Parabolic(1.0, -4.0, 1.0), None),
-         (Parabolic(1.0, 4.0, 3e-3), None), (Parabolic(1.0, -4.0, 3e-3), None),
-         (Superparabolic(200, 1.0), 1.05)],
-        ids=["b+4", "b-4", "born-b+4", "born-b-4", "n200"],
+        "m",
+        [Parabolic(1.0, 4.0, 1.0), Parabolic(1.0, -4.0, 1.0), Parabolic(1.0, 4.0, 3e-3),
+         Parabolic(1.0, -4.0, 3e-3), Superparabolic(200, 1.0), Superparabolic(100, 10.0),
+         Superparabolic(200, 10.0)],
+        ids=["b+4", "b-4", "born-b+4", "born-b-4", "n200", "n100-a10", "n200-a10"],
     )
-    def test_agrees_with_diabatic_oracle(self, m, t_core):
+    def test_agrees_with_diabatic_oracle(self, m):
         # the basis agreement beyond the glancing grid (observed gaps
-        # <= 1.2e-11).  At N = 200 the oracle cannot carry the full phase
-        # to the window end (Lam(1.2) = 4e13 rad); it hands over to its
-        # contour tail at 1.05, where the tail is 1.6e-7 and the series'
-        # error 2e-17
-        oracle = propagate_diabatic(m, _TIGHT, t_core=t_core)
-        assert abs(propagate(m).probability - oracle) < 1e-10
+        # <= 2.5e-11).  At N >= 100 the window must end close to
+        # alpha^(1/N), where the floor's margin 1 + 10/N puts it: the phase
+        # grows like t^(N+1) and reaches 4e13 rad at t = 1.2 for N = 200
+        p = propagate(m).probability
+        assert abs(p - propagate_diabatic(m, _TIGHT)) < 1e-10
 
     def test_tighter_rel_tol_moves_p_little(self):
         # the trailing coefficients overstate a converged step's error, so
@@ -441,7 +440,7 @@ def test_window_states_match_interaction_rhs():
         handover = _tail_point(m, PropagatorSettings().tail_tol)
         t_core = handover[0]
         times = [0.0, 0.1 * t_core, 0.5 * t_core, t_core]
-        _, _, states = propagator._solve_window(m, PropagatorSettings(), handover, times)
+        _, _, states = propagator._solve_window([(m, handover)], PropagatorSettings(), times)[0]
         sol = solve_ivp(interaction_rhs(m), (0.0, t_core), np.array([1.0, 0.0, 0.0], dtype=complex),
                         method="DOP853", rtol=1e-12, atol=1e-14, t_eval=times)
         for (a, b, lam), want in zip(states, sol.y.T):
@@ -504,7 +503,7 @@ def test_node_cap_raises_non_convergence(monkeypatch):
     handover = _tail_point(counted.model, PropagatorSettings().tail_tol)
     with pytest.raises(NonConvergence,
                        match=r"node cap of 300 nodes reached with \d+ steps of \[0, .*\] unresolved"):
-        propagator._solve_window(counted, PropagatorSettings(), handover)
+        propagator._solve_window([(counted, handover)], PropagatorSettings())
     assert 0 < counted.points <= 300
 
 
@@ -522,7 +521,7 @@ def test_level_exception_reaches_caller_as_itself():
     m = CountingModel(Superparabolic(2, 1.0), fail=LevelBroke("level failed"))
     handover = _tail_point(m.model, PropagatorSettings().tail_tol)
     with pytest.raises(LevelBroke, match="level failed"):
-        propagator._solve_window(m, PropagatorSettings(), handover)
+        propagator._solve_window([(m, handover)], PropagatorSettings())
 
 
 def test_non_finite_coupling_is_named_without_warnings():
@@ -536,7 +535,7 @@ def test_non_finite_coupling_is_named_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match=r"leaves the float range at t = "):
-            propagator._solve_window(m, PropagatorSettings(), (2.0, np.zeros(8)))
+            propagator._solve_window([(m, (2.0, np.zeros(8)))], PropagatorSettings())
 
 
 class TestMixingHalfAngle:
