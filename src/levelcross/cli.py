@@ -50,24 +50,9 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _extract_config(argv: list[str]) -> tuple[list[str], dict[str, str]]:
-    out: list[str] = []
-    path = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config requires a path")
-            path = argv[i + 1]
-            i += 2
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-        else:
-            out.append(tok)
-            i += 1
-    return out, (_load_config(path) if path else {})
+# takes --config PATH or --config=PATH (the last one wins) out of the command line
+_CONFIG_PARSER = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+_CONFIG_PARSER.add_argument("--config")
 
 
 def _merge_config(
@@ -291,8 +276,11 @@ def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
     try:
-        stripped, config = _extract_config(raw)
-        merged = _merge_config(stripped, config, subparsers)
+        found, stripped = _CONFIG_PARSER.parse_known_args(raw)
+        merged = _merge_config(stripped, _load_config(found.config) if found.config else {}, subparsers)
+    except argparse.ArgumentError:
+        print("error: --config requires a path", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

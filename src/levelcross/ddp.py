@@ -31,7 +31,10 @@ def nu_coefficient(N) -> float:
     The even values N = 2, 4, ... are the glancing family; N = 1 is the
     quarter-circle sanity case (pi/4).
     """
-    n = int(N) if not isinstance(N, bool) else 0
+    try:
+        n = 0 if isinstance(N, bool) else int(N)
+    except (OverflowError, ValueError):  # inf, nan
+        n = 0
     if n != N or n <= 0:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     x = 1.0 / (2.0 * n)  # Beta(x, 3/2) through log-Gamma
@@ -72,7 +75,7 @@ def phase_integral(N: int, alpha: float, k: int) -> complex:
     D(t_c^1) = sigma + i delta is what the Zhu-Nakamura forms take.
     """
     eta = glancing_eta(N, alpha)
-    if int(k) != k or not (1 <= k <= N):
+    if k not in range(1, int(N) + 1):  # refuses nan, inf and non-integers too
         raise ValueError(f"k must be an integer in 1..{N}, got {k!r}")
     return cmath.rect(eta, math.pi * (2 * k - 1) / (2 * N))
 

@@ -39,9 +39,9 @@ class BracketingError(LevelCrossError):
 
 
 class NonConvergence(LevelCrossError):
-    """The tail handover point, where the estimated first omitted tail
-    term falls to tail_tol, was not found, or resolving the window would
-    take the collocation solve past its node cap."""
+    """The tail handover point, where tail_error = hypot(u_6, u_7) falls
+    to tail_tol, was not found; or resolving the window, or a trace's
+    sample edges alone, would take the collocation solve past its node cap."""
 
 
 class ToleranceFailure(LevelCrossError):
@@ -50,3 +50,15 @@ class ToleranceFailure(LevelCrossError):
 
 class MissingColumn(LevelCrossError):
     """A comparison was requested against a column absent from the rows."""
+
+
+# the failures that a sweep cell or a batch of propagations records as its outcome
+_FAILURES = (LevelCrossError, ValueError, ArithmeticError)
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the failure in _FAILURES that it raised."""
+    try:
+        return fn(*args)
+    except _FAILURES as exc:
+        return exc

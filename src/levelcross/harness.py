@@ -19,9 +19,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .ddp import ddp_probability
-from .errors import LevelCrossError, MissingColumn
+from .errors import MissingColumn, _attempt
 from .models import Superparabolic, check_glancing
-from .propagator import _PASS_STEPS, PropagationResult, PropagatorSettings, _propagate_batch, propagate
+from .propagator import PropagationResult, PropagatorSettings, _propagate_batch
+from .propagator import propagate  # noqa: F401  (unused: levelbench/spans.py wraps it by name)
 from .znt import glancing_double_crossing, glancing_tunneling
 
 __all__ = [
@@ -43,9 +44,6 @@ __all__ = [
 METHODS = ("numeric", "ddp", "znt-double", "znt-tunnel")
 
 _NAN_TOKEN = "NaN"
-
-# the failures a sweep records in a cell instead of raising
-_CELL_ERRORS = (LevelCrossError, ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -119,35 +117,6 @@ class ComparisonReport:
     frequency_agreement: dict[str, float | None]
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the cell failure it raised."""
-    try:
-        return fn(*args)
-    except _CELL_ERRORS as exc:
-        return exc
-
-
-def _numeric_column(
-    n: int, grid: list[float], settings: PropagatorSettings
-) -> list[PropagationResult | Exception]:
-    """propagate at each alpha of one N panel, or the failure it raised.
-
-    The panel is solved in batches of at most _PASS_STEPS // 8 models,
-    whose first steps (eight each) fit one pass of the solve.  A batch that
-    fails is solved again point by point, so that each cell gets the value
-    or the failure of a lone propagate.
-    """
-    column: list[PropagationResult | Exception] = []
-    size = _PASS_STEPS // 8
-    for k in range(0, len(grid), size):
-        models = [Superparabolic(n, alpha) for alpha in grid[k : k + size]]
-        try:
-            column += _propagate_batch(models, settings)
-        except _CELL_ERRORS:
-            column += [_attempt(propagate, model, settings) for model in models]
-    return column
-
-
 def _evaluate_point(
     n: int, alpha: float, methods: tuple[str, ...], numeric: PropagationResult | Exception | None
 ) -> SweepRow:
@@ -179,8 +148,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """
     grid = config.alpha_grid()
     rows = []
-    for n in config.n_values:
-        numeric = _numeric_column(n, grid, config.settings) if "numeric" in config.methods else [None] * len(grid)
+    for n in config.n_values:  # a panel at a time, so that a failed solve redoes one N only
+        if "numeric" in config.methods:
+            numeric = _propagate_batch([Superparabolic(n, alpha) for alpha in grid], config.settings)
+        else:
+            numeric = [None] * len(grid)
         rows += [_evaluate_point(n, alpha, config.methods, p) for alpha, p in zip(grid, numeric)]
     if config.out_path is not None:
         write_sweep_csv(rows, config.methods, config.out_path)

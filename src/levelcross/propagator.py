@@ -82,7 +82,9 @@ One solve can cover a batch of models, as a sweep's numeric column does:
 their steps share the passes, each model's level is evaluated on its own
 steps, and each step is accepted on its own, so every model gets the
 steps, nfev and n_steps of a lone solve.  The node cap covers the whole
-batch, and propagate is the batch of one.
+batch.  _propagate_batch returns each model's result or failure: a model
+whose handover scan fails is left out of the solve, and a batch whose
+solve fails is redone one propagate per model.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad, solve_ivp  # noqa: F401  (unused: levelbench/spans.py wraps both by name)
 
-from .errors import NonConvergence, ToleranceFailure
+from .errors import _FAILURES, NonConvergence, ToleranceFailure, _attempt
 from .models import DiabaticModel
 
 # Gauss-Legendre nodes per collocation step
@@ -276,7 +278,10 @@ def _tail_point(model: DiabaticModel, tol: float, max_angle: float = math.pi) ->
     matters at large N, where the phase 2W ~ 2 t^N oscillates fastest at the
     window ends.  The rule is evaluated on _SCAN_CHUNK grid points per numpy
     pass: the series costs about as much at one point as at hundreds.
+    Every check that can fail a model before its solve is made here.
     """
+    if model.V * model.V == 0.0:  # where eps = 0 (t = 0 for a glancing model) gamma would be 0/0
+        raise ZeroDivisionError(f"squared coupling V^2 underflows to 0 for {model!r}")
     start = max(model.floor, 1.0)
     for first in range(0, _SCAN_POINTS, _SCAN_CHUNK):
         t = start * 1.01 ** np.arange(first, first + _SCAN_CHUNK)
@@ -341,8 +346,6 @@ def _resolve(
     # member so that each member's steps in a pass are contiguous
     queue, initial = [], []
     for k, (model, (t_core, _)) in enumerate(members):
-        if model.V * model.V == 0.0:  # where eps = 0 (t = 0 for a glancing model) gamma would be 0/0
-            raise ZeroDivisionError(f"squared coupling V^2 underflows to 0 for {model!r}")
         grid = sorted({*times, *np.linspace(0.0, t_core, 9).tolist()})
         queue += [(k, a, b) for a, b in zip(grid, grid[1:])]
         initial.append(len(grid) - 1)
@@ -474,21 +477,34 @@ def _solve_window(
     return out
 
 
-def _propagate_batch(models: Sequence[DiabaticModel], settings: PropagatorSettings) -> list[PropagationResult]:
-    """propagate for each of `models`, from one solve of all their windows.
+def _propagate_batch(
+    models: Sequence[DiabaticModel], settings: PropagatorSettings
+) -> list[PropagationResult | Exception]:
+    """propagate for each of `models`, in order: its result, or the failure
+    (one of _FAILURES) it raised.
 
-    Each member keeps its own handover scan, step acceptance, nfev and
-    n_steps, so its result is that of a lone propagate up to rounding; the
-    passes and the node cap are shared.  Any member's failure raises for the
-    whole batch.
+    Batches of at most _PASS_STEPS // 8 models, whose first steps (eight
+    each) fit one pass, are solved together.  A model whose handover scan
+    fails is left out of its batch's solve; a batch whose solve fails (the
+    node cap is shared) is redone one propagate per model.
     """
-    members = [(model, _tail_point(model, settings.tail_tol)) for model in models]
-    return [result for result, _, _ in _solve_window(members, settings)]
+    out: list[PropagationResult | Exception] = []
+    size = _PASS_STEPS // 8
+    for k in range(0, len(models), size):
+        batch = models[k : k + size]
+        handovers = [_attempt(_tail_point, model, settings.tail_tol) for model in batch]
+        members = [(m, h) for m, h in zip(batch, handovers) if not isinstance(h, Exception)]
+        try:
+            solved = iter([result for result, _, _ in _solve_window(members, settings)] if members else [])
+        except _FAILURES:
+            solved = iter([_attempt(propagate, model, settings) for model, _ in members])
+        out += [h if isinstance(h, Exception) else next(solved) for h in handovers]
+    return out
 
 
 def propagate(model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()) -> PropagationResult:
     """Transition probability P = |c1(+inf)|^2 starting from |c2(-inf)|^2 = 1."""
-    return _propagate_batch([model], settings)[0]
+    return _solve_window([(model, _tail_point(model, settings.tail_tol))], settings)[0][0]
 
 
 def _mixing_half_angle(model: DiabaticModel, t: float) -> tuple[float, float]:
@@ -519,7 +535,8 @@ def propagate_trace(
     window therefore ends at the first point of the handover scan that also
     has theta <= 1e-2, so that the last sample is within about 5e-3 of the
     asymptotic P.  Each distinct |t| is a step boundary of the solve, so a
-    sample_count above about 500,000 reaches its node cap.
+    sample_count whose steps alone pass the node cap (above 524,289)
+    raises NonConvergence at once, and somewhat fewer can still reach it.
     """
     return _propagate_traced(model, settings, sample_count)[1]
 
@@ -530,9 +547,13 @@ def _propagate_traced(
     """The result and the samples of propagate_trace, from its one solve."""
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count!r}")
+    if sample_count // 2 * _NODES > _MAX_NODES:
+        raise NonConvergence(f"sample_count={sample_count!r} needs {sample_count // 2} steps of {_NODES} nodes, "
+                             f"past the collocation node cap of {_MAX_NODES} nodes")
     handover = _tail_point(model, settings.tail_tol, _TRACE_MIXING_ANGLE)
     t_core = handover[0]
-    ts = np.linspace(-t_core, t_core, sample_count).tolist()
+    ts = np.linspace(-t_core, t_core, sample_count)
+    ts = (0.5 * (ts - ts[::-1])).tolist()  # exactly odd, so each |t| is one step edge
     times = sorted({abs(t) for t in ts})
     result, (bp0, bm0), states = _solve_window([(model, handover)], settings, times)[0]
     at = dict(zip(times, states))

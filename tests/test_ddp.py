@@ -110,8 +110,8 @@ class TestPhaseIntegral:
             assert cmath.phase(d) == pytest.approx(cmath.phase(z.t_c), abs=1e-14)
 
     def test_rejects_bad_k(self):
-        for k in (0, 3, -1, 1.5):
-            with pytest.raises(ValueError):
+        for k in (0, 3, -1, 1.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"k must be an integer in 1\.\.2"):
                 phase_integral(2, 1.0, k)
 
 

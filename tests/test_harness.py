@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelcross import harness, propagator
+from levelcross import propagator
 from levelcross.ddp import ddp_probability
 from levelcross.errors import MissingColumn
 from levelcross.harness import (
@@ -108,6 +108,19 @@ def resolve_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def lone_calls(monkeypatch):
+    """The alphas of the lone propagate calls that a failed batch solve redoes."""
+    calls = []
+
+    def lone(model, settings):
+        calls.append(model.alpha)
+        return propagate(model, settings)
+
+    monkeypatch.setattr(propagator, "propagate", lone)
+    return calls
+
+
 class TestRunSweep:
     def test_ddp_column_delegates(self):
         cfg = SweepConfig(
@@ -173,7 +186,7 @@ class TestRunSweep:
         # the three 300-point acceptance grids: each member keeps its own
         # handover, steps and counts, and P moves only by rounding
         grid = SweepConfig(n_values=(n,), alpha_min=lo, alpha_max=hi, points=300, spacing=spacing).alpha_grid()
-        batched = harness._numeric_column(n, grid, PropagatorSettings())
+        batched = propagator._propagate_batch([Superparabolic(n, alpha) for alpha in grid], PropagatorSettings())
         for alpha, got in zip(grid, batched, strict=True):
             lone = propagate(Superparabolic(n, alpha))
             assert (got.nfev, got.n_steps, got.t_core, got.tail_error) == (
@@ -181,17 +194,10 @@ class TestRunSweep:
             assert abs(got.probability - lone.probability) <= 1e-13
             assert abs(got.final_norm_drift - lone.final_norm_drift) <= 1e-13
 
-    def test_capped_point_fails_alone(self, monkeypatch):
-        # alpha = 1e6 takes the batch past the node cap; the panel is then
-        # solved point by point, so only that row fails, and its neighbours
-        # get a lone propagate's values
-        lone_calls = []
-
-        def lone(model, settings):
-            lone_calls.append(model.alpha)
-            return propagate(model, settings)
-
-        monkeypatch.setattr(harness, "propagate", lone)
+    def test_capped_point_fails_alone(self, monkeypatch, lone_calls):
+        # alpha = 1e6 takes the batch past the node cap; the batch is then
+        # redone one propagate per point, so only that row fails, and its
+        # neighbours get a lone propagate's values
         monkeypatch.setattr(SweepConfig, "alpha_grid", lambda self: [0.5, 1e6, 2.0])
         rows = run_sweep(SweepConfig(n_values=(2,), alpha_min=0.5, alpha_max=2.0, points=3,
                                      methods=("numeric", "ddp")))
@@ -207,17 +213,30 @@ class TestRunSweep:
         # in grid order, and each N panel separately
         batches = []
 
-        def recorder(models, settings):
-            batches.append([(m.N, m.alpha) for m in models])
-            return [SimpleNamespace(probability=m.alpha / (1.0 + m.alpha)) for m in models]
+        def recorder(members, settings):
+            batches.append([(m.N, m.alpha) for m, _ in members])
+            return [(SimpleNamespace(probability=m.alpha / (1.0 + m.alpha)), None, []) for m, _ in members]
 
-        monkeypatch.setattr(harness, "_propagate_batch", recorder)
+        monkeypatch.setattr(propagator, "_tail_point", lambda model, tol: (1.0, None))
+        monkeypatch.setattr(propagator, "_solve_window", recorder)
         cfg = SweepConfig(n_values=(2, 6), alpha_min=0.1, alpha_max=3.0, points=5_000, methods=("numeric",))
         rows = run_sweep(cfg)
         assert max(map(len, batches)) == propagator._PASS_STEPS // 8
         assert [point for batch in batches for point in batch] == [(r.n, r.alpha) for r in rows]
         assert all(len({n for n, _ in batch}) == 1 for batch in batches)
         assert [r.values["numeric"] for r in rows] == [r.alpha / (1.0 + r.alpha) for r in rows]
+
+    def test_pre_solve_failures_stay_out_of_the_solve(self, monkeypatch, resolve_calls, lone_calls):
+        # V^2 underflows at alpha = 1e-300 and the handover scan overflows at
+        # 1e300: both fail before the solve, which the other two points share
+        # without a lone retry
+        monkeypatch.setattr(SweepConfig, "alpha_grid", lambda self: [1e-300, 0.5, 1e300, 2.0])
+        rows = run_sweep(SweepConfig(n_values=(2,), alpha_min=1e-300, alpha_max=2.0, points=4, methods=("numeric",)))
+        assert [r.status for r in rows] == ["numeric:ZeroDivisionError", "ok", "numeric:OverflowError", "ok"]
+        assert resolve_calls == [2] and lone_calls == []
+        assert rows[0].values["numeric"] is None and rows[2].values["numeric"] is None
+        for row in (rows[1], rows[3]):
+            assert row.values["numeric"] == propagate(Superparabolic(2, row.alpha)).probability
 
     def test_one_resolve_per_batch(self, resolve_calls):
         # two 4-point panels are two solves of four members each; a

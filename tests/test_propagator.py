@@ -9,6 +9,7 @@ contour quadrature of the tail integral.
 
 import cmath
 import math
+import time
 import warnings
 
 import mpmath
@@ -610,6 +611,24 @@ class TestTrace:
     def test_rejects_short_sample_count(self):
         with pytest.raises(ValueError):
             propagate_trace(Superparabolic(2, 1.0), sample_count=1)
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_samples_exactly_odd(self, count_solves, n):
+        # t_i = -t_(n-1-i) to the bit, so the solve gets one step edge per
+        # |t|, not two a few ulp apart
+        ts = [row[0] for row in propagate_trace(Superparabolic(2, 1.0), sample_count=n)]
+        assert all(a == -b for a, b in zip(ts, ts[::-1]))
+        (_, _, times), = count_solves
+        assert len(times) == math.ceil(n / 2)
+
+    def test_oversize_trace_refused_before_any_work(self, monkeypatch):
+        # 10^7 samples are 5 x 10^6 step edges, past the node cap on their
+        # own: refused before the handover scan and the sample grid
+        monkeypatch.setattr(propagator, "_tail_point", None)
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match=r"sample_count=10000000 .* node cap of 4194304 nodes"):
+            propagate_trace(Superparabolic(2, 1.0), sample_count=10**7)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestBornOracle:

@@ -105,6 +105,9 @@ class TestNuCoefficient:
         for bad in (0, -2, 2.5, "4"):
             with pytest.raises((ValueError, TypeError)):
                 nu_coefficient(bad)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"N must be a positive integer, got"):
+                nu_coefficient(bad)
 
 
 class TestParabolicConstant:
