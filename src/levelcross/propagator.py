@@ -32,10 +32,11 @@ sum_{m >= 6} i^(m+1) u_m, is hypot(u_6, u_7) to leading order: computed
 from the next two terms, not estimated from ratios.  The window ends at
 the first point of a x1.01 grid from the floor past the level structure
 where the terms already decrease, |u_0| > ... > |u_6|, and that error is
-at most settings.tail_tol; numpy evaluates the rule on a few hundred grid
-points in one pass.  J both prepares the state at -T (gamma odd and Lam
-odd give int_{-inf}^{-T} gamma e^{2i Lam} = -conj(J(T))) and completes
-the readout to t = +inf through the exactly unitary map
+at most settings.tail_tol; numpy evaluates the rule for a whole batch of
+models at once, on a block of grid points per model in each pass.  J both
+prepares the state at -T (gamma odd and Lam odd give
+int_{-inf}^{-T} gamma e^{2i Lam} = -conj(J(T))) and completes the readout
+to t = +inf through the exactly unitary map
 
     b+(inf) = (b+ - J b-)/sqrt(1+|J|^2),
     b-(inf) = (b- + conj(J) b+)/sqrt(1+|J|^2).
@@ -82,9 +83,10 @@ One solve can cover a batch of models, as a sweep's numeric column does:
 their steps share the passes, each model's level is evaluated on its own
 steps, and each step is accepted on its own, so every model gets the
 steps, nfev and n_steps of a lone solve.  The node cap covers the whole
-batch.  _propagate_batch returns each model's result or failure: a model
-whose handover scan fails is left out of the solve, and a batch whose
-solve fails is redone one propagate per model.
+batch.  _propagate_batch scans a batch's handovers in one call and
+returns each model's result or failure: a model whose handover scan
+fails is left out of the solve, and a batch whose solve fails is solved
+again one model at a time from the handovers already found.
 """
 
 from __future__ import annotations
@@ -191,11 +193,19 @@ _TAIL_TERMS = 6
 # i^(m+1) for the terms summed into J
 _TAIL_PHASES = tuple(1j ** (m + 1) for m in range(_TAIL_TERMS))
 
+# Taylor orders of eps that the tail terms need: u_0 takes eps' to order
+# _TAIL_TERMS + 1, and each later term is one order shorter
+_EPS_ORDERS = _TAIL_TERMS + 3
+
 # the handover scan's grid points, and how many of them one numpy pass
-# evaluates (the first pass covers a factor 1.01^256 = 12.8 past the start,
-# where nearly every handover lies)
+# evaluates per model: a lone model's first pass covers a factor
+# 1.01^256 = 12.8 past the start, where nearly every handover lies; in a
+# batch the block shrinks with the models still scanning, so that a pass
+# holds about _SCAN_PASS_POINTS points (at least _SCAN_MIN_CHUNK per model)
 _SCAN_POINTS = 2048
 _SCAN_CHUNK = 256
+_SCAN_MIN_CHUNK = 16
+_SCAN_PASS_POINTS = 4096
 
 
 # A truncated Taylor series is an array whose first axis is the order k and
@@ -205,8 +215,8 @@ _SCAN_CHUNK = 256
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of two series at the same points, to the shorter length."""
     n = min(len(a), len(b))
-    c = np.zeros_like(b[:n])
-    for j in range(n):
+    c = a[0] * b[:n]
+    for j in range(1, n):
         c[j:] += a[j] * b[: n - j]
     return c
 
@@ -233,17 +243,17 @@ def _shift(a: np.ndarray) -> np.ndarray:
     return k * a[1:]
 
 
-def _tail_series(model: DiabaticModel, t) -> np.ndarray:
-    """The tail terms u_0, ..., u_{_TAIL_TERMS + 1} at t (a float or an
-    array of them), stacked on the first axis.
+def _tail_series(eps: np.ndarray, v) -> np.ndarray:
+    """The tail terms u_0, ..., u_{_TAIL_TERMS + 1}, stacked on the first
+    axis, from the Taylor series eps of the level (_EPS_ORDERS orders, at
+    any points) and the coupling v (a float, or an array that broadcasts
+    against the points).
 
     u_0 = V eps' / (4 W^3) and u_{m+1} = u_m' / (2W), with W = sqrt(eps^2 + V^2),
-    carried as Taylor series in the offset from t.  Each derivative shortens
-    a series by one order, so eps enters to order _TAIL_TERMS + 2.
+    carried as Taylor series in the offset from each point.  Each derivative
+    shortens a series by one order.
     """
-    n = _TAIL_TERMS + 2  # length of the series of u_0, and of eps'
-    eps = model.level_series(t, n + 1)
-    v = model.V
+    n = len(eps) - 1  # length of the series of u_0, and of eps'
     s = _mul(eps[:n], eps[:n])
     s[0] += v * v
     inv_w = _reciprocal(_sqrt(s))
@@ -264,39 +274,82 @@ def _tail_error(terms):
     return np.hypot(terms[_TAIL_TERMS], terms[_TAIL_TERMS + 1])
 
 
-def _tail_point(model: DiabaticModel, tol: float, max_angle: float = math.pi) -> tuple[float, np.ndarray]:
-    """The handover point t_core and the tail terms there (see _tail_series).
+def _tail_points(
+    models: Sequence[DiabaticModel], tol: float, max_angle: float = math.pi
+) -> list[tuple[float, np.ndarray] | Exception]:
+    """For each of `models`, in order, the handover point t_core and the
+    tail terms there (see _tail_series), or the failure that ends its scan.
 
     t_core is the first point of the grid max(floor, 1) x 1.01^k where the
     terms decrease up to the first omitted one, |u_0| > ... > |u_6|,
     _tail_error is at most tol, and the mixing angle atan2(V, eps(t)) is at
     most max_angle (by default any angle passes).  Before the terms
     decrease the series is not yet asymptotic, and small late terms prove
-    nothing.
+    nothing.  A model whose V^2 underflows fails with ZeroDivisionError
+    (gamma would be 0/0 where eps = 0), one whose series leaves the float
+    range first with OverflowError, and one that finds no point on the
+    grid with NonConvergence.  Every check that can fail a model before
+    its solve is made here.
 
     The 1% step keeps the window within 1% of the first passing point, which
     matters at large N, where the phase 2W ~ 2 t^N oscillates fastest at the
-    window ends.  The rule is evaluated on _SCAN_CHUNK grid points per numpy
-    pass: the series costs about as much at one point as at hundreds.
-    Every check that can fail a model before its solve is made here.
+    window ends.  Each numpy pass evaluates the rule on the next block of
+    grid points of every model still scanning, a row of points per model:
+    the series costs about as much at a few points as at hundreds, so a
+    batch shares that cost, and only the level's evaluation is made per
+    model.  The block has _SCAN_CHUNK points for a lone model and shrinks
+    as more models scan, to _SCAN_PASS_POINTS in all but never under
+    _SCAN_MIN_CHUNK per model.  Each model's level is evaluated on its own
+    contiguous row, so that its terms and t_core are those of a lone scan
+    to the bit, whatever batch it is scanned in.
     """
-    if model.V * model.V == 0.0:  # where eps = 0 (t = 0 for a glancing model) gamma would be 0/0
-        raise ZeroDivisionError(f"squared coupling V^2 underflows to 0 for {model!r}")
-    start = max(model.floor, 1.0)
-    for first in range(0, _SCAN_POINTS, _SCAN_CHUNK):
-        t = start * 1.01 ** np.arange(first, first + _SCAN_CHUNK)
-        with np.errstate(all="ignore"):  # an overflow ends the scan below
-            u = _tail_series(model, t)
+    out: list[tuple[float, np.ndarray] | Exception | None] = [None] * len(models)
+    pending = []
+    for i, model in enumerate(models):
+        if model.V * model.V == 0.0:
+            out[i] = ZeroDivisionError(f"squared coupling V^2 underflows to 0 for {model!r}")
+        else:
+            pending.append(i)
+    starts = np.array([max(models[i].floor, 1.0) for i in pending])
+    v = np.array([models[i].V for i in pending])
+    first = 0
+    while pending and first < _SCAN_POINTS:
+        rows = min(max(_SCAN_MIN_CHUNK, min(_SCAN_CHUNK, _SCAN_PASS_POINTS // len(pending))), _SCAN_POINTS - first)
+        t = starts[:, None] * 1.01 ** np.arange(first, first + rows)
+        eps = np.empty((_EPS_ORDERS,) + t.shape)
+        level = np.empty_like(t)
+        with np.errstate(all="ignore"):  # an overflow ends that model's scan below
+            for j, i in enumerate(pending):
+                eps[:, j] = models[i].level_series(t[j], _EPS_ORDERS)
+                level[j] = models[i].level(t[j])[0]
+            u = _tail_series(eps, v[:, None])
             size = np.abs(u[: _TAIL_TERMS + 1])
             passes = (_tail_error(u) <= tol) & np.all(size[:-1] > size[1:], axis=0)
-            passes &= np.arctan2(model.V, model.level(t)[0]) <= max_angle
+            passes &= np.arctan2(v[:, None], level) <= max_angle
         stop = passes | ~np.isfinite(u).all(axis=0)
-        if stop.any():
-            k = int(stop.argmax())
-            if not passes[k]:
-                raise OverflowError(f"tail series overflows at t = {float(t[k])!r} for {model!r}")
-            return float(t[k]), u[:, k]
-    raise NonConvergence(f"could not locate tail handover point for {model!r}")
+        scanning = []
+        for j, (i, k) in enumerate(zip(pending, stop.argmax(axis=1).tolist())):
+            if not stop[j, k]:
+                scanning.append(j)
+            elif passes[j, k]:
+                out[i] = (float(t[j, k]), u[:, j, k].copy())
+            else:
+                out[i] = OverflowError(f"tail series overflows at t = {float(t[j, k])!r} for {models[i]!r}")
+        pending = [pending[j] for j in scanning]
+        starts, v = starts[scanning], v[scanning]
+        first += rows
+    for i in pending:
+        out[i] = NonConvergence(f"could not locate tail handover point for {models[i]!r}")
+    return out
+
+
+def _tail_point(model: DiabaticModel, tol: float, max_angle: float = math.pi) -> tuple[float, np.ndarray]:
+    """The handover (t_core, tail terms there) of one model: the batch of
+    one of _tail_points, whose failure it raises."""
+    (handover,) = _tail_points([model], tol, max_angle)
+    if isinstance(handover, Exception):
+        raise handover
+    return handover
 
 
 def _tail_coefficient(terms: np.ndarray) -> complex:
@@ -484,27 +537,33 @@ def _propagate_batch(
     (one of _FAILURES) it raised.
 
     Batches of at most _PASS_STEPS // 8 models, whose first steps (eight
-    each) fit one pass, are solved together.  A model whose handover scan
-    fails is left out of its batch's solve; a batch whose solve fails (the
-    node cap is shared) is redone one propagate per model.
+    each) fit one pass, are scanned for their handovers together and then
+    solved together.  A model whose handover scan fails is left out of its
+    batch's solve; a batch whose solve fails (the node cap is shared) is
+    solved again one model at a time, from the handovers already found.
     """
     out: list[PropagationResult | Exception] = []
     size = _PASS_STEPS // 8
     for k in range(0, len(models), size):
         batch = models[k : k + size]
-        handovers = [_attempt(_tail_point, model, settings.tail_tol) for model in batch]
+        handovers = _tail_points(batch, settings.tail_tol)
         members = [(m, h) for m, h in zip(batch, handovers) if not isinstance(h, Exception)]
         try:
             solved = iter([result for result, _, _ in _solve_window(members, settings)] if members else [])
         except _FAILURES:
-            solved = iter([_attempt(propagate, model, settings) for model, _ in members])
+            solved = iter([_attempt(_solve_lone, member, settings) for member in members])
         out += [h if isinstance(h, Exception) else next(solved) for h in handovers]
     return out
 
 
+def _solve_lone(member: tuple[DiabaticModel, tuple[float, np.ndarray]], settings: PropagatorSettings) -> PropagationResult:
+    """The result of one member (model, handover) solved on its own."""
+    return _solve_window([member], settings)[0][0]
+
+
 def propagate(model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()) -> PropagationResult:
     """Transition probability P = |c1(+inf)|^2 starting from |c2(-inf)|^2 = 1."""
-    return _solve_window([(model, _tail_point(model, settings.tail_tol))], settings)[0][0]
+    return _solve_lone((model, _tail_point(model, settings.tail_tol)), settings)
 
 
 def _mixing_half_angle(model: DiabaticModel, t: float) -> tuple[float, float]:

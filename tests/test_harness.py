@@ -110,14 +110,29 @@ def resolve_calls(monkeypatch):
 
 @pytest.fixture()
 def lone_calls(monkeypatch):
-    """The alphas of the lone propagate calls that a failed batch solve redoes."""
+    """The alphas of the lone solves that a failed batch solve redoes."""
     calls = []
+    real = propagator._solve_lone
 
-    def lone(model, settings):
-        calls.append(model.alpha)
-        return propagate(model, settings)
+    def lone(member, settings):
+        calls.append(member[0].alpha)
+        return real(member, settings)
 
-    monkeypatch.setattr(propagator, "propagate", lone)
+    monkeypatch.setattr(propagator, "_solve_lone", lone)
+    return calls
+
+
+@pytest.fixture()
+def scan_calls(monkeypatch):
+    """The member counts of each call of the handover scan."""
+    calls = []
+    real = propagator._tail_points
+
+    def counting(models, *args):
+        calls.append(len(models))
+        return real(models, *args)
+
+    monkeypatch.setattr(propagator, "_tail_points", counting)
     return calls
 
 
@@ -194,14 +209,16 @@ class TestRunSweep:
             assert abs(got.probability - lone.probability) <= 1e-13
             assert abs(got.final_norm_drift - lone.final_norm_drift) <= 1e-13
 
-    def test_capped_point_fails_alone(self, monkeypatch, lone_calls):
+    def test_capped_point_fails_alone(self, monkeypatch, resolve_calls, lone_calls, scan_calls):
         # alpha = 1e6 takes the batch past the node cap; the batch is then
-        # redone one propagate per point, so only that row fails, and its
-        # neighbours get a lone propagate's values
+        # solved again one point at a time from the handovers of its one
+        # scan, so only that row fails, and its neighbours get a lone
+        # propagate's values
         monkeypatch.setattr(SweepConfig, "alpha_grid", lambda self: [0.5, 1e6, 2.0])
         rows = run_sweep(SweepConfig(n_values=(2,), alpha_min=0.5, alpha_max=2.0, points=3,
                                      methods=("numeric", "ddp")))
         assert lone_calls == [0.5, 1e6, 2.0]
+        assert resolve_calls == [3, 1, 1, 1] and scan_calls == [3]
         assert [r.status for r in rows] == ["ok", "numeric:NonConvergence", "ok"]
         assert rows[1].values == {"numeric": None, "ddp": ddp_probability(2, 1e6)}
         for row in (rows[0], rows[2]):
@@ -217,11 +234,18 @@ class TestRunSweep:
             batches.append([(m.N, m.alpha) for m, _ in members])
             return [(SimpleNamespace(probability=m.alpha / (1.0 + m.alpha)), None, []) for m, _ in members]
 
-        monkeypatch.setattr(propagator, "_tail_point", lambda model, tol: (1.0, None))
+        scans = []
+
+        def scanner(models, tol):
+            scans.append(len(models))
+            return [(1.0, None)] * len(models)
+
+        monkeypatch.setattr(propagator, "_tail_points", scanner)
         monkeypatch.setattr(propagator, "_solve_window", recorder)
         cfg = SweepConfig(n_values=(2, 6), alpha_min=0.1, alpha_max=3.0, points=5_000, methods=("numeric",))
         rows = run_sweep(cfg)
         assert max(map(len, batches)) == propagator._PASS_STEPS // 8
+        assert scans == list(map(len, batches))
         assert [point for batch in batches for point in batch] == [(r.n, r.alpha) for r in rows]
         assert all(len({n for n, _ in batch}) == 1 for batch in batches)
         assert [r.values["numeric"] for r in rows] == [r.alpha / (1.0 + r.alpha) for r in rows]
@@ -238,14 +262,14 @@ class TestRunSweep:
         for row in (rows[1], rows[3]):
             assert row.values["numeric"] == propagate(Superparabolic(2, row.alpha)).probability
 
-    def test_one_resolve_per_batch(self, resolve_calls):
-        # two 4-point panels are two solves of four members each; a
-        # closed-form sweep makes none
+    def test_one_resolve_per_batch(self, resolve_calls, scan_calls):
+        # two 4-point panels are two scans and two solves of four members
+        # each; a closed-form sweep makes none
         run_sweep(SweepConfig(n_values=(2, 6), alpha_min=0.3, alpha_max=1.5, points=4))
-        assert resolve_calls == [4, 4]
+        assert resolve_calls == [4, 4] and scan_calls == [4, 4]
         run_sweep(SweepConfig(n_values=(2,), alpha_min=0.1, alpha_max=3.0, points=300,
                               methods=("ddp", "znt-double", "znt-tunnel")))
-        assert resolve_calls == [4, 4]
+        assert resolve_calls == [4, 4] and scan_calls == [4, 4]
 
     def test_out_path_written(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -27,6 +27,7 @@ from levelcross.propagator import (
     _tail_coefficient,
     _tail_error,
     _tail_point,
+    _tail_points,
     _tail_series,
     propagate,
     propagate_trace,
@@ -96,11 +97,16 @@ HANDOVER_MODELS = (
 )
 
 
+def _terms(model, t):
+    """The tail terms u_0 .. u_7 of `model` at t (a float or an array of them)."""
+    return _tail_series(model.level_series(t, propagator._EPS_ORDERS), model.V)
+
+
 def _rule(model, t, tol):
     """The handover rule restated at the grid points t: the terms decrease
     up to the first omitted one, |u_0| > ... > |u_6|, and the omitted part,
     hypot(u_6, u_7), is at most tol."""
-    u = _tail_series(model, np.asarray(t))
+    u = _terms(model, np.asarray(t))
     size = np.abs(u[:7])
     return np.all(size[:-1] > size[1:], axis=0) & (np.hypot(u[6], u[7]) <= tol)
 
@@ -123,11 +129,11 @@ class TestSpanAndTail:
         eps, deps = m.level(t)
         w = math.hypot(eps, m.V)
         gamma = m.V * deps / (2.0 * w * w)
-        u = _tail_series(m, t)
+        u = _terms(m, t)
         assert u.shape == (8,)
         assert -1j * u[0] == pytest.approx(gamma / (2j * w), rel=1e-14, abs=0)
         h = 1e-4 * t
-        du = (_tail_series(m, t + h) - _tail_series(m, t - h)) / (2.0 * h)
+        du = (_terms(m, t + h) - _terms(m, t - h)) / (2.0 * h)
         for k in range(7):
             assert u[k + 1] == pytest.approx(du[k] / (2.0 * w), rel=1e-6, abs=0)
         assert _tail_coefficient(u) == pytest.approx(sum(1j ** (k + 1) * u[k] for k in range(6)), rel=1e-15, abs=0)
@@ -137,7 +143,7 @@ class TestSpanAndTail:
         # at t = 0.3 the coupling still rises, |u_1| > |u_0|: the series is
         # not yet asymptotic, so no tolerance admits the point
         m = Superparabolic(2, 1.0)
-        u = _tail_series(m, 0.3)
+        u = _terms(m, 0.3)
         assert abs(u[1]) > abs(u[0])
         assert not _rule(m, 0.3, 1e300)
 
@@ -147,7 +153,7 @@ class TestSpanAndTail:
         for m in HANDOVER_MODELS + (Parabolic(1.0, -7.6, 1.0), Parabolic(1.0, -10.0, 1.0)):
             t, u = _tail_point(m, PropagatorSettings().tail_tol)
             h = 1e-4 * t
-            du = (_tail_series(m, t + h) - _tail_series(m, t - h)) / (2.0 * h)
+            du = (_terms(m, t + h) - _terms(m, t - h)) / (2.0 * h)
             w = math.hypot(m.level(t)[0], m.V)
             want = math.hypot(du[5], du[6]) / (2.0 * w)
             assert _tail_error(u) == pytest.approx(want, rel=1e-4, abs=0)
@@ -160,7 +166,7 @@ class TestSpanAndTail:
         m = Parabolic(1.0, -7.6, 1.0)
         tol = PropagatorSettings().tail_tol
         grid = max(m.floor, 1.0) * 1.01 ** np.arange(256)
-        u = _tail_series(m, grid)
+        u = _terms(m, grid)
         k = int(np.flatnonzero(np.diff(np.sign(u[6])) != 0)[-1])
         assert 3.5 < grid[k] < 3.8
         size = np.abs(u[:7, k])
@@ -177,7 +183,7 @@ class TestSpanAndTail:
                 t, u = _tail_point(m, tol)
                 assert _tail_error(u) <= tol
                 assert _rule(m, t, tol)
-                assert u == pytest.approx(_tail_series(m, t), rel=1e-14, abs=0)
+                assert u == pytest.approx(_terms(m, t), rel=1e-14, abs=0)
 
     def test_tail_point_is_first_passing_point(self):
         # no grid point before t_core passes, unless t_core is the scan's
@@ -186,7 +192,7 @@ class TestSpanAndTail:
         at_start = 0
         for m in HANDOVER_MODELS + (Parabolic(1.0, -7.6, 1.0),):
             t, u = _tail_point(m, tol)
-            errs = [_tail_error(_tail_series(m, t * (1.0 + 0.01 * k))) for k in range(6)]
+            errs = [_tail_error(_terms(m, t * (1.0 + 0.01 * k))) for k in range(6)]
             assert all(later <= earlier for earlier, later in zip(errs, errs[1:]))
             grid = _scan_grid(m, t)
             assert _rule(m, grid[-1], tol)
@@ -214,6 +220,65 @@ class TestSpanAndTail:
         assert _tail_point(m, 1e-14)[0] > _tail_point(m, 1e-8)[0]
 
 
+class TestBatchedScan:
+    def test_batch_matches_lone_scans(self):
+        # one mixed batch of both families at N = 2, 6 and 50, with V^2
+        # underflowing (alpha = 1e-300) and the series (alpha = 1e300,
+        # B = 1e300) or the level itself (N = 200) overflowing: each member
+        # gets the lone scan's handover to the bit, or its failure with the
+        # same type and message, in input order
+        models = [
+            Superparabolic(2, 0.2), Superparabolic(6, 1.0), Superparabolic(2, 1e-300), Superparabolic(50, 5.0),
+            Parabolic(1.0, -7.6, 1.0), Superparabolic(2, 1e300), Parabolic(1.0, 4.0, 1.0), Superparabolic(6, 1e300),
+            Parabolic(1.0, 1e300, 1.0), Superparabolic(50, 0.3), Parabolic(0.5, 2.0, 1.3), Superparabolic(6, 1e-300),
+            Superparabolic(200, 1e300), Superparabolic(2, 2.5),
+        ]
+        tol = PropagatorSettings().tail_tol
+        handovers = {}
+        for max_angle in (math.pi, propagator._TRACE_MIXING_ANGLE):
+            batch = _tail_points(models, tol, max_angle)
+            assert len(batch) == len(models)
+            failures = []
+            for m, got in zip(models, batch):
+                try:
+                    t, terms = _tail_point(m, tol, max_angle)
+                except (ZeroDivisionError, OverflowError, NonConvergence) as exc:
+                    assert type(got) is type(exc) and str(got) == str(exc)
+                    failures.append(type(exc))
+                else:
+                    assert got[0] == t and got[1].tobytes() == terms.tobytes()
+            assert failures == [ZeroDivisionError, OverflowError, OverflowError, OverflowError, ZeroDivisionError,
+                                OverflowError]
+            handovers[max_angle] = [h[0] for h in batch if not isinstance(h, Exception)]
+        # the trace's mixing-angle test moves some handovers out, none in
+        wide, narrow = handovers.values()
+        assert all(a <= b for a, b in zip(wide, narrow)) and wide != narrow
+
+    def test_pass_bound(self, monkeypatch):
+        # a lone model scans 256 grid points in its first pass; a batch
+        # scans a block of rows per pending member that shrinks as more
+        # members pend, to 4096 points in all but never under 16 rows
+        passes = []
+        real = propagator._tail_series
+
+        def recording(eps, v):
+            passes.append(eps.shape[1:])
+            return real(eps, v)
+
+        monkeypatch.setattr(propagator, "_tail_series", recording)
+        _tail_point(Superparabolic(2, 1.0), PropagatorSettings().tail_tol)
+        assert passes == [(1, 256)]
+        passes.clear()
+        alphas = np.geomspace(0.1, 3.0, 512).tolist()
+        models = [Superparabolic(n, a) for a in alphas for n in (2, 10)]
+        batch = _tail_points(models, PropagatorSettings().tail_tol)
+        assert not any(isinstance(h, Exception) for h in batch)
+        assert passes[0] == (1024, 16) and len(passes) > 1
+        for (pending, rows), (later, _) in zip(passes, passes[1:] + [(0, 0)]):
+            assert rows == max(16, min(256, 4096 // pending)) and pending * rows <= 16 * 1024
+            assert later <= pending
+
+
 def _mp_tail_terms(model, t, count):
     """u_0 .. u_{count-1} at t by nested central differences in mpmath at 20
     digits: u_0 = V eps'/(4 W^3), u_{m+1} = u_m'/(2W).  Shares only
@@ -238,13 +303,13 @@ class TestTailCoefficient:
         for m in (Superparabolic(2, 1.0), Superparabolic(10, 2.0)):
             t = _tail_point(m, 1e-8)[0]
             want = _mp_tail_terms(m, t, 8)
-            assert _tail_series(m, t) == pytest.approx(want, rel=1e-13, abs=0)
+            assert _terms(m, t) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_matches_finite_differences_parabolic(self):
         for m in (Parabolic(1.3, 2.0, 0.8), Parabolic(0.7, -3.0, 1.1)):
             t = _tail_point(m, 1e-8)[0]
             want = _mp_tail_terms(m, t, 8)
-            assert _tail_series(m, t) == pytest.approx(want, rel=1e-13, abs=0)
+            assert _terms(m, t) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_dominated_by_leading_term(self):
         m = Superparabolic(2, 1.0)
@@ -386,7 +451,7 @@ class TestPropagate:
             for t in (1.5, 2.5, 4.0):
                 assert (sp.level(t)[0], sp.V) == (pb.level(t)[0], pb.V)
                 # every tail term: the six summed and the two omitted
-                assert _tail_series(sp, t) == pytest.approx(_tail_series(pb, t), rel=1e-14, abs=0)
+                assert _terms(sp, t) == pytest.approx(_terms(pb, t), rel=1e-14, abs=0)
             assert abs(propagate(sp).probability - propagate(pb).probability) < 1e-9
 
     def test_time_rescaling_invariance(self):
