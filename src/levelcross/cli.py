@@ -107,12 +107,8 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         result = propagate(model, settings)
     else:  # one solve on the trace window gives both
         result, samples = _propagate_traced(model, settings, args.samples)
-    print(f"probability = {result.probability:.17g}")
-    print(f"final_norm_drift = {result.final_norm_drift:.17g}")
-    print(f"t_core = {result.t_core:.17g}")
-    print(f"tail_error = {result.tail_error:.17g}")
-    print(f"nfev = {result.nfev}")
-    print(f"n_steps = {result.n_steps}")
+    for field in dataclasses.fields(result):
+        print(f"{field.name} = {getattr(result, field.name):.17g}")
     if args.trace is not None:
         with open(args.trace, "w", encoding="ascii", newline="") as fh:
             fh.write("t,P1,P2,norm\n")

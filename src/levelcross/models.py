@@ -86,9 +86,10 @@ class Superparabolic:
     def level_series(self, t, L: int) -> np.ndarray:
         n = self.N
         t = np.asarray(t, dtype=float)
-        return np.array(
-            [math.comb(n, k) * t ** (n - k) if k <= n else np.zeros_like(t) for k in range(L)]
-        )
+        out = np.zeros((L,) + t.shape)
+        for k in range(min(L, n + 1)):
+            out[k] = math.comb(n, k) * t ** (n - k)
+        return out
 
     def reduced_parameters(self) -> tuple[float, float]:
         # the N = 2 correspondence a^2 = 1/(4 alpha^3), applied at every N;

@@ -33,17 +33,19 @@ from the next two terms, not estimated from ratios.  The window ends at
 the first point of a x1.01 grid from the floor past the level structure
 where the terms already decrease, |u_0| > ... > |u_6|, and that error is
 at most settings.tail_tol; numpy evaluates the rule for a whole batch of
-models at once, on a block of grid points per model in each pass.  J both
-prepares the state at -T (gamma odd and Lam odd give
-int_{-inf}^{-T} gamma e^{2i Lam} = -conj(J(T))) and completes the readout
-to t = +inf through the exactly unitary map
+models at once, on a block of grid points per model in each pass.  J
+completes the window through one exactly unitary factor,
 
-    b+(inf) = (b+ - J b-)/sqrt(1+|J|^2),
-    b-(inf) = (b- + conj(J) b+)/sqrt(1+|J|^2).
+    C(J) = [[1, -J], [conj(J), 1]] / sqrt(1+|J|^2),
 
-Since eps -> +inf at both ends while V stays constant, the upper
-adiabatic label coincides asymptotically with diabatic state 1, so the
-transition probability read in the diabatic basis is |b+(inf)|^2.
+which carries the amplitudes from T to +inf; gamma odd and Lam odd give
+int_{-inf}^{-T} gamma e^{2i Lam} = -conj(J(T)), so C(J)^T carries them
+from -inf to -T.  Hence V = C(J) U = [[alpha, -beta*], [beta, alpha*]] is
+U(+inf, 0), the whole line maps by S = V V^T, and starting from the lower
+level at -inf the state at t = 0 is V^T (0, 1) = (beta, alpha*).  Since
+eps -> +inf at both ends while V stays constant, the upper adiabatic
+label coincides asymptotically with diabatic state 1, so the transition
+probability read in the diabatic basis is |S_12|^2 = 4 (Im alpha beta)^2.
 
 M depends on t alone, not on the state, and so does Lam, so the solve
 evaluates every coupling value it needs in a few numpy passes before any
@@ -94,6 +96,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -169,15 +172,16 @@ class PropagatorSettings:
 class PropagationResult:
     """Final probability plus diagnostics.
 
-    t_core is the half-width of the window [-t_core, t_core] (the solve
-    covers [0, t_core]); tail_error is the size of the tail terms the sum
-    omits at t_core (see _tail_error); nfev is the number of coupling
-    evaluations of the solve, rejected steps included, and n_steps the
-    number of collocation steps it accepted.
+    probability is 4 (Im alpha beta)^2, read off the whole line's map
+    V = C(J) U (see the module docstring); t_core is the half-width of the
+    window [-t_core, t_core] (the solve covers [0, t_core]); tail_error is
+    the size of the tail terms the sum omits at t_core (see _tail_error);
+    nfev is the number of coupling evaluations of the solve, rejected
+    steps included, and n_steps the number of collocation steps it
+    accepted.
     """
 
     probability: float
-    final_norm_drift: float
     t_core: float
     tail_error: float
     nfev: int
@@ -317,15 +321,13 @@ def _tail_points(
         rows = min(max(_SCAN_MIN_CHUNK, min(_SCAN_CHUNK, _SCAN_PASS_POINTS // len(pending))), _SCAN_POINTS - first)
         t = starts[:, None] * 1.01 ** np.arange(first, first + rows)
         eps = np.empty((_EPS_ORDERS,) + t.shape)
-        level = np.empty_like(t)
         with np.errstate(all="ignore"):  # an overflow ends that model's scan below
             for j, i in enumerate(pending):
                 eps[:, j] = models[i].level_series(t[j], _EPS_ORDERS)
-                level[j] = models[i].level(t[j])[0]
             u = _tail_series(eps, v[:, None])
             size = np.abs(u[: _TAIL_TERMS + 1])
             passes = (_tail_error(u) <= tol) & np.all(size[:-1] > size[1:], axis=0)
-            passes &= np.arctan2(v[:, None], level) <= max_angle
+            passes &= np.arctan2(v[:, None], eps[0]) <= max_angle
         stop = passes | ~np.isfinite(u).all(axis=0)
         scanning = []
         for j, (i, k) in enumerate(zip(pending, stop.argmax(axis=1).tolist())):
@@ -491,8 +493,8 @@ def _solve_window(
     handover) of a batch, from one solve of all their windows [0, t_core].
 
     `handover` is (t_core, tail terms there), as _tail_point returns it.
-    Returns, for each member, the result, the state (b+, b-) at t = 0, from
-    which U(t, 0) carries it to any t, and (a, b, Lam) at each of the
+    Returns, for each member, the result, the state (beta, alpha*) at t = 0,
+    from which U(t, 0) carries it to any t, and (a, b, Lam) at each of the
     sorted `times` in [0, t_core], which are step boundaries of the solve.
     """
     member, ends, half, f, lam_steps, nfev = _resolve(members, settings, times)
@@ -513,20 +515,17 @@ def _solve_window(
         lams = np.concatenate(([0.0], lam_ends))
         states = [(*prefix[i], float(lams[i])) for i in at.tolist()]
         j = cmath.exp(2j * float(lam_ends[-1])) * _tail_coefficient(terms)
-        norm2 = 1.0 + abs(j) ** 2
-        # the state (conj(J), 1)/sqrt(norm2) at -t_core, carried to 0 by U^T and to t_core by U
-        bp0 = (a * j.conjugate() + b) / math.sqrt(norm2)
-        bm0 = (a.conjugate() - b.conjugate() * j.conjugate()) / math.sqrt(norm2)
-        bp, bm = a * bp0 - b.conjugate() * bm0, b * bp0 + a.conjugate() * bm0
+        # V = C(J) U = [[alpha, -beta*], [beta, alpha*]]
+        n = math.sqrt(1.0 + abs(j) ** 2)
+        alpha, beta = (a - j * b) / n, (j.conjugate() * a + b) / n
         result = PropagationResult(
-            probability=min(max(abs(bp - j * bm) ** 2 / norm2, 0.0), 1.0),
-            final_norm_drift=abs(abs(bp) ** 2 + abs(bm) ** 2 - 1.0),
+            probability=min(4.0 * (alpha * beta).imag ** 2, 1.0),
             t_core=t_core,
             tail_error=float(_tail_error(terms)),
             nfev=nfev[k],
             n_steps=len(prefix) - 1,
         )
-        out.append((result, (bp0, bm0), states))
+        out.append((result, (beta, alpha.conjugate()), states))
     return out
 
 
@@ -604,8 +603,8 @@ def _propagate_traced(
     model: DiabaticModel, settings: PropagatorSettings, sample_count: int
 ) -> tuple[PropagationResult, list[tuple[float, float, float, float]]]:
     """The result and the samples of propagate_trace, from its one solve."""
-    if sample_count < 2:
-        raise ValueError(f"sample_count must be >= 2, got {sample_count!r}")
+    if not isinstance(sample_count, numbers.Integral) or sample_count < 2:
+        raise ValueError(f"sample_count must be an integer >= 2, got {sample_count!r}")
     if sample_count // 2 * _NODES > _MAX_NODES:
         raise NonConvergence(f"sample_count={sample_count!r} needs {sample_count // 2} steps of {_NODES} nodes, "
                              f"past the collocation node cap of {_MAX_NODES} nodes")

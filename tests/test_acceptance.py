@@ -117,20 +117,12 @@ def test_residue_signs():
     _verdict("residue-signs", worst <= 1e-6, f"max |Gamma_k - (-1)^k| = {worst:.2e}")
 
 
-def test_propagator_unitarity_and_cross_basis():
-    worst_drift = 0.0
+def test_propagator_cross_basis():
     worst_gap = 0.0
     for n, a in itertools.product((2, 6, 10), (0.5, 1.0, 2.0)):
         model = Superparabolic(n, a)
-        res = propagate(model)
-        worst_drift = max(worst_drift, res.final_norm_drift)
-        worst_gap = max(worst_gap, abs(res.probability - propagate_diabatic(model)))
-    ok = worst_drift < 1e-9 and worst_gap < 1e-6
-    _verdict(
-        "propagator-unitarity",
-        ok,
-        f"max norm drift {worst_drift:.2e}, max cross-basis gap {worst_gap:.2e}",
-    )
+        worst_gap = max(worst_gap, abs(propagate(model).probability - propagate_diabatic(model)))
+    _verdict("propagator-cross-basis", worst_gap < 1e-6, f"max cross-basis gap {worst_gap:.2e}")
 
 
 def _antinode_alpha(n: int) -> float:

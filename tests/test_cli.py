@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process through main()."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from levelcross.cli import _build_parser, _merge_config, main
 from levelcross.ddp import ddp_probability
 from levelcross.harness import SweepRow, parse_sweep_csv, write_sweep_csv
 from levelcross.models import Superparabolic
-from levelcross.propagator import _tail_point, propagate
+from levelcross.propagator import PropagationResult, _tail_point, propagate
 from oracles import PARABOLIC_C
 
 
@@ -33,12 +34,17 @@ def _values(out):
 
 
 class TestPropagate:
-    def test_superparabolic(self, capsys):
+    def test_superparabolic(self, tmp_path, capsys):
+        # every PropagationResult field, in declaration order, with and without a trace
+        names = [f.name for f in dataclasses.fields(PropagationResult)]
+        rc = main(["propagate", "--N", "2", "--alpha", "1.0", "--trace", str(tmp_path / "t.csv")])
+        assert rc == 0
+        assert list(_values(capsys.readouterr().out)) == names
         rc = main(["propagate", "--model", "superparabolic", "--N", "2", "--alpha", "1.0"])
         assert rc == 0
         vals = _values(capsys.readouterr().out)
+        assert list(vals) == names
         assert float(vals["probability"]) == pytest.approx(0.3392589574803294, rel=1e-9)
-        assert float(vals["final_norm_drift"]) < 1e-9
         assert float(vals["t_core"]) == _tail_point(Superparabolic(2, 1.0), 3e-12)[0]
         assert 0.0 < float(vals["tail_error"]) <= 3e-12
         r = propagate(Superparabolic(2, 1.0))

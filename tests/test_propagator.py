@@ -352,7 +352,6 @@ class TestPropagate:
         r = result_n2_unit
         assert isinstance(r, PropagationResult)
         assert 0.0 <= r.probability <= 1.0
-        assert r.final_norm_drift < 1e-9
         t, u = _tail_point(Superparabolic(2, 1.0), PropagatorSettings().tail_tol)
         assert r.t_core == t
         assert r.tail_error == _tail_error(u)
@@ -382,7 +381,6 @@ class TestPropagate:
                 r = propagate(m)
                 p_diab = propagate_diabatic(m, _TIGHT)
                 assert abs(r.probability - p_diab) < 1e-10
-                assert r.final_norm_drift < 1e-9
 
     @pytest.mark.parametrize(
         "m",
@@ -673,9 +671,12 @@ class TestTrace:
         assert len(rows) == 2
         assert rows[0][2] > 1.0 - 1e-4
 
-    def test_rejects_short_sample_count(self):
-        with pytest.raises(ValueError):
-            propagate_trace(Superparabolic(2, 1.0), sample_count=1)
+    @pytest.mark.parametrize("count", [1, 5.5, math.nan, 8.0, "8"])
+    def test_rejects_short_sample_count(self, monkeypatch, count):
+        # refused before the handover scan, whose stand-in would raise TypeError
+        monkeypatch.setattr(propagator, "_tail_point", None)
+        with pytest.raises(ValueError, match="sample_count"):
+            propagate_trace(Superparabolic(2, 1.0), sample_count=count)
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_samples_exactly_odd(self, count_solves, n):
