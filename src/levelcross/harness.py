@@ -215,8 +215,8 @@ def find_oscillation_peaks(series: list[tuple[float, float]], threshold: float) 
     Endpoints never qualify.  Points with non-finite P (and their
     neighbors) never qualify, since comparisons against NaN are false.
     """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     out = []
     for i in range(1, len(series) - 1):
         p = series[i][1]

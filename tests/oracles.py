@@ -65,7 +65,12 @@ def interaction_rhs(model: DiabaticModel):
     return rhs
 
 
-def propagate_diabatic(model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()) -> float:
+def propagate_diabatic(
+    model: DiabaticModel,
+    settings: PropagatorSettings = PropagatorSettings(),
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> float:
     """Cross-check integrator in the plain diabatic basis.
 
     Same window, but the ODE carries the full
@@ -74,7 +79,8 @@ def propagate_diabatic(model: DiabaticModel, settings: PropagatorSettings = Prop
     the primary route solve only [0, T]; Lam(T) comes from a quadrature,
     not from that solve, and the tail J(T) from contour_tail, not from
     the library's tail series.  Its solve_ivp DOP853 stepper shares no
-    code with the library's collocation solve.
+    code with the library's collocation solve, and rtol and atol are its
+    own tolerances: only the window comes from settings.
     """
     t_core, _ = _tail_point(model, settings.tail_tol)
     lam_half = phase_half(model, t_core)
@@ -96,8 +102,8 @@ def propagate_diabatic(model: DiabaticModel, settings: PropagatorSettings = Prop
         (-t_core, t_core),
         y0,
         method="DOP853",
-        rtol=settings.rel_tol,
-        atol=settings.abs_tol,
+        rtol=rtol,
+        atol=atol,
         max_step=t_core / 8.0,
     )
     if not sol.success:

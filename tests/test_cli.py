@@ -96,8 +96,7 @@ class TestPropagate:
 
     def test_settings_flags(self, capsys):
         rc = main(
-            ["propagate", "--N", "2", "--alpha", "1.0", "--tail-tol", "1e-13",
-             "--rel-tol", "1e-11"]
+            ["propagate", "--N", "2", "--alpha", "1.0", "--tail-tol", "1e-13"]
         )
         assert rc == 0
         vals = _values(capsys.readouterr().out)
@@ -107,7 +106,8 @@ class TestPropagate:
 
     def test_removed_settings_flags_rejected(self, capsys):
         for flag in (
-            "--asymptotic-ratio", "--convergence-tol", "--max-span-doublings", "--tail-cutoff"
+            "--asymptotic-ratio", "--convergence-tol", "--max-span-doublings", "--tail-cutoff",
+            "--rel-tol", "--abs-tol",
         ):
             with pytest.raises(SystemExit) as exc:
                 main(["propagate", "--N", "2", "--alpha", "1.0", flag, "4"])
@@ -411,20 +411,23 @@ class TestFitCommand:
         (["propagate", "--model", "parabolic", "--A", "inf", "--B", "1", "--V0", "1"], "A"),
         (["sweep", "--N", "2", "--alpha-min", "1", "--alpha-max", "inf", "--points", "3",
           "--methods", "ddp", "--out", "{out}"], "alpha_max"),
-        (["propagate", "--N", "2", "--alpha", "1", "--rel-tol", "inf"], "rel_tol"),
-        (["propagate", "--N", "2", "--alpha", "1", "--rel-tol", "1e-300", "--abs-tol", "1e-30"],
-         "rel_tol"),
+        (["propagate", "--N", "2", "--alpha", "1", "--tail-tol", "inf"], "tail_tol"),
+        (["propagate", "--N", "2", "--alpha", "1", "--tail-tol", "nan"], "tail_tol"),
+        (["compare", "{csv}", "--threshold", "nan"], "threshold"),
+        (["compare", "{csv}", "--threshold", "inf"], "threshold"),
     ],
 )
 def test_non_finite_input_exits_2(argv, param, tmp_path, capsys):
     out = tmp_path / "x.csv"
+    csv = tmp_path / "rows.csv"
+    csv.write_text("N,alpha,numeric,status\n2,1,0.5,ok\n", encoding="ascii")
     start = time.perf_counter()
-    rc = main([tok.format(out=out) for tok in argv])
+    rc = main([tok.format(out=out, csv=csv) for tok in argv])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert rc == 2
     assert elapsed < 5.0
-    assert f"{param} must be positive" in captured.err
+    assert f"{param} must " in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
@@ -557,7 +560,7 @@ def test_fuzzed_curves_files_exit_cleanly(text, tmp_path_factory):
 
 
 # the config keys each subcommand accepts: its long flags other than --help
-_SETTINGS_KEYS = {"rel-tol", "abs-tol", "tail-tol"}
+_SETTINGS_KEYS = {"tail-tol"}
 _SUB_OPTIONS = {
     "sweep": {"N", "alpha-min", "alpha-max", "points", "spacing", "methods", "out"}
     | _SETTINGS_KEYS,
@@ -660,7 +663,7 @@ def test_cached_parser_behaves_as_fresh(tmp_path):
     # different subcommands, a config file, flags overriding it and
     # argparse errors gives what a fresh parser gives for each call
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("N = 6\nalpha = 0.7\nrel_tol = 1e-11\nk = 2\n", encoding="ascii")
+    cfg.write_text("N = 6\nalpha = 0.7\ntail_tol = 1e-13\nk = 2\n", encoding="ascii")
     calls = [
         ["ddp", "--config", str(cfg)],
         ["propagate", "--config", str(cfg), "--alpha", "0.5"],

@@ -411,6 +411,12 @@ class TestPeaksAndNodes:
         with pytest.raises(ValueError):
             find_oscillation_peaks([(1.0, 0.0), (2.0, 1.0), (3.0, 0.0)], -0.1)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # no P can pass a NaN or infinite threshold, so no peak would be found
+        with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+            find_oscillation_peaks([(1.0, 0.0), (2.0, 1.0), (3.0, 0.0)], threshold)
+
 
 def _vee(alphas, dip_at, scale=1.0):
     return [scale * abs(a - dip_at) + 0.01 for a in alphas]
