@@ -26,7 +26,7 @@ Berry 1990), with Lam(T) from the same solve's quadrature.  The
 terms are v_m = (-i)^(m+1) u_m with u_m real, u_0 = V eps'/(4 W^3) and
 u_{m+1} = u_m'/(2W); one Taylor-mode recursion (Griewank & Walther 2008,
 ch. 13) gets them all from the exact Taylor coefficients of eps at T by
-series product, reciprocal, square root and shift, so
+series product, power and shift, so
 J(T) = e^{2i Lam(T)} sum_{m < 6} i^(m+1) u_m.  Its error, the omitted
 sum_{m >= 6} i^(m+1) u_m, is hypot(u_6, u_7) to leading order: computed
 from the next two terms, not estimated from ratios.  The window ends at
@@ -49,17 +49,17 @@ probability read in the diabatic basis is |S_12|^2 = 4 (Im alpha beta)^2.
 
 M depends on t alone, not on the state, and so does Lam, so the solve
 evaluates every coupling value it needs in a few numpy passes before any
-state exists.  It splits [0, T] into steps of _NODES = 16 Gauss-Legendre
-nodes, first at every eighth of the window (and, for a trace, at each
-sample |t|), and evaluates W and gamma at all their nodes in one pass.
-Lam - Lam(start) at a step's nodes comes from the spectral integration
-matrix of the interpolant of W, and the step's whole integral of W from
-Gauss-Legendre quadrature; their cumulative sum gives Lam at each step's
-start.  With h the step's width, a step is resolved when
+state exists.  It splits [0, T] into steps of _NODES = 32 Gauss-Legendre
+nodes, first at every eighth of the window, and evaluates W and gamma at
+all their nodes in one pass.  Lam - Lam(start) at a step's nodes comes
+from the spectral integration matrix of the interpolant of W, and the
+step's whole integral of W from Gauss-Legendre quadrature; their
+cumulative sum gives Lam at each step's start.  With h the step's width,
+a step is resolved when
 
-    h (|f_14| + |f_15|) <= tail_tol,
+    h (|f_30| + |f_31|) <= tail_tol,
 
-where f_14 and f_15 are the trailing Legendre coefficients of
+where f_30 and f_31 are the trailing Legendre coefficients of
 f = gamma e^{2i (Lam - Lam(start))} on the step: they bound the error of
 its interpolated coupling, and so the amplitude error the step leaves.
 The phase needs no test of its own: W is smoother than f, whose trailing
@@ -73,10 +73,13 @@ halves are evaluated again; since h |f| shrinks with h, bisection ends
 for any positive tail_tol.  On every resolved step, a' = -f b,
 b' = conj(f) a is solved from (1, 0) at once by Picard iteration to
 convergence: the Gauss collocation solution (Hairer, Norsett & Wanner
-1993, sec. II.7), of order 2 x 16 = 32 at the step's end.
+1993, sec. II.7), of order 2 x 32 = 64 at the step's end.
 The steps chain as SU(2) matrices [[a, -b*], [b, a*]] (b rotated by
 e^{-2i Lam(start)}), and their prefix products give U(t, 0) at every step
-end.  nfev counts the coupling evaluations, those on rejected steps
+end.  Between the ends the collocation polynomials give dense output: a
+trace reads U(t, 0) and Lam(t) at each sample |t| off the step that holds
+it, so its samples leave the steps, nfev and n_steps of its solve as
+they are.  nfev counts the coupling evaluations, those on rejected steps
 included; a solve that would need more than _MAX_NODES of them raises
 NonConvergence before it allocates them.
 
@@ -106,13 +109,13 @@ from .errors import _FAILURES, NonConvergence, ToleranceFailure, _attempt
 from .models import DiabaticModel
 
 # Gauss-Legendre nodes per collocation step
-_NODES = 16
+_NODES = 32
 
 # coupling evaluations allowed in one solve of a batch, checked before each
 # pass allocates its nodes, and the steps one pass evaluates (which bounds
 # its memory).  The largest working lone solve measured, N=50 at alpha=10,
-# takes 26,000 and a sweep's batch of 1024 acceptance-grid models about
-# 0.8 million; a window that would need far more (N=2 at alpha=1e6) fails
+# takes 14,144 and a sweep's batch of 1024 acceptance-grid models 0.34-0.42
+# million; a window that would need far more (N=2 at alpha=1e6) fails
 # within seconds instead of running on
 _MAX_NODES = 1 << 22
 _PASS_STEPS = 1 << 13
@@ -206,20 +209,15 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def _reciprocal(a: np.ndarray) -> np.ndarray:
-    r = np.empty_like(a)
-    r[0] = 1.0 / a[0]
+def _power(a: np.ndarray, p: float) -> np.ndarray:
+    """The series of a^p, from k a_0 b_k = sum_{j=1..k} ((p+1) j - k) a_j b_{k-j}
+    (Knuth, TAOCP vol. 2, sec. 4.7), which a b' = p a' b gives."""
+    b = np.empty_like(a)
+    b[0] = a[0] ** p
+    j = np.arange(1, len(a), dtype=float).reshape((-1,) + (1,) * (a.ndim - 1))
     for k in range(1, len(a)):
-        r[k] = -(a[1 : k + 1] * r[k - 1 :: -1]).sum(axis=0) * r[0]
-    return r
-
-
-def _sqrt(a: np.ndarray) -> np.ndarray:
-    w = np.empty_like(a)
-    w[0] = np.sqrt(a[0])
-    for k in range(1, len(a)):
-        w[k] = (a[k] - (w[1:k] * w[k - 1 : 0 : -1]).sum(axis=0)) / (2.0 * w[0])
-    return w
+        b[k] = (((p + 1.0) * j[:k] - k) * a[1 : k + 1] * b[k - 1 :: -1]).sum(axis=0) / (k * a[0])
+    return b
 
 
 def _shift(a: np.ndarray) -> np.ndarray:
@@ -241,9 +239,8 @@ def _tail_series(eps: np.ndarray, v) -> np.ndarray:
     n = len(eps) - 1  # length of the series of u_0, and of eps'
     s = _mul(eps[:n], eps[:n])
     s[0] += v * v
-    inv_w = _reciprocal(_sqrt(s))
-    u = 0.25 * v * _mul(_shift(eps), _mul(inv_w, _mul(inv_w, inv_w)))
-    half_inv_w = 0.5 * inv_w
+    u = 0.25 * v * _mul(_shift(eps), _power(s, -1.5))
+    half_inv_w = 0.5 * _power(s, -0.5)
     terms = [u[0]]
     while len(u) > 1:
         u = _mul(_shift(u), half_inv_w)
@@ -341,50 +338,50 @@ def _tail_coefficient(terms: np.ndarray) -> complex:
 
 
 @functools.cache
-def _collocation() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes x and weights w on [-1, 1] for _NODES nodes, and
-    the matrices that take values at the nodes to the two highest Legendre
-    coefficients of their interpolant, and to its integral from -1 to each
-    node.
+def _collocation() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes x and weights w on [-1, 1] for _NODES nodes, the
+    matrices that take values at the nodes to the two highest Legendre
+    coefficients of their interpolant and to its integral from -1 to each
+    node, and the matrix K that takes them to the Legendre coefficients of
+    that integral, so that the row legvander(y, _NODES) @ K integrates from
+    -1 to any y in [-1, 1].
 
-    Both act from the right on rows of node values (hence transposed).
-    Built on first use, so that a process that never propagates does not
-    start the LAPACK and BLAS libraries (about 1 MB of memory)."""
+    The first two matrices act from the right on rows of node values (hence
+    transposed), K from the left on columns.  Built on first use, so that a
+    process that never propagates does not start the LAPACK and BLAS
+    libraries (about 1 MB of memory)."""
     leg, m = np.polynomial.legendre, _NODES
     x, w = leg.leggauss(m)
     # c_j = (j + 1/2) sum_i w_i P_j(x_i) v_i, exact for the interpolant (degree < 2m)
     to_coeffs = (np.arange(m) + 0.5)[:, None] * leg.legvander(x, m - 1).T * w
-    antiderivatives = np.column_stack([leg.legval(x, leg.legint(e, lbnd=-1)) for e in np.eye(m)])
-    return x, w, to_coeffs[-2:].T.copy(), (antiderivatives @ to_coeffs).T.copy()
+    antiderivative = leg.legint(to_coeffs, lbnd=-1)
+    return x, w, to_coeffs[-2:].T.copy(), (leg.legvander(x, m) @ antiderivative).T.copy(), antiderivative
 
 
 def _resolve(
     members: Sequence[tuple[DiabaticModel, tuple[float, np.ndarray]]],
     settings: PropagatorSettings,
-    times: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Steps of [0, t_core] on which the coupling is resolved, for each
     member (model, handover) of a batch, t_core being handover[0].
 
     Returns, sorted by member and then by position, each step's member
-    index, end and half-width, the coupling f = gamma e^{2i (Lam - Lam(start))}
-    at its nodes and the integral of W over it, and the number of coupling
-    evaluations made for each member.  Every eighth of a member's window is
-    a step boundary, and so is each of the `times` in [0, t_core].  Steps
+    index, start and half-width, the coupling f = gamma e^{2i (Lam - Lam(start))}
+    and W at its nodes, and the number of coupling evaluations made for
+    each member.  Each member's window starts as eight equal steps.  Steps
     that fail the resolution rule (see the module docstring) are bisected,
     and only the new halves are evaluated.  A pass evaluates at most
     _PASS_STEPS steps of any members, each member's level on its own steps;
     the whole batch evaluates at most _MAX_NODES nodes.
     """
-    nodes, weights, trailing, integrate = _collocation()
+    nodes, _, trailing, integrate, _ = _collocation()
     models = [model for model, _ in members]
     # the queue of steps, a row (member, start, end) each, kept sorted by
     # member so that each member's steps in a pass are contiguous
-    queue, initial = [], []
+    queue = []
     for k, (model, (t_core, _)) in enumerate(members):
-        grid = sorted({*times, *np.linspace(0.0, t_core, 9).tolist()})
+        grid = np.linspace(0.0, t_core, 9).tolist()
         queue += [(k, a, b) for a, b in zip(grid, grid[1:])]
-        initial.append(len(grid) - 1)
     queue = np.array(queue)
     done = []
     spent = 0
@@ -420,27 +417,29 @@ def _resolve(
                                 f"for {models[int(steps[row, 0])]!r}")
         f = g * np.exp(2j * half[:, None] * (big_w @ integrate))
         ok = 2.0 * half * np.abs(f @ trailing).sum(axis=1) <= settings.tail_tol
-        done.append((steps[ok], half[ok], f[ok], half[ok] * (big_w[ok] @ weights)))
+        done.append((steps[ok], half[ok], f[ok], big_w[ok]))
         # a failed step's two halves go side by side, ahead of the rest, which keeps the queue sorted
         fail = ~ok
         halves = steps[fail].repeat(2, axis=0)
         halves[1::2, 1] = halves[::2, 2] = (lo + half)[fail]
         queue = np.concatenate((halves, queue))
-    steps, half, f, lam = (np.concatenate(parts) for parts in zip(*done))
+    steps, half, f, big_w = (np.concatenate(parts) for parts in zip(*done))
     order = np.lexsort((steps[:, 1], steps[:, 0]))
     member = steps[order, 0].astype(int)
-    # each failed step gave way to two, so a member evaluated 2 (accepted) - (initial) steps
+    # each failed step gave way to two, so a member evaluated 2 (accepted) - 8 steps
     accepted = np.bincount(member, minlength=len(members)).tolist()
-    nfev = [(2 * n - n0) * _NODES for n, n0 in zip(accepted, initial)]
-    return member, steps[order, 2], half[order], f[order], lam[order], nfev
+    nfev = [(2 * n - 8) * _NODES for n in accepted]
+    return member, steps[order, 1], half[order], f[order], big_w[order], nfev
 
 
-def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(a, b) at the end of each step from (1, 0) at its start, for
-    a' = -f b, b' = conj(f) a: the Gauss-Legendre collocation solution, by
-    Picard iteration to convergence on up to _PASS_STEPS steps at once."""
-    _, weights, _, integrate = _collocation()
+    a' = -f b, b' = conj(f) a, and (a, b) at the step's nodes: the
+    Gauss-Legendre collocation solution, by Picard iteration to convergence
+    on up to _PASS_STEPS steps at once."""
+    _, weights, _, integrate, _ = _collocation()
     a_end, b_end = np.empty(half.size, dtype=complex), np.empty(half.size, dtype=complex)
+    a_nodes, b_nodes = np.empty_like(f), np.empty_like(f)
     for k in range(0, half.size, _PASS_STEPS):
         hf = half[k : k + _PASS_STEPS, None] * f[k : k + _PASS_STEPS]
         hfc = hf.conj()
@@ -457,39 +456,87 @@ def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                                    f"sweeps (last change {change!r})")
         a_end[k : k + _PASS_STEPS] = 1.0 - (hf * b) @ weights
         b_end[k : k + _PASS_STEPS] = (hfc * a) @ weights
-    return a_end, b_end
+        a_nodes[k : k + _PASS_STEPS], b_nodes[k : k + _PASS_STEPS] = a, b
+    return a_end, b_end, a_nodes, b_nodes
+
+
+def _dense_output(
+    times: np.ndarray,
+    starts: np.ndarray,
+    half: np.ndarray,
+    f: np.ndarray,
+    big_w: np.ndarray,
+    a_nodes: np.ndarray,
+    b_nodes: np.ndarray,
+    lam_starts: np.ndarray,
+    prefix: list[tuple[complex, complex]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a, b and Lam at each of `times` (in [0, t_core]) of one window, where
+    U(t, 0) = [[a, -b*], [b, a*]], from its steps: their starts and
+    half-widths, f, W and the converged (a, b) at their nodes, Lam at their
+    starts, and U(start, 0) = [[a, -b*], [b, a*]] as prefix[i] = (a, b) for
+    the i-th step.
+
+    Each time is read off the collocation polynomial of the step that holds
+    it: with R(y) the row that integrates node values from -1 to y,
+    b(y) = R(y) (h conj(f) a), a(y) = 1 - R(y) (h f b) and
+    Lam(y) = Lam(start) + R(y) (h W), for y = (t - mid) / h on a step of
+    half-width h.  b is rotated by e^{-2i Lam(start)}, as at the step's end,
+    and the step's map is chained onto U(start, 0).  At most _PASS_STEPS
+    times are read at once, so that the readout holds at most a pass's
+    nodes."""
+    antiderivative = _collocation()[4]
+    a_t, b_t, lam_t = np.empty(times.size, dtype=complex), np.empty(times.size, dtype=complex), np.empty(times.size)
+    for c in range(0, times.size, _PASS_STEPS):
+        t = times[c : c + _PASS_STEPS]
+        i = np.searchsorted(starts, t, side="right") - 1
+        h = half[i]
+        rows = np.polynomial.legendre.legvander((t - (starts[i] + h)) / h, _NODES) @ antiderivative
+        hf = h[:, None] * f[i]
+        b = (rows * hf.conj() * a_nodes[i]).sum(axis=1) * np.exp(-2j * lam_starts[i])
+        a = 1.0 - (rows * hf * b_nodes[i]).sum(axis=1)
+        a0, b0 = np.array(prefix)[i].T
+        a_t[c : c + _PASS_STEPS] = a * a0 - b.conj() * b0
+        b_t[c : c + _PASS_STEPS] = b * a0 + a.conj() * b0
+        lam_t[c : c + _PASS_STEPS] = lam_starts[i] + h * (rows * big_w[i]).sum(axis=1)
+    return a_t, b_t, lam_t
 
 
 def _solve_window(
     members: Sequence[tuple[DiabaticModel, tuple[float, np.ndarray]]],
     settings: PropagatorSettings,
     times: Sequence[float] = (),
-) -> list[tuple[PropagationResult, tuple[complex, complex], list[tuple[complex, complex, float]]]]:
+) -> list[tuple[PropagationResult, tuple[complex, complex], tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """The propagation over [-t_core, t_core] of each member (model,
     handover) of a batch, from one solve of all their windows [0, t_core].
 
     `handover` is (t_core, tail terms there), as _tail_point returns it.
     Returns, for each member, the result, the state (beta, alpha*) at t = 0,
-    from which U(t, 0) carries it to any t, and (a, b, Lam) at each of the
-    sorted `times` in [0, t_core], which are step boundaries of the solve.
+    from which U(t, 0) carries it to any t, and arrays a, b and Lam at each
+    of the `times` in [0, t_core], where U(t, 0) = [[a, -b*], [b, a*]].
+    The times are not step edges: they leave the solve, its nfev and its
+    steps as they are, and are read off its collocation polynomials (see
+    _dense_output).
     """
-    member, ends, half, f, lam_steps, nfev = _resolve(members, settings, times)
-    a_steps, b_steps = _step_maps(half, f)
+    member, starts, half, f, big_w, nfev = _resolve(members, settings)
+    a_steps, b_steps, a_nodes, b_nodes = _step_maps(half, f)
+    lam_steps = half * (big_w @ _collocation()[1])
+    times = np.asarray(times, dtype=float)
     bounds = np.searchsorted(member, np.arange(len(members) + 1)).tolist()
     out = []
     for k, (_, (t_core, terms)) in enumerate(members):
         steps = slice(bounds[k], bounds[k + 1])
         lam_ends = np.cumsum(lam_steps[steps])
+        lam_starts = lam_ends - lam_steps[steps]
         # f carries the phase from each step's start; Lam there rotates b
-        b_rotated = b_steps[steps] * np.exp(-2j * (lam_ends - lam_steps[steps]))
+        b_rotated = b_steps[steps] * np.exp(-2j * lam_starts)
         a, b = 1.0 + 0.0j, 0.0j
         prefix = [(a, b)]  # U(t, 0) = [[a, -b*], [b, a*]] at t = 0 and at each step's end
         for ak, bk in zip(a_steps[steps].tolist(), b_rotated.tolist()):
             a, b = ak * a - bk.conjugate() * b, bk * a + ak.conjugate() * b
             prefix.append((a, b))
-        at = np.searchsorted(ends[steps], times, side="right")
-        lams = np.concatenate(([0.0], lam_ends))
-        states = [(*prefix[i], float(lams[i])) for i in at.tolist()]
+        states = _dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
+                               b_nodes[steps], lam_starts, prefix)
         j = cmath.exp(2j * float(lam_ends[-1])) * _tail_coefficient(terms)
         # V = C(J) U = [[alpha, -beta*], [beta, alpha*]]
         n = math.sqrt(1.0 + abs(j) ** 2)
@@ -541,16 +588,16 @@ def propagate(model: DiabaticModel, settings: PropagatorSettings = PropagatorSet
     return _solve_lone((model, _tail_point(model, settings.tail_tol)), settings)
 
 
-def _mixing_half_angle(model: DiabaticModel, t: float) -> tuple[float, float]:
-    # cos(theta/2), sin(theta/2) of the adiabatic mixing angle theta = atan2(V, eps);
-    # for eps < 0 the half angle comes from pi - theta = atan2(V, -eps), so the
-    # small cosine does not inherit the rounding of theta near pi
-    eps, v = model.level(t)[0], model.V
-    if eps >= 0.0:
-        half = 0.5 * math.atan2(v, eps)
-        return math.cos(half), math.sin(half)
-    half = 0.5 * math.atan2(v, -eps)
-    return math.sin(half), math.cos(half)
+def _mixing_half_angle(model: DiabaticModel, t):
+    # cos(theta/2), sin(theta/2) of the adiabatic mixing angle theta = atan2(V, eps)
+    # at t (a float or an array); for eps < 0 the half angle comes from
+    # pi - theta = atan2(V, -eps), so the small cosine does not inherit the
+    # rounding of theta near pi
+    eps = model.level(t)[0]
+    half = 0.5 * np.arctan2(model.V, np.abs(eps))
+    c, s = np.cos(half), np.sin(half)
+    below = eps < 0.0
+    return np.where(below, s, c), np.where(below, c, s)
 
 
 # largest mixing angle atan2(V, eps) at the end of a trace window
@@ -568,9 +615,12 @@ def propagate_trace(
     ones by about theta/2 for the mixing angle theta = atan2(V, eps).  The
     window therefore ends at the first point of the handover scan that also
     has theta <= 1e-2, so that the last sample is within about 5e-3 of the
-    asymptotic P.  Each distinct |t| is a step boundary of the solve, so a
-    sample_count whose steps alone pass the node cap (above 524,289)
-    raises NonConvergence at once, and somewhat fewer can still reach it.
+    asymptotic P.  The samples are read off the collocation polynomials of
+    the solve's steps, which they do not change: the solve, its nfev and
+    its steps are those of the window alone.  The readout evaluates _NODES
+    weights at each distinct |t|, which count against the node cap, so a
+    sample_count above 2 _MAX_NODES / _NODES (262,144) raises
+    NonConvergence at once.
     """
     return _propagate_traced(model, settings, sample_count)[1]
 
@@ -581,27 +631,23 @@ def _propagate_traced(
     """The result and the samples of propagate_trace, from its one solve."""
     if not isinstance(sample_count, numbers.Integral) or sample_count < 2:
         raise ValueError(f"sample_count must be an integer >= 2, got {sample_count!r}")
-    if sample_count // 2 * _NODES > _MAX_NODES:
-        raise NonConvergence(f"sample_count={sample_count!r} needs {sample_count // 2} steps of {_NODES} nodes, "
+    distinct = (sample_count + 1) // 2
+    if distinct * _NODES > _MAX_NODES:
+        raise NonConvergence(f"sample_count={sample_count!r} reads {distinct} distinct |t| of {_NODES} weights each, "
                              f"past the collocation node cap of {_MAX_NODES} nodes")
     handover = _tail_point(model, settings.tail_tol, _TRACE_MIXING_ANGLE)
     t_core = handover[0]
     ts = np.linspace(-t_core, t_core, sample_count)
-    ts = (0.5 * (ts - ts[::-1])).tolist()  # exactly odd, so each |t| is one step edge
-    times = sorted({abs(t) for t in ts})
-    result, (bp0, bm0), states = _solve_window([(model, handover)], settings, times)[0]
-    at = dict(zip(times, states))
-    out = []
-    for t in ts:
-        a, b, lam = at[abs(t)]
-        if t < 0.0:  # U(t, 0) = conj(U(-t, 0)) and Lam(t) = -Lam(-t)
-            a, b, lam = a.conjugate(), b.conjugate(), -lam
-        c_half, s_half = _mixing_half_angle(model, t)
-        up = (a * bp0 - b.conjugate() * bm0) * cmath.exp(-1j * lam)
-        dn = (b * bp0 + a.conjugate() * bm0) * cmath.exp(1j * lam)
-        c1 = up * c_half - dn * s_half
-        c2 = up * s_half + dn * c_half
-        p1 = abs(c1) ** 2
-        p2 = abs(c2) ** 2
-        out.append((t, p1, p2, p1 + p2))
-    return result, out
+    ts = 0.5 * (ts - ts[::-1])  # exactly odd, so each |t| is read out once
+    result, (bp0, bm0), (a, b, lam) = _solve_window([(model, handover)], settings, ts[sample_count // 2 :])[0]
+    # t < 0: U(t, 0) = conj(U(-t, 0)) and Lam(t) = -Lam(-t)
+    back = slice(sample_count % 2, None)  # the |t| of the samples at t < 0
+    a = np.concatenate((a[back][::-1].conj(), a))
+    b = np.concatenate((b[back][::-1].conj(), b))
+    lam = np.concatenate((-lam[back][::-1], lam))
+    c_half, s_half = _mixing_half_angle(model, ts)
+    up = (a * bp0 - b.conj() * bm0) * np.exp(-1j * lam)
+    dn = (b * bp0 + a.conj() * bm0) * np.exp(1j * lam)
+    p1 = np.abs(up * c_half - dn * s_half) ** 2
+    p2 = np.abs(up * s_half + dn * c_half) ** 2
+    return result, list(zip(ts.tolist(), p1.tolist(), p2.tolist(), (p1 + p2).tolist()))

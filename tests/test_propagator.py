@@ -341,14 +341,15 @@ class TestPropagate:
     @pytest.mark.parametrize("times", [(), (0.5, 1.0, 2.0)], ids=["window", "trace-stops"])
     def test_nfev_counts_coupling_evaluations(self, times):
         # nfev is every time point the solve passes through model.level,
-        # rejected steps included (816-832 here), at 16 per step
+        # rejected steps included (320 here, with or without read-out
+        # times), at _NODES per step
         m = Superparabolic(2, 1.0)
         handover = _tail_point(m, PropagatorSettings().tail_tol)
         counted = CountingModel(m)
         r, _, states = propagator._solve_window([(counted, handover)], PropagatorSettings(), times)[0]
         assert r.nfev == counted.points
-        assert r.n_steps * 16 <= r.nfev < 1000
-        assert len(states) == len(times)
+        assert r.n_steps * propagator._NODES <= r.nfev < 400
+        assert all(len(column) == len(times) for column in states)
 
     def test_basis_agreement_grid(self):
         # the invariant grid: two formulations, two integrators and two
@@ -488,7 +489,7 @@ def test_window_states_match_interaction_rhs():
         _, _, states = propagator._solve_window([(m, handover)], PropagatorSettings(), times)[0]
         sol = solve_ivp(interaction_rhs(m), (0.0, t_core), np.array([1.0, 0.0, 0.0], dtype=complex),
                         method="DOP853", rtol=1e-12, atol=1e-14, t_eval=times)
-        for (a, b, lam), want in zip(states, sol.y.T):
+        for a, b, lam, want in zip(*states, sol.y.T):
             assert abs(a - want[0]) < 1e-9 and abs(b - want[1]) < 1e-9
             assert lam == pytest.approx(want[2].real, rel=1e-12, abs=1e-12)
 
@@ -538,6 +539,17 @@ def count_solves(monkeypatch):
 def test_one_solve_per_propagation(count_solves, run):
     run()
     assert len(count_solves) == 1
+
+
+def test_trace_solve_independent_of_sample_count():
+    # the samples are read off the window's steps, not made step edges, so
+    # a trace's solve is its window's whatever the sample count
+    m = Parabolic(1.0, 4.0, 1.0)
+    handover = _tail_point(m, PropagatorSettings().tail_tol, 1e-2)
+    ((window, _, _),) = propagator._solve_window([(m, handover)], PropagatorSettings())
+    for n in (8, 257, 1001):
+        traced, _ = propagator._propagate_traced(m, PropagatorSettings(), n)
+        assert (traced.nfev, traced.n_steps) == (window.nfev, window.n_steps)
 
 
 def test_node_cap_raises_non_convergence(monkeypatch):
@@ -660,22 +672,39 @@ class TestTrace:
             propagate_trace(Superparabolic(2, 1.0), sample_count=count)
 
     @pytest.mark.parametrize("n", [256, 257])
-    def test_samples_exactly_odd(self, count_solves, n):
-        # t_i = -t_(n-1-i) to the bit, so the solve gets one step edge per
-        # |t|, not two a few ulp apart
+    def test_samples_exactly_odd(self, monkeypatch, n):
+        # t_i = -t_(n-1-i) to the bit, so the readout is asked for each |t|
+        # once, not twice a few ulp apart, and the samples at t and -t share
+        # one U(|t|, 0), conjugated for t < 0
+        real, read = propagator._solve_window, []
+
+        def reading(members, settings, times=()):
+            read.append(list(times))
+            return real(members, settings, times)
+
+        monkeypatch.setattr(propagator, "_solve_window", reading)
         ts = [row[0] for row in propagate_trace(Superparabolic(2, 1.0), sample_count=n)]
         assert all(a == -b for a, b in zip(ts, ts[::-1]))
-        (_, _, times), = count_solves
-        assert len(times) == math.ceil(n / 2)
+        (times,) = read
+        assert len(set(times)) == len(times) == math.ceil(n / 2)
+        assert times == ts[n // 2 :] == [-t for t in ts[: math.ceil(n / 2)]][::-1]
 
     def test_oversize_trace_refused_before_any_work(self, monkeypatch):
-        # 10^7 samples are 5 x 10^6 step edges, past the node cap on their
-        # own: refused before the handover scan and the sample grid
+        # 10^7 samples are 5 x 10^6 distinct |t|, whose readout weights
+        # (_NODES each) pass the node cap on their own: refused before the
+        # handover scan and the sample grid
         monkeypatch.setattr(propagator, "_tail_point", None)
         start = time.perf_counter()
         with pytest.raises(NonConvergence, match=r"sample_count=10000000 .* node cap of 4194304 nodes"):
             propagate_trace(Superparabolic(2, 1.0), sample_count=10**7)
         assert time.perf_counter() - start < 0.5
+        # the limit is 2 _MAX_NODES / _NODES samples: one more is refused,
+        # while the limit itself passes on to the (stand-in) handover scan
+        largest = 2 * propagator._MAX_NODES // propagator._NODES
+        with pytest.raises(NonConvergence, match="node cap"):
+            propagate_trace(Superparabolic(2, 1.0), sample_count=largest + 1)
+        with pytest.raises(TypeError):
+            propagate_trace(Superparabolic(2, 1.0), sample_count=largest)
 
 
 class TestBornOracle:
