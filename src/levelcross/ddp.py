@@ -10,7 +10,10 @@ transition probability well into the nonadiabatic regime.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .models import check_glancing
@@ -37,8 +40,43 @@ def nu_coefficient(N) -> float:
         n = 0
     if n != N or n <= 0:
         raise ValueError(f"N must be a positive integer, got {N!r}")
+    return _nu(n)
+
+
+# The memos below are keyed by the validated int N, never by the caller's
+# value: True == 1 and 2.0 == 2 hash alike.  Both are filled on first use.
+@functools.lru_cache(maxsize=128)
+def _nu(n: int) -> float:
     x = 1.0 / (2.0 * n)  # Beta(x, 3/2) through log-Gamma
     return math.exp(math.lgamma(x) + math.lgamma(1.5) - math.lgamma(x + 1.5)) / (2.0 * n)
+
+
+# Zero-point tables are memoised up to this N.  A table holds N/2 entries,
+# so the memo holds at most about 1 MB; for a larger N the sum reads the
+# same entries as they are computed, at the same O(N) cost as the sum, a
+# block of _ANGLE_BLOCK angles at a time (even, so that every block starts
+# at an odd k), which bounds the memory whatever N is.
+_TABLE_MEMO_N = 256
+_ANGLE_BLOCK = 4096
+
+
+def _zero_point_angles(n: int) -> Iterator[tuple[float, float, bool]]:
+    """(sin th_k, cos th_k, k odd) for th_k = pi (2k-1)/(2n), k = 1..n/2."""
+
+    def block(first: int) -> Iterator[tuple[float, float, bool]]:
+        th = [math.pi * (2 * k - 1) / (2 * n) for k in range(first, min(first + _ANGLE_BLOCK, n // 2 + 1))]
+        return zip(map(math.sin, th), map(math.cos, th), itertools.cycle((True, False)))
+
+    return itertools.chain.from_iterable(map(block, range(1, n // 2 + 1, _ANGLE_BLOCK)))
+
+
+@functools.lru_cache(maxsize=128)
+def _memo_zero_point_table(n: int) -> tuple[tuple[float, float, bool], ...]:
+    return tuple(_zero_point_angles(n))
+
+
+def _zero_point_table(n: int) -> Iterable[tuple[float, float, bool]]:
+    return _memo_zero_point_table(n) if n <= _TABLE_MEMO_N else _zero_point_angles(n)
 
 
 @dataclass(frozen=True)
@@ -52,18 +90,20 @@ class ZeroPoint:
 def zero_points(N: int, alpha: float) -> list[ZeroPoint]:
     """All N upper-half-plane zeros alpha^(1/N) e^{i pi (2k-1)/(2N)}, k = 1..N."""
     check_glancing(N, alpha)
-    radius = alpha ** (1.0 / N)
+    n = int(N)
+    radius = alpha ** (1.0 / n)
     return [
-        ZeroPoint(k, cmath.rect(radius, math.pi * (2 * k - 1) / (2 * N)))
-        for k in range(1, N + 1)
+        ZeroPoint(k, cmath.rect(radius, math.pi * (2 * k - 1) / (2 * n)))
+        for k in range(1, n + 1)
     ]
 
 
 def glancing_eta(N: int, alpha: float) -> float:
     """Magnitude eta = 2 nu_N alpha^((N+1)/N) of every gap integral D(t_c^k)."""
     check_glancing(N, alpha)
+    n = int(N)
     try:
-        return 2.0 * nu_coefficient(int(N)) * alpha ** ((N + 1.0) / N)
+        return 2.0 * _nu(n) * alpha ** ((n + 1.0) / n)
     except OverflowError as exc:
         msg = f"eta = 2 nu_N alpha^((N+1)/N) overflows at N={N}, alpha={alpha!r}"
         raise OverflowError(msg) from exc
@@ -89,10 +129,9 @@ def ddp_probability(N: int, alpha: float) -> float:
     """
     eta = glancing_eta(N, alpha)
     acc = 0.0
-    for k in range(1, N // 2 + 1):
-        th = math.pi * (2 * k - 1) / (2 * N)
-        term = math.exp(-eta * math.sin(th)) * math.sin(eta * math.cos(th))
-        acc += -term if k % 2 else term
+    for sin_th, cos_th, odd in _zero_point_table(int(N)):
+        term = math.exp(-eta * sin_th) * math.sin(eta * cos_th)
+        acc += -term if odd else term
     p = 4.0 * acc * acc
     if p > 1.0 + 1e-9:
         raise ValueError(f"coherent sum gave P={p!r} > 1 at N={N}, alpha={alpha}")

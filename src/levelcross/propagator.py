@@ -69,11 +69,13 @@ tail omits at most tail_tol and each accepted step adds at most tail_tol,
 so the amplitude error is at most (n_steps + 1) tail_tol, and in practice
 far below it (the trailing coefficients overstate the error of a
 converged interpolant).  Steps that fail are bisected, and only the new
-halves are evaluated again; since h |f| shrinks with h, bisection ends
-for any positive tail_tol.  On every resolved step, a' = -f b,
-b' = conj(f) a is solved from (1, 0) at once by Picard iteration to
-convergence: the Gauss collocation solution (Hairer, Norsett & Wanner
-1993, sec. II.7), of order 2 x 32 = 64 at the step's end.
+halves are evaluated again.  h |f| shrinks with h, but the trailing
+coefficients carry the rounding of f, so bisection ends only for a
+tail_tol above that rounding: PropagatorSettings refuses one below 1e-17.
+On every resolved step, a' = -f b, b' = conj(f) a is solved from (1, 0)
+at once by Picard iteration to convergence: the Gauss collocation
+solution (Hairer, Norsett & Wanner 1993, sec. II.7), of order
+2 x 32 = 64 at the step's end.
 The steps chain as SU(2) matrices [[a, -b*], [b, a*]] (b rotated by
 e^{-2i Lam(start)}), and their prefix products give U(t, 0) at every step
 end.  Between the ends the collocation polynomials give dense output: a
@@ -142,14 +144,16 @@ class PropagatorSettings:
     _tail_error), which alone fixes the window [-t_core, t_core] that
     each propagation covers with one solve on [0, t_core].  It also bounds
     the error each collocation step of that solve may add (see the module
-    docstring).
+    docstring).  It must lie in [1e-17, 1e-6): below 1e-17 the step rule
+    meets the rounding of the trailing coefficients, and the steps shrink
+    until the node cap.
     """
 
     tail_tol: float = 3e-12
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tail_tol < 1e-6):
-            raise ValueError(f"tail_tol must lie in (0, 1e-6), got {self.tail_tol!r}")
+        if not (1e-17 <= self.tail_tol < 1e-6):
+            raise ValueError(f"tail_tol must lie in [1e-17, 1e-6), got {self.tail_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,12 @@ _SCAN_MIN_CHUNK = 16
 _SCAN_PASS_POINTS = 4096
 
 
+@functools.cache
+def _scan_grid() -> np.ndarray:
+    """The handover scan's grid factors 1.01^k, k < _SCAN_POINTS."""
+    return 1.01 ** np.arange(_SCAN_POINTS)
+
+
 # A truncated Taylor series is an array whose first axis is the order k and
 # whose other axes, if any, are the points it is expanded at.
 
@@ -209,21 +219,41 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def _power(a: np.ndarray, p: float) -> np.ndarray:
-    """The series of a^p, from k a_0 b_k = sum_{j=1..k} ((p+1) j - k) a_j b_{k-j}
-    (Knuth, TAOCP vol. 2, sec. 4.7), which a b' = p a' b gives."""
-    b = np.empty_like(a)
-    b[0] = a[0] ** p
-    j = np.arange(1, len(a), dtype=float).reshape((-1,) + (1,) * (a.ndim - 1))
-    for k in range(1, len(a)):
-        b[k] = (((p + 1.0) * j[:k] - k) * a[1 : k + 1] * b[k - 1 :: -1]).sum(axis=0) / (k * a[0])
+@functools.cache
+def _orders(length: int, ndim: int) -> np.ndarray:
+    """The orders 1, ..., length - 1 as floats, shaped to broadcast against a
+    series of `ndim` axes."""
+    return np.arange(1, length, dtype=float).reshape((-1,) + (1,) * (ndim - 1))
+
+
+# the exponents p of the powers s^p of s = eps^2 + V^2 that the tail series takes
+_EXPONENTS = (-0.5, -1.5)
+
+
+@functools.cache
+def _power_factors(length: int, ndim: int) -> tuple[np.ndarray, ...]:
+    """For k = 1, ..., length - 1, the factors (p + 1) j - k, j = 1..k, of
+    _powers' recursion, one row per exponent p."""
+    p = np.array(_EXPONENTS).reshape((-1, 1) + (1,) * (ndim - 1))
+    j = _orders(length, ndim)
+    return tuple((p + 1.0) * j[:k] - k for k in range(1, length))
+
+
+def _powers(a: np.ndarray) -> np.ndarray:
+    """The series of a^p for each of _EXPONENTS, stacked on a new first axis,
+    from k a_0 b_k = sum_{j=1..k} ((p+1) j - k) a_j b_{k-j} (Knuth, TAOCP
+    vol. 2, sec. 4.7), which a b' = p a' b gives: one recursion for both."""
+    b = np.empty((len(_EXPONENTS),) + a.shape)
+    for i, p in enumerate(_EXPONENTS):
+        b[i, 0] = a[0] ** p
+    for k, factors in enumerate(_power_factors(len(a), a.ndim), 1):
+        b[:, k] = (factors * a[1 : k + 1] * b[:, k - 1 :: -1]).sum(axis=1) / (k * a[0])
     return b
 
 
 def _shift(a: np.ndarray) -> np.ndarray:
     """The series of the derivative, one order shorter."""
-    k = np.arange(1, len(a), dtype=float).reshape((-1,) + (1,) * (a.ndim - 1))
-    return k * a[1:]
+    return _orders(len(a), a.ndim) * a[1:]
 
 
 def _tail_series(eps: np.ndarray, v) -> np.ndarray:
@@ -239,8 +269,9 @@ def _tail_series(eps: np.ndarray, v) -> np.ndarray:
     n = len(eps) - 1  # length of the series of u_0, and of eps'
     s = _mul(eps[:n], eps[:n])
     s[0] += v * v
-    u = 0.25 * v * _mul(_shift(eps), _power(s, -1.5))
-    half_inv_w = 0.5 * _power(s, -0.5)
+    inv_w, inv_w3 = _powers(s)
+    u = 0.25 * v * _mul(_shift(eps), inv_w3)
+    half_inv_w = 0.5 * inv_w
     terms = [u[0]]
     while len(u) > 1:
         u = _mul(_shift(u), half_inv_w)
@@ -297,7 +328,7 @@ def _tail_points(
     first = 0
     while pending and first < _SCAN_POINTS:
         rows = min(max(_SCAN_MIN_CHUNK, min(_SCAN_CHUNK, _SCAN_PASS_POINTS // len(pending))), _SCAN_POINTS - first)
-        t = starts[:, None] * 1.01 ** np.arange(first, first + rows)
+        t = starts[:, None] * _scan_grid()[first : first + rows]
         eps = np.empty((_EPS_ORDERS,) + t.shape)
         with np.errstate(all="ignore"):  # an overflow ends that model's scan below
             for j, i in enumerate(pending):
@@ -305,7 +336,8 @@ def _tail_points(
             u = _tail_series(eps, v[:, None])
             size = np.abs(u[: _TAIL_TERMS + 1])
             passes = (_tail_error(u) <= tol) & np.all(size[:-1] > size[1:], axis=0)
-            passes &= np.arctan2(v[:, None], eps[0]) <= max_angle
+            if max_angle < math.pi:  # atan2 never exceeds pi
+                passes &= np.arctan2(v[:, None], eps[0]) <= max_angle
         stop = passes | ~np.isfinite(u).all(axis=0)
         scanning = []
         for j, (i, k) in enumerate(zip(pending, stop.argmax(axis=1).tolist())):
@@ -338,24 +370,53 @@ def _tail_coefficient(terms: np.ndarray) -> complex:
 
 
 @functools.cache
-def _collocation() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes x and weights w on [-1, 1] for _NODES nodes, the
-    matrices that take values at the nodes to the two highest Legendre
+def _collocation() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes x and weights w on [-1, 1] for _NODES nodes, and
+    the matrices that take values at the nodes to the two highest Legendre
     coefficients of their interpolant and to its integral from -1 to each
-    node, and the matrix K that takes them to the Legendre coefficients of
-    that integral, so that the row legvander(y, _NODES) @ K integrates from
-    -1 to any y in [-1, 1].
+    node.
 
-    The first two matrices act from the right on rows of node values (hence
-    transposed), K from the left on columns.  Built on first use, so that a
-    process that never propagates does not start the LAPACK and BLAS
-    libraries (about 1 MB of memory)."""
+    The matrices act from the right on rows of node values (hence
+    transposed).  Built on first use, so that a process that never
+    propagates does not start the LAPACK and BLAS libraries (about 1 MB of
+    memory)."""
     leg, m = np.polynomial.legendre, _NODES
     x, w = leg.leggauss(m)
     # c_j = (j + 1/2) sum_i w_i P_j(x_i) v_i, exact for the interpolant (degree < 2m)
     to_coeffs = (np.arange(m) + 0.5)[:, None] * leg.legvander(x, m - 1).T * w
     antiderivative = leg.legint(to_coeffs, lbnd=-1)
-    return x, w, to_coeffs[-2:].T.copy(), (leg.legvander(x, m) @ antiderivative).T.copy(), antiderivative
+    return x, w, to_coeffs[-2:].T.copy(), (leg.legvander(x, m) @ antiderivative).T.copy()
+
+
+@functools.cache
+def _readout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points z = {-1} and the _NODES nodes, their barycentric weights,
+    and the matrix [0; integrate^T] that takes the Lagrange basis row L(y)
+    on z to the row L(y) [0; integrate^T] that integrates node values from
+    -1 to y.
+
+    The integral of the interpolant of the node values is a polynomial of
+    degree _NODES, so its values at the _NODES + 1 points z fix it: 0 at -1
+    and the collocation integrals at the nodes."""
+    nodes, _, _, integrate = _collocation()
+    z = np.concatenate(([-1.0], nodes))
+    weights = 1.0 / np.prod(z[:, None] - z + np.eye(z.size), axis=1)
+    return z, weights, np.vstack((np.zeros(_NODES), integrate.T))
+
+
+def _integration_rows(y: np.ndarray) -> np.ndarray:
+    """For each y, the row that integrates node values from -1 to y, by the
+    barycentric formula L_i(y) = (w_i / (y - z_i)) / sum_j w_j / (y - z_j)
+    on _readout's points; a y on one of them takes that point's row."""
+    z, weights, matrix = _readout()
+    offset = y[:, None] - z
+    with np.errstate(divide="ignore", invalid="ignore"):  # the rows at a point are replaced below
+        basis = weights / offset
+        basis /= basis.sum(axis=1, keepdims=True)
+    on = offset == 0.0
+    hit = on.any(axis=1)
+    basis[hit] = on[hit]
+    return basis @ matrix
 
 
 def _resolve(
@@ -374,7 +435,7 @@ def _resolve(
     _PASS_STEPS steps of any members, each member's level on its own steps;
     the whole batch evaluates at most _MAX_NODES nodes.
     """
-    nodes, _, trailing, integrate, _ = _collocation()
+    nodes, _, trailing, integrate = _collocation()
     models = [model for model, _ in members]
     # the queue of steps, a row (member, start, end) each, kept sorted by
     # member so that each member's steps in a pass are contiguous
@@ -437,14 +498,16 @@ def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     a' = -f b, b' = conj(f) a, and (a, b) at the step's nodes: the
     Gauss-Legendre collocation solution, by Picard iteration to convergence
     on up to _PASS_STEPS steps at once."""
-    _, weights, _, integrate, _ = _collocation()
+    _, weights, _, integrate = _collocation()
     a_end, b_end = np.empty(half.size, dtype=complex), np.empty(half.size, dtype=complex)
     a_nodes, b_nodes = np.empty_like(f), np.empty_like(f)
     for k in range(0, half.size, _PASS_STEPS):
         hf = half[k : k + _PASS_STEPS, None] * f[k : k + _PASS_STEPS]
         hfc = hf.conj()
-        a, b = np.ones_like(hf), np.zeros_like(hf)
-        for _ in range(_PICARD_ITERATIONS):
+        # the first sweep from (a, b) = (1, 0)
+        b = hfc @ integrate
+        a = 1.0 - (hf * b) @ integrate
+        for _ in range(_PICARD_ITERATIONS - 1):
             b_next = (hfc * a) @ integrate
             a_next = 1.0 - (hf * b_next) @ integrate
             change = max(np.abs(a_next - a).max(), np.abs(b_next - b).max())
@@ -478,20 +541,20 @@ def _dense_output(
     the i-th step.
 
     Each time is read off the collocation polynomial of the step that holds
-    it: with R(y) the row that integrates node values from -1 to y,
+    it: with R(y) the row that integrates node values from -1 to y (see
+    _integration_rows),
     b(y) = R(y) (h conj(f) a), a(y) = 1 - R(y) (h f b) and
     Lam(y) = Lam(start) + R(y) (h W), for y = (t - mid) / h on a step of
     half-width h.  b is rotated by e^{-2i Lam(start)}, as at the step's end,
     and the step's map is chained onto U(start, 0).  At most _PASS_STEPS
     times are read at once, so that the readout holds at most a pass's
     nodes."""
-    antiderivative = _collocation()[4]
     a_t, b_t, lam_t = np.empty(times.size, dtype=complex), np.empty(times.size, dtype=complex), np.empty(times.size)
     for c in range(0, times.size, _PASS_STEPS):
         t = times[c : c + _PASS_STEPS]
         i = np.searchsorted(starts, t, side="right") - 1
         h = half[i]
-        rows = np.polynomial.legendre.legvander((t - (starts[i] + h)) / h, _NODES) @ antiderivative
+        rows = _integration_rows((t - (starts[i] + h)) / h)
         hf = h[:, None] * f[i]
         b = (rows * hf.conj() * a_nodes[i]).sum(axis=1) * np.exp(-2j * lam_starts[i])
         a = 1.0 - (rows * hf * b_nodes[i]).sum(axis=1)
@@ -535,8 +598,9 @@ def _solve_window(
         for ak, bk in zip(a_steps[steps].tolist(), b_rotated.tolist()):
             a, b = ak * a - bk.conjugate() * b, bk * a + ak.conjugate() * b
             prefix.append((a, b))
-        states = _dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
-                               b_nodes[steps], lam_starts, prefix)
+        states = (_dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
+                                b_nodes[steps], lam_starts, prefix)
+                  if times.size else (np.empty(0, dtype=complex), np.empty(0, dtype=complex), np.empty(0)))
         j = cmath.exp(2j * float(lam_ends[-1])) * _tail_coefficient(terms)
         # V = C(J) U = [[alpha, -beta*], [beta, alpha*]]
         n = math.sqrt(1.0 + abs(j) ** 2)

@@ -5,7 +5,10 @@ library solves by vectorized Gauss-Legendre collocation: a test that
 compares the two compares two integration methods as well as two
 formulations.  The closed
 forms at the end are special cases of library routes, written out
-separately so that a test compares two derivations.
+separately so that a test compares two derivations.  Last come the
+closed forms of `levelcross.ddp` and `levelcross.znt` without their
+memoised per-N constants, and the propagator's series power and trace
+readout rows as single-exponent and Legendre-basis references.
 """
 
 import cmath
@@ -16,6 +19,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import airy
 
 from levelcross.errors import LevelCrossError, ToleranceFailure
+from levelcross.znt import double_crossing_probability, tunneling_probability
 from levelcross.models import (
     DiabaticModel,
     Superparabolic,
@@ -224,3 +228,66 @@ def single_passage_parabolic(alpha: float) -> float:
     return math.exp(
         -(math.pi * alpha**1.5 / math.sqrt(2.0)) * (0.1 * alpha**-3 + 0.7) ** -0.25
     )
+
+
+def glancing_eta_unmemoised(N: int, alpha: float) -> float:
+    """eta = 2 nu_N alpha^((N+1)/N), with nu_N = B(1/(2N), 3/2)/(2N) taken
+    through log-Gamma on every call: the arithmetic of ddp.glancing_eta
+    without its memo, for an int N."""
+    check_glancing(N, alpha)
+    x = 1.0 / (2.0 * N)
+    nu = math.exp(math.lgamma(x) + math.lgamma(1.5) - math.lgamma(x + 1.5)) / (2.0 * N)
+    return 2.0 * nu * alpha ** ((N + 1.0) / N)
+
+
+def ddp_probability_unmemoised(N: int, alpha: float) -> float:
+    """ddp.ddp_probability with every angle's sine and cosine taken on each call."""
+    eta = glancing_eta_unmemoised(N, alpha)
+    acc = 0.0
+    for k in range(1, N // 2 + 1):
+        th = math.pi * (2 * k - 1) / (2 * N)
+        term = math.exp(-eta * math.sin(th)) * math.sin(eta * math.cos(th))
+        acc += -term if k % 2 else term
+    p = 4.0 * acc * acc
+    if p > 1.0 + 1e-9:
+        raise ValueError(f"coherent sum gave P={p!r} > 1 at N={N}, alpha={alpha}")
+    return min(p, 1.0)
+
+
+def _dominant_phase_unmemoised(N: int, alpha: float) -> complex:
+    return cmath.rect(glancing_eta_unmemoised(N, alpha), math.pi / (2 * N))
+
+
+def glancing_double_crossing_unmemoised(N: int, alpha: float) -> float:
+    """znt.glancing_double_crossing from an unmemoised sigma + i delta."""
+    a_sq, b_sq = Superparabolic(N, alpha).reduced_parameters()
+    d = _dominant_phase_unmemoised(N, alpha)
+    return double_crossing_probability(a_sq, b_sq, d.real, d.imag)
+
+
+def glancing_tunneling_unmemoised(N: int, alpha: float) -> float:
+    """znt.glancing_tunneling from an unmemoised sigma + i delta."""
+    a_sq, _ = Superparabolic(N, alpha).reduced_parameters()
+    d = _dominant_phase_unmemoised(N, alpha)
+    return tunneling_probability(a_sq, d.real, d.imag)
+
+
+def power_series(a: np.ndarray, p: float) -> np.ndarray:
+    """The Taylor series of a^p (first axis the order), one exponent at a
+    time, from k a_0 b_k = sum_{j=1..k} ((p+1) j - k) a_j b_{k-j}."""
+    b = np.empty_like(a)
+    b[0] = a[0] ** p
+    j = np.arange(1, len(a), dtype=float).reshape((-1,) + (1,) * (a.ndim - 1))
+    for k in range(1, len(a)):
+        b[k] = (((p + 1.0) * j[:k] - k) * a[1 : k + 1] * b[k - 1 :: -1]).sum(axis=0) / (k * a[0])
+    return b
+
+
+def legendre_integration_rows(y: np.ndarray, m: int) -> np.ndarray:
+    """For each y in [-1, 1], the row that integrates values at the m
+    Gauss-Legendre nodes from -1 to y, through the Legendre coefficients
+    of the interpolant's antiderivative: legvander(y, m) @ K."""
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(m)
+    to_coeffs = (np.arange(m) + 0.5)[:, None] * leg.legvander(x, m - 1).T * w
+    return leg.legvander(y, m) @ leg.legint(to_coeffs, lbnd=-1)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import levelcross.ddp as ddp_mod
 from levelcross.ddp import (
     ZeroPoint,
     ddp_probability,
@@ -22,12 +23,16 @@ from levelcross.ddp import (
 )
 from levelcross.models import Superparabolic
 from levelcross.propagator import propagate
+from levelcross.znt import glancing_double_crossing, glancing_tunneling
 from oracles import (
     PARABOLIC_C,
     NonSimpleZero,
     coupling_continued,
     ddp_parabolic_closed_form,
+    ddp_probability_unmemoised,
     ddp_single_zero,
+    glancing_double_crossing_unmemoised,
+    glancing_tunneling_unmemoised,
     residue_prefactor,
 )
 
@@ -198,14 +203,19 @@ class TestDdpProbability:
             assert 0.0 <= p <= 1.0
 
     def test_overshoot_reported_not_clamped(self, monkeypatch):
-        # force the paired terms to unit envelope so the sum exceeds 1
-        import levelcross.ddp as ddp_mod
-
-        monkeypatch.setattr(ddp_mod.math, "exp", lambda x: 1.0)
+        # force the paired terms to unit envelope so the sum exceeds 1.
+        # math.exp is patched for the whole process: nu_2 is memoised
+        # before the patch, and the memos are emptied before it is undone,
+        # so that no value computed under it outlives this test
         eta = math.pi / (2.0 * math.cos(math.pi / 4.0))
         alpha = (eta / (2.0 * ddp_mod.nu_coefficient(2))) ** (2.0 / 3.0)
-        with pytest.raises(ValueError, match="> 1"):
-            ddp_probability(2, alpha)
+        monkeypatch.setattr(ddp_mod.math, "exp", lambda x: 1.0)
+        try:
+            with pytest.raises(ValueError, match="> 1"):
+                ddp_probability(2, alpha)
+        finally:
+            ddp_mod._nu.cache_clear()
+            ddp_mod._memo_zero_point_table.cache_clear()
 
     def test_agrees_with_propagation_in_adiabatic_regime(self):
         from levelcross.models import Superparabolic as SP
@@ -264,3 +274,56 @@ class TestClosedFormAndSingleZero:
 def test_zero_point_is_plain_record():
     z = ZeroPoint(1, 1j)
     assert z.k == 1 and z.t_c == 1j
+
+
+def _outcome(f, n, alpha):
+    try:
+        return f(n, alpha)
+    except Exception as exc:  # the class is the outcome compared
+        return type(exc)
+
+
+class TestMemoisedConstants:
+    # even N up to 100, as the closed-forms benchmark draws them, and N on
+    # both sides of the table memo's bound of 256
+    NS = tuple(range(2, 101, 2)) + (254, 256, 258, 1026)
+
+    def test_closed_forms_equal_unmemoised_reference(self):
+        alphas = np.geomspace(1e-3, 1e3, 19).tolist() + [1e-300, 1e300]
+        pairs = ((ddp_probability, ddp_probability_unmemoised),
+                 (glancing_double_crossing, glancing_double_crossing_unmemoised),
+                 (glancing_tunneling, glancing_tunneling_unmemoised))
+        classes = set()
+        for n in self.NS:
+            for alpha in alphas:
+                for f, ref in pairs:
+                    got, want = _outcome(f, n, alpha), _outcome(ref, n, alpha)
+                    assert got == want, (f.__name__, n, alpha)
+                    classes.add(got if isinstance(got, type) else float)
+        # the grid reaches values and each failure the closed forms raise here
+        assert classes >= {float, ValueError, OverflowError}
+
+    def test_memo_bounds(self):
+        for n in range(2, 2 * 256 + 1, 2):
+            ddp_probability(n, 1.0)
+        for memo in (ddp_mod._nu, ddp_mod._memo_zero_point_table):
+            info = memo.cache_info()
+            assert 0 < info.currsize <= info.maxsize == 128
+        before = ddp_mod._memo_zero_point_table.cache_info()
+        # past the bound the angles come a block of _ANGLE_BLOCK at a time:
+        # 8194 and 20002 take two and three blocks
+        for n in (258, 1026, 4096, 8194, 20002):
+            assert ddp_probability(n, 1.0) == ddp_probability_unmemoised(n, 1.0)
+        assert ddp_mod._memo_zero_point_table.cache_info() == before
+
+    def test_float_and_numpy_n_give_the_int_values(self):
+        for n, same in ((2, 2.0), (4, np.int64(4)), (6, np.float64(6.0))):
+            for alpha in (0.3, 1.0, 7.0):
+                assert ddp_probability(same, alpha) == ddp_probability(n, alpha)
+                assert zero_points(same, alpha) == zero_points(n, alpha)
+                assert glancing_eta(same, alpha) == glancing_eta(n, alpha)
+                assert phase_integral(same, alpha, 1) == phase_integral(n, alpha, 1)
+        for bad in (2.5, True, 3.0):
+            for f in (ddp_probability, zero_points, glancing_eta):
+                with pytest.raises(ValueError, match="N must be an even integer"):
+                    f(bad, 1.0)

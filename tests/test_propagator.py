@@ -38,7 +38,9 @@ from oracles import (
     contour_tail,
     ddp_parabolic_closed_form,
     interaction_rhs,
+    legendre_integration_rows,
     phase_half,
+    power_series,
     propagate_diabatic,
 )
 
@@ -53,10 +55,11 @@ class TestSettings:
         assert PropagatorSettings().tail_tol == 3e-12
 
     def test_validation(self):
-        for bad in (0.0, -1e-12, 1e-6, 0.5, math.inf, math.nan):
-            with pytest.raises(ValueError, match="tail_tol must lie in"):
+        for bad in (0.0, -1e-12, 1e-6, 0.5, math.inf, math.nan, 1e-18, 1e-300):
+            with pytest.raises(ValueError, match=r"tail_tol must lie in \[1e-17, 1e-6\)"):
                 PropagatorSettings(tail_tol=bad)
         assert PropagatorSettings(tail_tol=1e-15).tail_tol == 1e-15
+        assert PropagatorSettings(tail_tol=1e-17).tail_tol == 1e-17
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -256,6 +259,47 @@ class TestBatchedScan:
         for (pending, rows), (later, _) in zip(passes, passes[1:] + [(0, 0)]):
             assert rows == max(16, min(256, 4096 // pending)) and pending * rows <= 16 * 1024
             assert later <= pending
+
+
+class TestSeriesKernels:
+    @pytest.mark.parametrize("count", [1, 4, 300])
+    def test_stacked_powers_match_single_exponent_recursions(self, count):
+        # s = eps^2 + V^2 as the tail series forms it, for `count` models of
+        # both families on a row of 7 grid points each, and at one point
+        families = [Superparabolic(2, 1.0), Superparabolic(10, 0.3), Parabolic(1.0, -4.0, 1.0),
+                    Parabolic(0.5, 2.0, 1.3)]
+        models = [families[i % 4] for i in range(count)]
+        t = 1.3 * 1.01 ** np.arange(7)
+        eps = np.array([m.level_series(t * (1.0 + 0.01 * i), propagator._EPS_ORDERS) for i, m in enumerate(models)])
+        v = np.array([m.V for m in models])[:, None]
+        for series, coupling in ((eps.transpose(1, 0, 2), v), (eps[0, :, 0], models[0].V)):
+            n = len(series) - 1
+            s = propagator._mul(series[:n], series[:n])
+            s[0] += coupling * coupling
+            stacked = propagator._powers(s)
+            for got, p in zip(stacked, (-0.5, -1.5)):
+                want = power_series(s, p)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_readout_rows_match_legendre_rows(self):
+        # the rows _dense_output reads a trace with: at t = 0, at every
+        # step's start, on every node of one step, and between them
+        m = Superparabolic(2, 1.0)
+        handover = _tail_point(m, PropagatorSettings().tail_tol)
+        _, starts, half, _, _, _ = propagator._resolve([(m, handover)], PropagatorSettings())
+        nodes = propagator._collocation()[0]
+        times = np.concatenate(([0.0], starts, starts[2] + half[2] * (1.0 + nodes),
+                                np.linspace(0.0, handover[0], 101)))
+        i = np.searchsorted(starts, times, side="right") - 1
+        y = (times - (starts[i] + half[i])) / half[i]
+        ys = np.concatenate((y, [-1.0, 1.0], nodes))
+        got = propagator._integration_rows(ys)
+        want = legendre_integration_rows(ys, propagator._NODES)
+        assert np.abs(got - want).max() <= 1e-14
+        # t = 0 and the exact node points take their point's row, not 0/0
+        assert not got[0].any() and not got[-propagator._NODES - 2].any()
+        assert np.array_equal(got[-propagator._NODES :], propagator._collocation()[3].T)
 
 
 def _mp_tail_terms(model, t, count):
