@@ -54,6 +54,7 @@ from .znt import (
     double_crossing_probability,
     fit_parameters,
     glancing_double_crossing,
+    glancing_reduced_parameters,
     glancing_tunneling,
     single_passage_probability,
     stokes_phase,

@@ -18,14 +18,13 @@ family supplies just what is specific to it:
   k < L, exact (eps is a polynomial), for a float t or an array of them;
 - ``floor``, a time past all level structure, where the search for the
   propagator's tail handover starts (1.2 alpha^(1/N), the margin shrinking
-  as 1 + 10/N past N = 50, or 1.2 sqrt(max(B, 0)/A + 1));
-- ``reduced_parameters()``, the reduced (a^2, b^2) of the equivalent
-  stationary crossing problem, built from scale-free combinations of the
-  parameters: one Hamiltonian, written as either family or rescaled in
-  time, gives one pair.
+  as 1 + 10/N past N = 50, or 1.2 sqrt(max(B, 0)/A + 1)).
 
 Everything derived from eps and V (gamma, W, the propagator's coupling
-and its tail terms) is written once, against these members.
+and its tail terms) is written once, against these members.  The reduced
+(a^2, b^2) that the Zhu-Nakamura forms take is not a shared member: the
+parabolic family has its own, ``Parabolic.reduced_parameters()``, and the
+glancing forms read ``znt.glancing_reduced_parameters(N, alpha)``.
 """
 
 from __future__ import annotations
@@ -91,15 +90,6 @@ class Superparabolic:
             out[k] = math.comb(n, k) * t ** (n - k)
         return out
 
-    def reduced_parameters(self) -> tuple[float, float]:
-        # the N = 2 correspondence a^2 = 1/(4 alpha^3), applied at every N;
-        # b^2 = 0 encodes the glancing geometry
-        try:
-            return 1.0 / (4.0 * self.alpha**3), 0.0
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise type(exc)(f"a^2 = 1/(4 alpha^3) leaves the float range at N={self.N}, "
-                            f"alpha={self.alpha!r}") from exc
-
 
 @dataclass(frozen=True)
 class Parabolic:
@@ -141,9 +131,27 @@ class Parabolic:
         return out[:L]
 
     def reduced_parameters(self) -> tuple[float, float]:
-        # a^2 = A/(8 V0^3) matches Superparabolic(2, V0) at A = 2, B = 0;
-        # both are invariant under (A, B, V0) -> (A c^3, B c, V0 c)
-        return self.A / (8.0 * self.V0**3), self.B / (2.0 * self.V0)
+        """The reduced (a^2, b^2) = (A/(8 V0^3), B/(2 V0)) of the equivalent
+        stationary crossing problem.
+
+        Both are invariant under the time rescaling (A, B, V0) -> (A c^3, B c,
+        V0 c), and at A = 2, B = 0 the pair is the glancing forms' pair for N = 2.
+        A value that leaves the float range raises OverflowError or
+        ZeroDivisionError naming the quantity and the inputs.
+        """
+        quantity = "a^2 = A/(8 V0^3)"
+        try:
+            a_sq = self.A / (8.0 * self.V0**3)
+            if not (0.0 < a_sq < math.inf):
+                raise OverflowError
+            quantity = "b^2 = B/(2 V0)"
+            b_sq = self.B / (2.0 * self.V0)
+            if not math.isfinite(b_sq):
+                raise OverflowError
+        except (OverflowError, ZeroDivisionError) as exc:
+            msg = f"{quantity} leaves the float range at A={self.A!r}, B={self.B!r}, V0={self.V0!r}"
+            raise type(exc)(msg) from exc
+        return a_sq, b_sq
 
 
 DiabaticModel = Union[Superparabolic, Parabolic]
@@ -175,7 +183,9 @@ def model_from_params(model: str, *, N=None, alpha=None, A=None, B=None, V0=None
     if kind == "superparabolic":
         if N is None or alpha is None:
             raise ValueError("superparabolic model requires N and alpha")
-        return Superparabolic(int(N), float(alpha))
+        # a string is parsed as a number; Superparabolic refuses a
+        # non-integral N ("6.5", 2.5) rather than truncating it
+        return Superparabolic(float(N) if isinstance(N, str) else N, float(alpha))
     if kind == "parabolic":
         if A is None or V0 is None:
             raise ValueError("parabolic model requires A and V0")

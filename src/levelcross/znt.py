@@ -22,7 +22,7 @@ from scipy.special import loggamma
 
 from .ddp import phase_integral
 from .errors import BracketingError, BranchFailure, DegenerateGeometry
-from .models import Superparabolic
+from .models import check_glancing
 
 __all__ = [
     "FitGeometry",
@@ -35,6 +35,7 @@ __all__ = [
     "tunneling_probability",
     "fit_parameters",
     "znt_phase_estimate",
+    "glancing_reduced_parameters",
     "glancing_double_crossing",
     "glancing_tunneling",
 ]
@@ -264,16 +265,35 @@ def znt_phase_estimate(
     return int_b - int_t + math.sqrt(b_sq / a_sq) + first + second
 
 
+def glancing_reduced_parameters(N: int, alpha: float) -> tuple[float, float]:
+    """The reduced (a^2, b^2) = (1/(4 alpha^3), 0) that the glancing forms take.
+
+    This is the N = 2 correspondence (eps = t^2, V = alpha is Parabolic(2, 0,
+    alpha)), applied at every N; b^2 = 0 encodes the glancing geometry.  An
+    a^2 that leaves the float range raises OverflowError or ZeroDivisionError.
+    """
+    check_glancing(N, alpha)
+    n, alpha = int(N), float(alpha)
+    try:
+        a_sq = 1.0 / (4.0 * alpha**3)
+        if not (0.0 < a_sq < math.inf):  # 4 alpha^3 or its reciprocal overflowed without raising
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError) as exc:
+        msg = f"a^2 = 1/(4 alpha^3) leaves the float range at N={n}, alpha={alpha!r}"
+        raise type(exc)(msg) from exc
+    return a_sq, 0.0
+
+
 def glancing_double_crossing(N: int, alpha: float) -> float:
-    """Double-crossing branch wired to the glancing family: a^2 = 1/(4 alpha^3),
-    b^2 = 0, and sigma + i delta the dominant-zero gap integral."""
-    a_sq, b_sq = Superparabolic(N, alpha).reduced_parameters()
+    """Double-crossing branch wired to the glancing family: (a^2, b^2) from
+    glancing_reduced_parameters, sigma + i delta the dominant-zero gap integral."""
+    a_sq, b_sq = glancing_reduced_parameters(N, alpha)
     d = phase_integral(N, alpha, 1)
     return double_crossing_probability(a_sq, b_sq, d.real, d.imag)
 
 
 def glancing_tunneling(N: int, alpha: float) -> float:
     """Tunneling branch wired to the glancing family (b^2 = 0 is not used)."""
-    a_sq, _ = Superparabolic(N, alpha).reduced_parameters()
+    a_sq, _ = glancing_reduced_parameters(N, alpha)
     d = phase_integral(N, alpha, 1)
     return tunneling_probability(a_sq, d.real, d.imag)

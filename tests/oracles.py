@@ -259,17 +259,17 @@ def _dominant_phase_unmemoised(N: int, alpha: float) -> complex:
 
 
 def glancing_double_crossing_unmemoised(N: int, alpha: float) -> float:
-    """znt.glancing_double_crossing from an unmemoised sigma + i delta."""
-    a_sq, b_sq = Superparabolic(N, alpha).reduced_parameters()
+    """znt.glancing_double_crossing from the N = 2 reduction a^2 = 1/(4 alpha^3),
+    b^2 = 0, written out here, and an unmemoised sigma + i delta."""
     d = _dominant_phase_unmemoised(N, alpha)
-    return double_crossing_probability(a_sq, b_sq, d.real, d.imag)
+    return double_crossing_probability(1.0 / (4.0 * alpha**3), 0.0, d.real, d.imag)
 
 
 def glancing_tunneling_unmemoised(N: int, alpha: float) -> float:
-    """znt.glancing_tunneling from an unmemoised sigma + i delta."""
-    a_sq, _ = Superparabolic(N, alpha).reduced_parameters()
+    """znt.glancing_tunneling from a^2 = 1/(4 alpha^3), written out here, and
+    an unmemoised sigma + i delta."""
     d = _dominant_phase_unmemoised(N, alpha)
-    return tunneling_probability(a_sq, d.real, d.imag)
+    return tunneling_probability(1.0 / (4.0 * alpha**3), d.real, d.imag)
 
 
 def power_series(a: np.ndarray, p: float) -> np.ndarray:

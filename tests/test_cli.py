@@ -453,6 +453,10 @@ _RANGE_QUANTITY = {
         (["propagate", "--N", "200", "--alpha", "1e300"], "OverflowError"),
         (["propagate", "--model", "parabolic", "--A", "1", "--B", "1e300", "--V0", "1"], "OverflowError"),
         (["propagate", "--N", "2", "--alpha", "1e6"], "NonConvergence"),
+        # 4 alpha^3 overflows to inf without raising; a^2 would be 0
+        (["znt", "--branch", "double", "--N", "100", "--alpha", "4e102"], "OverflowError"),
+        # alpha^3 is subnormal; a^2 would be inf
+        (["znt", "--branch", "tunnel", "--N", "2", "--alpha", "1e-105"], "OverflowError"),
     ],
 )
 def test_numeric_failure_exits_1(argv, error, capsys):

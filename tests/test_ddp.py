@@ -23,7 +23,7 @@ from levelcross.ddp import (
 )
 from levelcross.models import Superparabolic
 from levelcross.propagator import propagate
-from levelcross.znt import glancing_double_crossing, glancing_tunneling
+from levelcross.znt import glancing_double_crossing, glancing_reduced_parameters, glancing_tunneling
 from oracles import (
     PARABOLIC_C,
     NonSimpleZero,
@@ -283,6 +283,13 @@ def _outcome(f, n, alpha):
         return type(exc)
 
 
+def _outcome_and_message(f, n, alpha):
+    try:
+        return f(n, alpha), None
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestMemoisedConstants:
     # even N up to 100, as the closed-forms benchmark draws them, and N on
     # both sides of the table memo's bound of 256
@@ -323,7 +330,19 @@ class TestMemoisedConstants:
                 assert zero_points(same, alpha) == zero_points(n, alpha)
                 assert glancing_eta(same, alpha) == glancing_eta(n, alpha)
                 assert phase_integral(same, alpha, 1) == phase_integral(n, alpha, 1)
+        # the glancing forms and their reduction, with alpha an np.float64 too:
+        # equal values, and a failure of the same class whose message names
+        # the int N and the float alpha, whatever was passed
+        glancing = (glancing_double_crossing, glancing_tunneling, glancing_reduced_parameters)
+        outcomes = set()
+        for n, same in ((2, 2.0), (4, np.int64(4)), (6, np.float64(6.0))):
+            for alpha in (0.3, 1.0, 7.0, 1e-300, 1e300):
+                for f in glancing:
+                    want = _outcome_and_message(f, n, alpha)
+                    assert _outcome_and_message(f, same, np.float64(alpha)) == want
+                    outcomes.add(want[0] if isinstance(want[0], type) else float)
+        assert outcomes >= {float, OverflowError, ZeroDivisionError}
         for bad in (2.5, True, 3.0):
-            for f in (ddp_probability, zero_points, glancing_eta):
+            for f in (ddp_probability, zero_points, glancing_eta) + glancing:
                 with pytest.raises(ValueError, match="N must be an even integer"):
                     f(bad, 1.0)

@@ -12,6 +12,7 @@ from levelcross.models import (
     model_from_params,
     nonadiabatic_coupling,
 )
+from levelcross.znt import glancing_reduced_parameters
 
 
 def _seeded_models(rng):
@@ -179,8 +180,7 @@ class TestReducedParameters:
         # (a^2, b^2) = (A/(8 V0^3), B/(2 V0)): the glancing Hamiltonian
         # eps = t^2, V = alpha written as either family gives one pair ...
         for alpha in (0.1, 0.7, 1.0, 2.5):
-            assert (Parabolic(2.0, 0.0, alpha).reduced_parameters()
-                    == Superparabolic(2, alpha).reduced_parameters())
+            assert Parabolic(2.0, 0.0, alpha).reduced_parameters() == glancing_reduced_parameters(2, alpha)
         rng = np.random.default_rng(20240825)
         for _ in range(10):
             a = float(rng.uniform(0.05, 5.0))
@@ -195,15 +195,31 @@ class TestReducedParameters:
             assert Parabolic(a, b, 0.5).reduced_parameters() == (a, b)
 
     def test_glancing_convention(self):
-        assert Superparabolic(2, 1.0).reduced_parameters() == (0.25, 0.0)
-        a_sq, b_sq = Superparabolic(6, 2.0).reduced_parameters()
+        assert glancing_reduced_parameters(2, 1.0) == (0.25, 0.0)
+        a_sq, b_sq = glancing_reduced_parameters(6, 2.0)
         assert a_sq == pytest.approx(1.0 / 32.0, rel=1e-15)
         assert b_sq == 0.0
 
     def test_same_alpha_same_a_sq_any_n(self):
-        ref = Superparabolic(2, 0.37).reduced_parameters()[0]
+        ref = glancing_reduced_parameters(2, 0.37)[0]
         for n in (4, 6, 10, 14):
-            assert Superparabolic(n, 0.37).reduced_parameters()[0] == ref
+            assert glancing_reduced_parameters(n, 0.37)[0] == ref
+
+    @pytest.mark.parametrize(
+        "params, error, quantity",
+        [
+            ((1.0, 0.0, 1e-300), ZeroDivisionError, "a^2 = A/(8 V0^3)"),  # V0^3 underflows to 0
+            ((1.0, 0.0, 1e200), OverflowError, "a^2 = A/(8 V0^3)"),  # V0^3 overflows
+            ((1.0, 1e300, 1e-10), OverflowError, "b^2 = B/(2 V0)"),  # b^2 would be inf
+        ],
+    )
+    def test_parabolic_range_errors_are_named(self, params, error, quantity):
+        a, b, v0 = params
+        with pytest.raises(error) as info:
+            Parabolic(a, b, v0).reduced_parameters()
+        assert str(info.value) == (
+            f"{quantity} leaves the float range at A={a!r}, B={b!r}, V0={v0!r}"
+        )
 
 
 class TestModelFromParams:
@@ -217,6 +233,11 @@ class TestModelFromParams:
 
     def test_case_and_whitespace_tolerant(self):
         assert isinstance(model_from_params("  SUPERPARABOLIC ", N=2, alpha=1), Superparabolic)
+
+    def test_non_integral_n_is_refused_not_truncated(self):
+        for bad in (2.5, 6.9, "6.5"):
+            with pytest.raises(ValueError, match="N must be an even integer"):
+                model_from_params("superparabolic", N=bad, alpha=1.0)
 
     def test_missing_required(self):
         with pytest.raises(ValueError):

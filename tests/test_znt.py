@@ -17,6 +17,7 @@ from levelcross.znt import (
     double_crossing_probability,
     fit_parameters,
     glancing_double_crossing,
+    glancing_reduced_parameters,
     glancing_tunneling,
     single_passage_probability,
     stokes_phase,
@@ -260,10 +261,10 @@ def test_branches_disagree_at_glancing():
 
 
 class TestGlancingWiring:
-    # the glancing forms take a^2, b^2 from the model and sigma + i delta
-    # from the dominant-zero gap integral
+    # the glancing forms take a^2, b^2 from glancing_reduced_parameters and
+    # sigma + i delta from the dominant-zero gap integral
     def test_inputs(self):
-        a_sq, b_sq = Superparabolic(2, 1.0).reduced_parameters()
+        a_sq, b_sq = glancing_reduced_parameters(2, 1.0)
         d = phase_integral(2, 1.0, 1)
         assert a_sq == pytest.approx(0.25, rel=1e-15)
         assert b_sq == 0.0
@@ -271,7 +272,7 @@ class TestGlancingWiring:
         assert d.imag == pytest.approx(C, rel=1e-14)
 
     def test_composition(self):
-        a_sq, b_sq = Superparabolic(2, 1.0).reduced_parameters()
+        a_sq, b_sq = glancing_reduced_parameters(2, 1.0)
         d = phase_integral(2, 1.0, 1)
         assert glancing_double_crossing(2, 1.0) == double_crossing_probability(
             a_sq, b_sq, d.real, d.imag
@@ -279,10 +280,35 @@ class TestGlancingWiring:
         assert glancing_tunneling(2, 1.0) == tunneling_probability(a_sq, d.real, d.imag)
 
     def test_same_a_sq_for_all_n(self):
-        assert (
-            Superparabolic(6, 0.9).reduced_parameters()[0]
-            == Superparabolic(2, 0.9).reduced_parameters()[0]
-        )
+        assert glancing_reduced_parameters(6, 0.9)[0] == glancing_reduced_parameters(2, 0.9)[0]
+
+    @pytest.mark.parametrize(
+        "alpha, error",
+        [
+            (1e300, OverflowError),  # alpha^3 overflows
+            (5.65e102, OverflowError),
+            # 4 alpha^3 overflows to inf without raising, which would give a^2 = 0
+            (3.57e102, OverflowError),
+            (4e102, OverflowError),
+            (5.64e102, OverflowError),
+            # alpha^3 is subnormal and 1/(4 alpha^3) overflows to inf without raising
+            (1e-103, OverflowError),
+            (1e-107, OverflowError),
+            (1e-300, ZeroDivisionError),  # alpha^3 underflows to 0
+        ],
+    )
+    def test_range_errors_are_named(self, alpha, error):
+        msg = f"a^2 = 1/(4 alpha^3) leaves the float range at N=100, alpha={alpha!r}"
+        for f in (glancing_reduced_parameters, glancing_double_crossing, glancing_tunneling):
+            with pytest.raises(error) as info:
+                f(100, alpha)
+            assert str(info.value) == msg
+
+    def test_edges_of_the_float_range(self):
+        # just inside both ends a^2 is a finite positive float
+        for alpha in (3.5e102, 2e-103):
+            a_sq, _ = glancing_reduced_parameters(2, alpha)
+            assert 0.0 < a_sq < math.inf
 
 
 SYN_E1 = lambda t: -1.0 - (t + 0.4) ** 2  # noqa: E731
