@@ -32,9 +32,6 @@ from .models import model_from_params
 from .propagator import PropagatorSettings, _propagate_traced, propagate
 from .znt import fit_parameters, glancing_double_crossing, glancing_tunneling, znt_phase_estimate
 
-# every PropagatorSettings field is a float option on sweep and propagate
-_SETTINGS_FIELDS = tuple(f.name for f in dataclasses.fields(PropagatorSettings))
-
 
 def _load_config(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
@@ -74,13 +71,6 @@ def _merge_config(
     return [argv[0], *flags, *argv[1:]]
 
 
-def _settings_from_args(args: argparse.Namespace) -> PropagatorSettings:
-    overrides = {
-        name: getattr(args, name) for name in _SETTINGS_FIELDS if getattr(args, name) is not None
-    }
-    return PropagatorSettings(**overrides)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(
         n_values=tuple(int(tok) for tok in args.N.split(",")),
@@ -89,7 +79,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points=args.points,
         spacing=args.spacing,
         methods=tuple(tok.strip() for tok in args.methods.split(",") if tok.strip()),
-        settings=_settings_from_args(args),
+        settings=PropagatorSettings(args.tail_tol),
         out_path=args.out,
     )
     rows = run_sweep(config)
@@ -102,7 +92,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     model = model_from_params(
         args.model, N=args.N, alpha=args.alpha, A=args.A, B=args.B, V0=args.V0
     )
-    settings = _settings_from_args(args)
+    settings = PropagatorSettings(args.tail_tol)
     if args.trace is None:
         result = propagate(model, settings)
     else:  # one solve on the trace window gives both
@@ -165,11 +155,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         e2 = CubicSpline(t, data["E2"][order])
         geom, a_sq, b_sq = fit_parameters(e1, e2, (float(t[0]), float(t[-1])))
         estimate = znt_phase_estimate(geom, e1, e2, a_sq, b_sq)
-    print(f"t_b = {geom.t_b:.17g}")
-    print(f"t_t = {geom.t_t:.17g}")
-    print(f"t_0 = {geom.t_0:.17g}")
-    print(f"V0_fit = {geom.V0_fit:.17g}")
-    print(f"d_sq = {geom.d_sq:.17g}")
+    for field in dataclasses.fields(geom):
+        print(f"{field.name} = {getattr(geom, field.name):.17g}")
     print(f"a_sq = {a_sq:.17g}")
     print(f"b_sq = {b_sq:.17g}")
     print(f"sigma_estimate = {estimate.real:.17g}")
@@ -204,8 +191,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     settings = argparse.ArgumentParser(add_help=False)
-    for name in _SETTINGS_FIELDS:
-        settings.add_argument("--" + name.replace("_", "-"), type=float, default=None)
+    settings.add_argument("--tail-tol", type=float, default=PropagatorSettings.tail_tol)
     glancing = argparse.ArgumentParser(add_help=False)
     glancing.add_argument("--N", type=int, required=True)
     glancing.add_argument("--alpha", type=float, required=True)

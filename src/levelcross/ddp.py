@@ -89,8 +89,7 @@ class ZeroPoint:
 
 def zero_points(N: int, alpha: float) -> list[ZeroPoint]:
     """All N upper-half-plane zeros alpha^(1/N) e^{i pi (2k-1)/(2N)}, k = 1..N."""
-    check_glancing(N, alpha)
-    n = int(N)
+    n, alpha = check_glancing(N, alpha)
     radius = alpha ** (1.0 / n)
     return [
         ZeroPoint(k, cmath.rect(radius, math.pi * (2 * k - 1) / (2 * n)))
@@ -100,12 +99,11 @@ def zero_points(N: int, alpha: float) -> list[ZeroPoint]:
 
 def glancing_eta(N: int, alpha: float) -> float:
     """Magnitude eta = 2 nu_N alpha^((N+1)/N) of every gap integral D(t_c^k)."""
-    check_glancing(N, alpha)
-    n = int(N)
+    n, alpha = check_glancing(N, alpha)
     try:
         return 2.0 * _nu(n) * alpha ** ((n + 1.0) / n)
     except OverflowError as exc:
-        msg = f"eta = 2 nu_N alpha^((N+1)/N) overflows at N={N}, alpha={alpha!r}"
+        msg = f"eta = 2 nu_N alpha^((N+1)/N) overflows at N={n}, alpha={alpha!r}"
         raise OverflowError(msg) from exc
 
 

@@ -60,10 +60,11 @@ class SweepConfig:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
+        ns = set()
         for n in self.n_values:
-            check_glancing(n, self.alpha_min, "alpha_min")
+            ns.add(check_glancing(n, self.alpha_min, "alpha_min")[0])
             check_glancing(n, self.alpha_max, "alpha_max")
-        ns = tuple(sorted({int(n) for n in self.n_values}))
+        ns = tuple(sorted(ns))
         if not ns:
             raise ValueError("n_values must be nonempty")
         object.__setattr__(self, "n_values", ns)

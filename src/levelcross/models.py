@@ -46,13 +46,21 @@ __all__ = [
 ]
 
 
-def check_glancing(N, alpha, name: str = "alpha") -> None:
+def check_glancing(N, alpha, name: str = "alpha") -> tuple[int, float]:
     """The glancing family's parameter rule: N an even integer >= 2, alpha
-    positive and finite.  ``name`` is the parameter that alpha stands for."""
-    if not (N >= 2 and N % 2 == 0):
+    positive and finite; returns the pair's normal form (int(N), float(alpha)).
+    ``name`` is the parameter that alpha stands for."""
+    n_ok = alpha_ok = False
+    try:  # a string, None or a complex does not compare, and is refused too
+        n_ok = N >= 2 and N % 2 == 0
+        alpha_ok = 0.0 < alpha < math.inf
+    except TypeError:
+        pass
+    if not n_ok:
         raise ValueError(f"N must be an even integer >= 2, got {N!r}")
-    if not (0.0 < alpha < math.inf):
+    if not alpha_ok:
         raise ValueError(f"{name} must be positive and finite, got {alpha!r}")
+    return int(N), float(alpha)
 
 
 @dataclass(frozen=True)
@@ -63,9 +71,9 @@ class Superparabolic:
     alpha: float
 
     def __post_init__(self) -> None:
-        check_glancing(self.N, self.alpha)
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        n, alpha = check_glancing(self.N, self.alpha)
+        object.__setattr__(self, "N", n)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def V(self) -> float:
@@ -141,9 +149,15 @@ class Parabolic:
         """
         quantity = "a^2 = A/(8 V0^3)"
         try:
-            a_sq = self.A / (8.0 * self.V0**3)
-            if not (0.0 < a_sq < math.inf):
-                raise OverflowError
+            try:
+                a_sq = self.A / (8.0 * self.V0**3)
+                if not (0.0 < a_sq < math.inf):
+                    raise OverflowError
+            except (OverflowError, ZeroDivisionError):
+                # V0^3 can leave the float range while a^2 does not
+                a_sq = self.A / 8.0 / self.V0 / self.V0 / self.V0
+                if not (0.0 < a_sq < math.inf):
+                    raise
             quantity = "b^2 = B/(2 V0)"
             b_sq = self.B / (2.0 * self.V0)
             if not math.isfinite(b_sq):

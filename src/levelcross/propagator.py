@@ -598,9 +598,8 @@ def _solve_window(
         for ak, bk in zip(a_steps[steps].tolist(), b_rotated.tolist()):
             a, b = ak * a - bk.conjugate() * b, bk * a + ak.conjugate() * b
             prefix.append((a, b))
-        states = (_dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
-                                b_nodes[steps], lam_starts, prefix)
-                  if times.size else (np.empty(0, dtype=complex), np.empty(0, dtype=complex), np.empty(0)))
+        states = _dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
+                               b_nodes[steps], lam_starts, prefix)
         j = cmath.exp(2j * float(lam_ends[-1])) * _tail_coefficient(terms)
         # V = C(J) U = [[alpha, -beta*], [beta, alpha*]]
         n = math.sqrt(1.0 + abs(j) ** 2)

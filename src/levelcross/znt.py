@@ -272,8 +272,7 @@ def glancing_reduced_parameters(N: int, alpha: float) -> tuple[float, float]:
     alpha)), applied at every N; b^2 = 0 encodes the glancing geometry.  An
     a^2 that leaves the float range raises OverflowError or ZeroDivisionError.
     """
-    check_glancing(N, alpha)
-    n, alpha = int(N), float(alpha)
+    n, alpha = check_glancing(N, alpha)
     try:
         a_sq = 1.0 / (4.0 * alpha**3)
         if not (0.0 < a_sq < math.inf):  # 4 alpha^3 or its reciprocal overflowed without raising

@@ -22,7 +22,6 @@ from levelcross.errors import LevelCrossError, ToleranceFailure
 from levelcross.znt import double_crossing_probability, tunneling_probability
 from levelcross.models import (
     DiabaticModel,
-    Superparabolic,
     check_glancing,
     nonadiabatic_coupling,
 )
@@ -124,7 +123,8 @@ def propagate_diabatic(
 def contour_tail(model: DiabaticModel, T: float) -> complex:
     """J(T) e^{-2i Lam(T)} = int_T^inf gamma e^{2i (Lam - Lam(T))} dt by
     integration along the steepest-descent path t(s) = (T^m + i s)^(1/m),
-    s in [0, 60 m], with m = N + 1 (m = 3 for the parabolic family).
+    s in [0, 60 m], with m one more than the degree of eps (N + 1 for
+    t^N, 3 for the parabolic family), read off the level's own Taylor series.
 
     On that path 2i (Lam - Lam(T)) ~ -2 s/m for eps ~ t^N, so the integrand
     decays like e^{-2s/m} (like e^{-A s/3} for the parabolic family) instead
@@ -133,7 +133,7 @@ def contour_tail(model: DiabaticModel, T: float) -> complex:
     the square root on one continuous branch, since the path stays clear
     of the zero points.  Shares no code with the propagator's tail series.
     """
-    m = model.N + 1 if isinstance(model, Superparabolic) else 3
+    m = int(np.flatnonzero(model.level_series(1.0, 256))[-1]) + 1  # degree < 256
     v = model.V
 
     def rhs(s, y):
@@ -205,6 +205,21 @@ def born_parabolic(A: float, B: float, V0: float) -> float:
     int exp(i (A t^3/3 - B t)) dt = 2 pi A^(-1/3) Ai(-B A^(-1/3))."""
     ai = airy(-B * A ** (-1.0 / 3.0))[0]
     return 4.0 * math.pi**2 * V0**2 * A ** (-2.0 / 3.0) * ai**2
+
+
+def box_limit_probability(alpha: float) -> float:
+    """The N -> infinity limit P = sin^2(2 alpha) of eps = t^N, V = alpha.
+
+    As N grows, t^N tends to 0 for |t| < 1 and to +infinity for |t| > 1, and
+    it rises from ~alpha to >> alpha over a time ~1/N around |t| = 1.
+    Outside the box the levels are far apart, and each diabatic state stays
+    put, up to a phase.  Inside, H ~ alpha sigma_x acts for a time 2, and the
+    switches at t = -1 and t = 1 are sudden.  So the state |2> (the lower
+    adiabatic state at both ends, since eps > 0 there for even N) becomes
+    e^{-2i alpha sigma_x}|2> = cos(2 alpha)|2> - i sin(2 alpha)|1>, and the
+    transition probability is sin^2(2 alpha).  Shares no code with any route.
+    """
+    return math.sin(2.0 * alpha) ** 2
 
 
 def ddp_parabolic_closed_form(alpha: float) -> float:

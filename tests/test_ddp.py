@@ -21,7 +21,7 @@ from levelcross.ddp import (
     phase_integral,
     zero_points,
 )
-from levelcross.models import Superparabolic
+from levelcross.models import Superparabolic, check_glancing
 from levelcross.propagator import propagate
 from levelcross.znt import glancing_double_crossing, glancing_reduced_parameters, glancing_tunneling
 from oracles import (
@@ -323,6 +323,7 @@ class TestMemoisedConstants:
             assert ddp_probability(n, 1.0) == ddp_probability_unmemoised(n, 1.0)
         assert ddp_mod._memo_zero_point_table.cache_info() == before
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_float_and_numpy_n_give_the_int_values(self):
         for n, same in ((2, 2.0), (4, np.int64(4)), (6, np.float64(6.0))):
             for alpha in (0.3, 1.0, 7.0):
@@ -330,19 +331,30 @@ class TestMemoisedConstants:
                 assert zero_points(same, alpha) == zero_points(n, alpha)
                 assert glancing_eta(same, alpha) == glancing_eta(n, alpha)
                 assert phase_integral(same, alpha, 1) == phase_integral(n, alpha, 1)
-        # the glancing forms and their reduction, with alpha an np.float64 too:
-        # equal values, and a failure of the same class whose message names
-        # the int N and the float alpha, whatever was passed
+
+        def phase_1(n, alpha):
+            return phase_integral(n, alpha, 1)
+
+        # every closed form and the glancing reduction, with alpha an
+        # np.float64 too: equal values, and a failure of the same class whose
+        # message names the int N and the float alpha, whatever was passed,
+        # with no RuntimeWarning from numpy's arithmetic on the way
         glancing = (glancing_double_crossing, glancing_tunneling, glancing_reduced_parameters)
+        forms = (ddp_probability, zero_points, glancing_eta, phase_1) + glancing
         outcomes = set()
         for n, same in ((2, 2.0), (4, np.int64(4)), (6, np.float64(6.0))):
             for alpha in (0.3, 1.0, 7.0, 1e-300, 1e300):
-                for f in glancing:
+                for f in forms:
                     want = _outcome_and_message(f, n, alpha)
-                    assert _outcome_and_message(f, same, np.float64(alpha)) == want
+                    assert _outcome_and_message(f, same, np.float64(alpha)) == want, (f, n, alpha)
                     outcomes.add(want[0] if isinstance(want[0], type) else float)
         assert outcomes >= {float, OverflowError, ZeroDivisionError}
-        for bad in (2.5, True, 3.0):
-            for f in (ddp_probability, zero_points, glancing_eta) + glancing:
+        # what does not compare as a real number is refused by name too
+        for f in forms + (check_glancing, Superparabolic):
+            for bad in (2.5, True, 3.0, "4", None, 2 + 0j):
                 with pytest.raises(ValueError, match="N must be an even integer"):
                     f(bad, 1.0)
+            with pytest.raises(ValueError, match="^alpha must be positive and finite, got '1.0'$"):
+                f(4, "1.0")
+        with pytest.raises(ValueError, match="^N must be an even integer >= 2, got '4'$"):
+            check_glancing("4", 1.0)

@@ -194,6 +194,13 @@ class TestReducedParameters:
             # ... and at V0 = 1/2 the pair is (A, B) itself
             assert Parabolic(a, b, 0.5).reduced_parameters() == (a, b)
 
+    def test_parabolic_a_sq_in_range_when_v0_cubed_is_not(self):
+        # V0^3 overflows (then underflows) while a^2 itself is representable
+        a_sq, b_sq = Parabolic(1e300, 0.0, 1e110).reduced_parameters()
+        assert a_sq == pytest.approx(1.25e-31, rel=1e-14) and b_sq == 0.0
+        a_sq, b_sq = Parabolic(1e-300, 0.0, 1e-110).reduced_parameters()
+        assert a_sq == pytest.approx(1.25e29, rel=1e-14) and b_sq == 0.0
+
     def test_glancing_convention(self):
         assert glancing_reduced_parameters(2, 1.0) == (0.25, 0.0)
         a_sq, b_sq = glancing_reduced_parameters(6, 2.0)
@@ -211,6 +218,7 @@ class TestReducedParameters:
             ((1.0, 0.0, 1e-300), ZeroDivisionError, "a^2 = A/(8 V0^3)"),  # V0^3 underflows to 0
             ((1.0, 0.0, 1e200), OverflowError, "a^2 = A/(8 V0^3)"),  # V0^3 overflows
             ((1.0, 1e300, 1e-10), OverflowError, "b^2 = B/(2 V0)"),  # b^2 would be inf
+            ((1.0, 0.0, 1e110), OverflowError, "a^2 = A/(8 V0^3)"),  # a^2 underflows in steps too
         ],
     )
     def test_parabolic_range_errors_are_named(self, params, error, quantity):

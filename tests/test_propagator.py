@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import levelcross.propagator as propagator
+from levelcross.ddp import ddp_probability
 from levelcross.errors import NonConvergence, ToleranceFailure
 from levelcross.models import Parabolic, Superparabolic
 from levelcross.propagator import (
@@ -34,6 +35,7 @@ from levelcross.propagator import (
 )
 from oracles import (
     born_glancing,
+    box_limit_probability,
     born_parabolic,
     contour_tail,
     ddp_parabolic_closed_form,
@@ -769,3 +771,25 @@ class TestBornOracle:
     def test_parabolic_limit(self, B):
         p = propagate(Parabolic(1.0, B, 3e-3)).probability
         assert abs(p / born_parabolic(1.0, B, 3e-3) - 1.0) < 5e-4
+
+
+class TestBoxLimit:
+    """Large N: eps = t^N becomes a box, and P tends to sin^2(2 alpha), a
+    limit that shares no code with any route (oracles.box_limit_probability).
+
+    The bounds are measured: the exact P approaches the limit from one side
+    for each alpha, its error shrinks by a factor of 0.57-0.65 per doubling of
+    N (slower than 1/N), and the coherent DDP sum is within 1/N of the limit
+    (N times its error is at most 0.84 here)."""
+
+    NS = (50, 100, 200, 400, 800)
+
+    @pytest.mark.parametrize("alpha, sign", [(0.3, 1.0), (1.0, -1.0), (1.3, -1.0)])
+    def test_exact_and_ddp_routes_tend_to_the_box(self, alpha, sign):
+        box = box_limit_probability(alpha)
+        err = [propagate(Superparabolic(n, alpha)).probability - box for n in self.NS]
+        assert all(sign * e > 0.0 for e in err)
+        assert all(abs(e2) <= 0.66 * abs(e1) for e1, e2 in zip(err, err[1:]))
+        assert abs(err[-1]) <= 0.016
+        for n in self.NS:
+            assert abs(ddp_probability(n, alpha) - box) <= 1.0 / n
