@@ -16,7 +16,6 @@ import sys
 import warnings
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .ddp import ddp_probability, phase_integral, zero_points
 from .errors import LevelCrossError
@@ -139,6 +138,8 @@ def _cmd_znt(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from scipy.interpolate import CubicSpline
+
     with open(args.curves, "r", encoding="utf-8") as fh:  # genfromtxt fails on an empty file
         lines = [ln for ln in fh if ln.strip()]
     data = np.genfromtxt(lines, delimiter=",", names=True, ndmin=1) if lines else np.empty(0)

@@ -111,11 +111,18 @@ class Parabolic:
     V0: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.A < math.inf):
+        a_ok = b_ok = v0_ok = False
+        try:  # a string, None or a complex does not compare, and is refused too
+            a_ok = 0.0 < self.A < math.inf
+            b_ok = math.isfinite(self.B)
+            v0_ok = 0.0 < self.V0 < math.inf
+        except TypeError:
+            pass
+        if not a_ok:
             raise ValueError(f"A must be positive and finite, got {self.A!r}")
-        if not math.isfinite(self.B):
+        if not b_ok:
             raise ValueError(f"B must be finite, got {self.B!r}")
-        if not (0.0 < self.V0 < math.inf):
+        if not v0_ok:
             raise ValueError(f"V0 must be positive and finite, got {self.V0!r}")
         object.__setattr__(self, "A", float(self.A))
         object.__setattr__(self, "B", float(self.B))

@@ -105,7 +105,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp  # noqa: F401  (unused: levelbench/spans.py wraps both by name)
 
 from .errors import _FAILURES, NonConvergence, ToleranceFailure, _attempt
 from .models import DiabaticModel
@@ -135,6 +134,18 @@ __all__ = [
 ]
 
 
+def __getattr__(name: str):
+    # levelbench/spans.py wraps propagator.quad and propagator.solve_ivp by
+    # name, though no propagation calls either: resolve the two on demand,
+    # so that importing the package loads no scipy.  Delete this with those
+    # seams.
+    if name in ("quad", "solve_ivp"):
+        import scipy.integrate
+
+        return getattr(scipy.integrate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @dataclass(frozen=True)
 class PropagatorSettings:
     """Integration control: one absolute tolerance on the amplitude.
@@ -152,7 +163,12 @@ class PropagatorSettings:
     tail_tol: float = 3e-12
 
     def __post_init__(self) -> None:
-        if not (1e-17 <= self.tail_tol < 1e-6):
+        ok = False
+        try:  # a string or None does not compare, and is refused too
+            ok = 1e-17 <= self.tail_tol < 1e-6
+        except TypeError:
+            pass
+        if not ok:
             raise ValueError(f"tail_tol must lie in [1e-17, 1e-6), got {self.tail_tol!r}")
 
 

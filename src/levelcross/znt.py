@@ -12,13 +12,10 @@ estimate, which degenerate for glancing geometries.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
-from scipy.special import loggamma
 
 from .ddp import phase_integral
 from .errors import BracketingError, BranchFailure, DegenerateGeometry
@@ -70,6 +67,15 @@ def single_passage_probability(a_sq: float, b_sq: float) -> float:
     return math.exp(-(math.pi / (4.0 * a)) * math.sqrt(2.0 / denom))
 
 
+@functools.cache
+def _loggamma() -> Callable[[complex], complex]:
+    # scipy.special is imported on the first closed-form call, not with the
+    # package, and bound once: every later call is a cached lookup
+    from scipy.special import loggamma
+
+    return loggamma
+
+
 def arg_gamma_imag(y: float) -> float:
     """arg Gamma(iy) for y > 0, continued from the y -> 0+ limit -pi/2.
 
@@ -78,7 +84,7 @@ def arg_gamma_imag(y: float) -> float:
     """
     if not (y > 0.0) or math.isinf(y):
         raise ValueError(f"arg_gamma_imag requires y > 0, got {y!r}")
-    return float(loggamma(complex(0.0, y)).imag)
+    return float(_loggamma()(complex(0.0, y)).imag)
 
 
 def delta_psi(a_sq: float, sigma: float, delta: float) -> float:
@@ -185,6 +191,8 @@ def _check_nondegenerate(geom: FitGeometry) -> float:
 
 
 def _interior_minimum(f: Callable[[float], float], lo: float, hi: float, what: str) -> float:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
     if not res.success:
         raise BracketingError(f"{what}: minimizer failed on [{lo}, {hi}]: {res.message}")
@@ -242,6 +250,8 @@ def znt_phase_estimate(
     where Delta carries a 1/sqrt(d^2 - 1) factor and a quadrature along
     the straight segment from 0 to i; degenerate geometries raise.
     """
+    from scipy.integrate import quad
+
     _check_nondegenerate(geom)
     if not (a_sq > 0.0):
         raise ValueError(f"a_sq must be positive, got {a_sq!r}")

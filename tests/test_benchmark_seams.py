@@ -3,8 +3,10 @@
 The tracer replaces, for the length of a traced run, each name that one
 levelcross module imports from another (harness.propagate,
 propagator.solve_ivp, ...) by a recording wrapper, and restores it after.
-Some of those names are imported for that reason alone, so deleting one
-breaks no library code; this test fails at once instead.
+Some of those names exist for that reason alone, so deleting one breaks
+no library code; this test fails at once instead.  propagator.quad and
+propagator.solve_ivp are no longer imported with the module: its
+module-level __getattr__ resolves them from scipy.integrate on demand.
 """
 
 from pathlib import Path

@@ -57,7 +57,8 @@ class TestConstruction:
             Parabolic(1.0, 1.0, -0.5)
 
     def test_parabolic_rejects_non_finite(self):
-        for bad in (math.inf, -math.inf, math.nan):
+        # a string or None is refused by name, not by a bare TypeError
+        for bad in (math.inf, -math.inf, math.nan, "1", None):
             with pytest.raises(ValueError, match="A must be positive"):
                 Parabolic(bad, 1.0, 1.0)
             with pytest.raises(ValueError, match="B must be finite"):
@@ -246,6 +247,9 @@ class TestModelFromParams:
         for bad in (2.5, 6.9, "6.5"):
             with pytest.raises(ValueError, match="N must be an even integer"):
                 model_from_params("superparabolic", N=bad, alpha=1.0)
+
+    def test_parabolic_parses_strings(self):
+        assert model_from_params("parabolic", A="1", V0="1") == Parabolic(1.0, 0.0, 1.0)
 
     def test_missing_required(self):
         with pytest.raises(ValueError):

@@ -57,7 +57,8 @@ class TestSettings:
         assert PropagatorSettings().tail_tol == 3e-12
 
     def test_validation(self):
-        for bad in (0.0, -1e-12, 1e-6, 0.5, math.inf, math.nan, 1e-18, 1e-300):
+        # a string or None is refused by name, not by a bare TypeError
+        for bad in (0.0, -1e-12, 1e-6, 0.5, math.inf, math.nan, 1e-18, 1e-300, "1e-12", None):
             with pytest.raises(ValueError, match=r"tail_tol must lie in \[1e-17, 1e-6\)"):
                 PropagatorSettings(tail_tol=bad)
         assert PropagatorSettings(tail_tol=1e-15).tail_tol == 1e-15
