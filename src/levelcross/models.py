@@ -16,6 +16,8 @@ family supplies just what is specific to it:
 - ``level(t)``, the pair (eps, deps/dt), valid for complex t too;
 - ``level_series(t, L)``, the Taylor coefficients eps^(k)(t)/k! for
   k < L, exact (eps is a polynomial), for a float t or an array of them;
+- ``degree``, the degree of eps, past which those coefficients are exact
+  zeros (N, or 2 for the parabolic family);
 - ``floor``, a time past all level structure, where the search for the
   propagator's tail handover starts (1.2 alpha^(1/N), the margin shrinking
   as 1 + 10/N past N = 50, or 1.2 sqrt(max(B, 0)/A + 1)).
@@ -80,6 +82,10 @@ class Superparabolic:
         return self.alpha
 
     @property
+    def degree(self) -> int:
+        return self.N
+
+    @property
     def floor(self) -> float:
         # 1.2 alpha^(1/N) up to N = 50, then (1 + 10/N) alpha^(1/N): the
         # phase 2W ~ 2 t^N that the window must resolve grows like t^N, and
@@ -131,6 +137,8 @@ class Parabolic:
     @property
     def V(self) -> float:
         return self.V0
+
+    degree = 2
 
     @property
     def floor(self) -> float:

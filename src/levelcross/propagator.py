@@ -26,8 +26,9 @@ Berry 1990), with Lam(T) from the same solve's quadrature.  The
 terms are v_m = (-i)^(m+1) u_m with u_m real, u_0 = V eps'/(4 W^3) and
 u_{m+1} = u_m'/(2W); one Taylor-mode recursion (Griewank & Walther 2008,
 ch. 13) gets them all from the exact Taylor coefficients of eps at T by
-series product, power and shift, so
-J(T) = e^{2i Lam(T)} sum_{m < 6} i^(m+1) u_m.  Its error, the omitted
+series product, power and shift (the two products with eps skip its
+orders past the level's degree, exact zeros that would add only zeros
+last), so J(T) = e^{2i Lam(T)} sum_{m < 6} i^(m+1) u_m.  Its error, the omitted
 sum_{m >= 6} i^(m+1) u_m, is hypot(u_6, u_7) to leading order: computed
 from the next two terms, not estimated from ratios.  The window ends at
 the first point of a x1.01 grid from the floor past the level structure
@@ -45,7 +46,9 @@ U(+inf, 0), the whole line maps by S = V V^T, and starting from the lower
 level at -inf the state at t = 0 is V^T (0, 1) = (beta, alpha*).  Since
 eps -> +inf at both ends while V stays constant, the upper adiabatic
 label coincides asymptotically with diabatic state 1, so the transition
-probability read in the diabatic basis is |S_12|^2 = 4 (Im alpha beta)^2.
+probability read in the diabatic basis is |S_12|^2 = 4 (Im alpha beta)^2,
+which is 4 p (1 - p) sin^2 psi with the single-passage p = |beta|^2 and
+the phase psi = arg(alpha beta).
 
 M depends on t alone, not on the state, and so does Lam, so the solve
 evaluates every coupling value it needs in a few numpy passes before any
@@ -75,7 +78,10 @@ tail_tol above that rounding: PropagatorSettings refuses one below 1e-17.
 On every resolved step, a' = -f b, b' = conj(f) a is solved from (1, 0)
 at once by Picard iteration to convergence: the Gauss collocation
 solution (Hairer, Norsett & Wanner 1993, sec. II.7), of order
-2 x 32 = 64 at the step's end.
+2 x 32 = 64 at the step's end.  The collocation matrices that act on
+complex node values are kept as complex copies, the very casts numpy
+would otherwise make on every product, and a sweep takes the change of a
+only once that of b is within the tolerance.
 The steps chain as SU(2) matrices [[a, -b*], [b, a*]] (b rotated by
 e^{-2i Lam(start)}), and their prefix products give U(t, 0) at every step
 end.  Between the ends the collocation polynomials give dense output: a
@@ -177,15 +183,21 @@ class PropagationResult:
     """Final probability plus diagnostics.
 
     probability is 4 (Im alpha beta)^2, read off the whole line's map
-    V = C(J) U (see the module docstring); t_core is the half-width of the
-    window [-t_core, t_core] (the solve covers [0, t_core]); tail_error is
-    the size of the tail terms the sum omits at t_core (see _tail_error);
-    nfev is the number of coupling evaluations of the solve, rejected
-    steps included, and n_steps the number of collocation steps it
-    accepted.
+    V = C(J) U = [[alpha, -beta*], [beta, alpha*]] (see the module
+    docstring); single_passage is p = |beta|^2, the transition probability
+    between the adiabatic levels over the half line [0, inf), and phase is
+    psi = arg(alpha beta), so that probability = 4 p (1 - p) sin^2 psi, the
+    form the Zhu-Nakamura double-crossing formula takes; t_core is the
+    half-width of the window [-t_core, t_core] (the solve covers
+    [0, t_core]); tail_error is the size of the tail terms the sum omits at
+    t_core (see _tail_error); nfev is the number of coupling evaluations of
+    the solve, rejected steps included, and n_steps the number of
+    collocation steps it accepted.
     """
 
     probability: float
+    single_passage: float
+    phase: float
     t_core: float
     tail_error: float
     nfev: int
@@ -226,11 +238,13 @@ def _scan_grid() -> np.ndarray:
 # whose other axes, if any, are the points it is expanded at.
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two series at the same points, to the shorter length."""
+def _mul(a: np.ndarray, b: np.ndarray, degree: int | None = None) -> np.ndarray:
+    """Product of two series at the same points, to the shorter length.  The
+    orders of `a` past `degree`, if given, are exact zeros: their products,
+    which would add only zeros after every other term, are skipped."""
     n = min(len(a), len(b))
     c = a[0] * b[:n]
-    for j in range(1, n):
+    for j in range(1, n if degree is None else min(n, degree + 1)):
         c[j:] += a[j] * b[: n - j]
     return c
 
@@ -262,8 +276,9 @@ def _powers(a: np.ndarray) -> np.ndarray:
     b = np.empty((len(_EXPONENTS),) + a.shape)
     for i, p in enumerate(_EXPONENTS):
         b[i, 0] = a[0] ** p
+    k_a0 = _orders(len(a), a.ndim) * a[0]  # k a_0 for k = 1, ..., len(a) - 1
     for k, factors in enumerate(_power_factors(len(a), a.ndim), 1):
-        b[:, k] = (factors * a[1 : k + 1] * b[:, k - 1 :: -1]).sum(axis=1) / (k * a[0])
+        b[:, k] = (factors * a[1 : k + 1] * b[:, k - 1 :: -1]).sum(axis=1) / k_a0[k - 1]
     return b
 
 
@@ -272,21 +287,23 @@ def _shift(a: np.ndarray) -> np.ndarray:
     return _orders(len(a), a.ndim) * a[1:]
 
 
-def _tail_series(eps: np.ndarray, v) -> np.ndarray:
+def _tail_series(eps: np.ndarray, v, degree: int) -> np.ndarray:
     """The tail terms u_0, ..., u_{_TAIL_TERMS + 1}, stacked on the first
     axis, from the Taylor series eps of the level (_EPS_ORDERS orders, at
-    any points) and the coupling v (a float, or an array that broadcasts
-    against the points).
+    any points), the coupling v (a float, or an array that broadcasts
+    against the points) and the degree of the level, past which the
+    orders of eps are exact zeros.
 
     u_0 = V eps' / (4 W^3) and u_{m+1} = u_m' / (2W), with W = sqrt(eps^2 + V^2),
     carried as Taylor series in the offset from each point.  Each derivative
-    shortens a series by one order.
+    shortens a series by one order.  The two products with eps skip its
+    orders past `degree`.
     """
     n = len(eps) - 1  # length of the series of u_0, and of eps'
-    s = _mul(eps[:n], eps[:n])
+    s = _mul(eps[:n], eps[:n], degree)
     s[0] += v * v
     inv_w, inv_w3 = _powers(s)
-    u = 0.25 * v * _mul(_shift(eps), inv_w3)
+    u = 0.25 * v * _mul(_shift(eps), inv_w3, degree - 1)
     half_inv_w = 0.5 * inv_w
     terms = [u[0]]
     while len(u) > 1:
@@ -349,7 +366,7 @@ def _tail_points(
         with np.errstate(all="ignore"):  # an overflow ends that model's scan below
             for j, i in enumerate(pending):
                 eps[:, j] = models[i].level_series(t[j], _EPS_ORDERS)
-            u = _tail_series(eps, v[:, None])
+            u = _tail_series(eps, v[:, None], max(models[i].degree for i in pending))
             size = np.abs(u[: _TAIL_TERMS + 1])
             passes = (_tail_error(u) <= tol) & np.all(size[:-1] > size[1:], axis=0)
             if max_angle < math.pi:  # atan2 never exceeds pi
@@ -405,6 +422,16 @@ def _collocation() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.cache
+def _complex_collocation() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_collocation's weights w and its trailing-coefficient and integration
+    matrices, as complex arrays: numpy casts a real matrix to complex on
+    every product with complex node values, and these are those casts,
+    made once."""
+    _, w, trailing, integrate = _collocation()
+    return w.astype(complex), trailing.astype(complex), integrate.astype(complex)
+
+
+@functools.cache
 def _readout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points z = {-1} and the _NODES nodes, their barycentric weights,
     and the matrix [0; integrate^T] that takes the Lagrange basis row L(y)
@@ -430,8 +457,9 @@ def _integration_rows(y: np.ndarray) -> np.ndarray:
         basis = weights / offset
         basis /= basis.sum(axis=1, keepdims=True)
     on = offset == 0.0
-    hit = on.any(axis=1)
-    basis[hit] = on[hit]
+    if on.any():
+        hit = on.any(axis=1)
+        basis[hit] = on[hit]
     return basis @ matrix
 
 
@@ -442,26 +470,30 @@ def _resolve(
     """Steps of [0, t_core] on which the coupling is resolved, for each
     member (model, handover) of a batch, t_core being handover[0].
 
-    Returns, sorted by member and then by position, each step's member
-    index, start and half-width, the coupling f = gamma e^{2i (Lam - Lam(start))}
-    and W at its nodes, and the number of coupling evaluations made for
-    each member.  Each member's window starts as eight equal steps.  Steps
-    that fail the resolution rule (see the module docstring) are bisected,
-    and only the new halves are evaluated.  A pass evaluates at most
-    _PASS_STEPS steps of any members, each member's level on its own steps;
-    the whole batch evaluates at most _MAX_NODES nodes.
+    Returns the number of steps of each member, then, sorted by member and
+    then by position, each step's start and half-width, the coupling
+    f = gamma e^{2i (Lam - Lam(start))} and W at its nodes, and the number
+    of coupling evaluations made for each member.  Each member's window
+    starts as eight equal steps.  Steps that fail the resolution rule (see
+    the module docstring) are bisected, and only the new halves are
+    evaluated.  A pass evaluates at most _PASS_STEPS steps of any members,
+    each member's level on its own steps; the whole batch evaluates at most
+    _MAX_NODES nodes.
     """
-    nodes, _, trailing, integrate = _collocation()
+    nodes, _, _, integrate = _collocation()
+    trailing = _complex_collocation()[1]
     models = [model for model, _ in members]
     # the queue of steps, a row (member, start, end) each, kept sorted by
-    # member so that each member's steps in a pass are contiguous
+    # member so that each member's steps in a pass are contiguous; the
+    # eighths k (t_core / 8) are those np.linspace(0, t_core, 9) makes
     queue = []
     for k, (model, (t_core, _)) in enumerate(members):
-        grid = np.linspace(0.0, t_core, 9).tolist()
-        queue += [(k, a, b) for a, b in zip(grid, grid[1:])]
+        h = t_core / 8.0
+        queue += [(k, j * h, (j + 1) * h) for j in range(8)]
     queue = np.array(queue)
     done = []
     spent = 0
+    bisected = False
     while queue.size:
         if spent + min(len(queue), _PASS_STEPS) * _NODES > _MAX_NODES:
             width = queue[:, 2] - queue[:, 1]
@@ -494,19 +526,27 @@ def _resolve(
                                 f"for {models[int(steps[row, 0])]!r}")
         f = g * np.exp(2j * half[:, None] * (big_w @ integrate))
         ok = 2.0 * half * np.abs(f @ trailing).sum(axis=1) <= settings.tail_tol
+        if ok.all():
+            done.append((steps, half, f, big_w))
+            continue
+        bisected = True
         done.append((steps[ok], half[ok], f[ok], big_w[ok]))
         # a failed step's two halves go side by side, ahead of the rest, which keeps the queue sorted
         fail = ~ok
         halves = steps[fail].repeat(2, axis=0)
         halves[1::2, 1] = halves[::2, 2] = (lo + half)[fail]
         queue = np.concatenate((halves, queue))
-    steps, half, f, big_w = (np.concatenate(parts) for parts in zip(*done))
-    order = np.lexsort((steps[:, 1], steps[:, 0]))
-    member = steps[order, 0].astype(int)
+    steps, half, f, big_w = done[0] if len(done) == 1 else (np.concatenate(parts) for parts in zip(*done))
+    if bisected:  # else the passes took the queue in its order, by member and position
+        order = np.lexsort((steps[:, 1], steps[:, 0]))
+        steps, half, f, big_w = steps[order], half[order], f[order], big_w[order]
+    if len(members) == 1:
+        accepted = [len(steps)]
+    else:
+        accepted = np.bincount(steps[:, 0].astype(int), minlength=len(members)).tolist()
     # each failed step gave way to two, so a member evaluated 2 (accepted) - 8 steps
-    accepted = np.bincount(member, minlength=len(members)).tolist()
     nfev = [(2 * n - 8) * _NODES for n in accepted]
-    return member, steps[order, 1], half[order], f[order], big_w[order], nfev
+    return accepted, steps[:, 1], half, f, big_w, nfev
 
 
 def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -514,29 +554,30 @@ def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     a' = -f b, b' = conj(f) a, and (a, b) at the step's nodes: the
     Gauss-Legendre collocation solution, by Picard iteration to convergence
     on up to _PASS_STEPS steps at once."""
-    _, weights, _, integrate = _collocation()
-    a_end, b_end = np.empty(half.size, dtype=complex), np.empty(half.size, dtype=complex)
-    a_nodes, b_nodes = np.empty_like(f), np.empty_like(f)
+    weights, _, integrate = _complex_collocation()
+    parts = []
     for k in range(0, half.size, _PASS_STEPS):
         hf = half[k : k + _PASS_STEPS, None] * f[k : k + _PASS_STEPS]
         hfc = hf.conj()
         # the first sweep from (a, b) = (1, 0)
         b = hfc @ integrate
         a = 1.0 - (hf * b) @ integrate
-        for _ in range(_PICARD_ITERATIONS - 1):
+        for sweep in range(1, _PICARD_ITERATIONS):
             b_next = (hfc * a) @ integrate
             a_next = 1.0 - (hf * b_next) @ integrate
-            change = max(np.abs(a_next - a).max(), np.abs(b_next - b).max())
+            # the largest change of either decides, so that of a is needed
+            # only once b's is within the tolerance (or for the message)
+            change = np.abs(b_next - b).max()
+            if not change > _PICARD_TOL or sweep == _PICARD_ITERATIONS - 1:
+                change = max(np.abs(a_next - a).max(), change)
             a, b = a_next, b_next
             if change <= _PICARD_TOL:
                 break
         else:
             raise ToleranceFailure(f"collocation iteration did not converge in {_PICARD_ITERATIONS} "
                                    f"sweeps (last change {change!r})")
-        a_end[k : k + _PASS_STEPS] = 1.0 - (hf * b) @ weights
-        b_end[k : k + _PASS_STEPS] = (hfc * a) @ weights
-        a_nodes[k : k + _PASS_STEPS], b_nodes[k : k + _PASS_STEPS] = a, b
-    return a_end, b_end, a_nodes, b_nodes
+        parts.append((1.0 - (hf * b) @ weights, (hfc * a) @ weights, a, b))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
 def _dense_output(
@@ -548,13 +589,13 @@ def _dense_output(
     a_nodes: np.ndarray,
     b_nodes: np.ndarray,
     lam_starts: np.ndarray,
-    prefix: list[tuple[complex, complex]],
+    prefix: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a, b and Lam at each of `times` (in [0, t_core]) of one window, where
-    U(t, 0) = [[a, -b*], [b, a*]], from its steps: their starts and
-    half-widths, f, W and the converged (a, b) at their nodes, Lam at their
-    starts, and U(start, 0) = [[a, -b*], [b, a*]] as prefix[i] = (a, b) for
-    the i-th step.
+    """a, b and Lam at each of `times` (in [0, t_core], at least one) of one
+    window, where U(t, 0) = [[a, -b*], [b, a*]], from its steps: their
+    starts and half-widths, f, W and the converged (a, b) at their nodes,
+    Lam at their starts, and U(start, 0) = [[a, -b*], [b, a*]] as
+    prefix[:, i] = (a, b) for the i-th step.
 
     Each time is read off the collocation polynomial of the step that holds
     it: with R(y) the row that integrates node values from -1 to y (see
@@ -565,20 +606,18 @@ def _dense_output(
     and the step's map is chained onto U(start, 0).  At most _PASS_STEPS
     times are read at once, so that the readout holds at most a pass's
     nodes."""
-    a_t, b_t, lam_t = np.empty(times.size, dtype=complex), np.empty(times.size, dtype=complex), np.empty(times.size)
+    parts = []
     for c in range(0, times.size, _PASS_STEPS):
         t = times[c : c + _PASS_STEPS]
         i = np.searchsorted(starts, t, side="right") - 1
-        h = half[i]
+        h, lam = half[i], lam_starts[i]
         rows = _integration_rows((t - (starts[i] + h)) / h)
         hf = h[:, None] * f[i]
-        b = (rows * hf.conj() * a_nodes[i]).sum(axis=1) * np.exp(-2j * lam_starts[i])
+        b = (rows * hf.conj() * a_nodes[i]).sum(axis=1) * np.exp(-2j * lam)
         a = 1.0 - (rows * hf * b_nodes[i]).sum(axis=1)
-        a0, b0 = np.array(prefix)[i].T
-        a_t[c : c + _PASS_STEPS] = a * a0 - b.conj() * b0
-        b_t[c : c + _PASS_STEPS] = b * a0 + a.conj() * b0
-        lam_t[c : c + _PASS_STEPS] = lam_starts[i] + h * (rows * big_w[i]).sum(axis=1)
-    return a_t, b_t, lam_t
+        a0, b0 = prefix[:, i]
+        parts.append((a * a0 - b.conj() * b0, b * a0 + a.conj() * b0, lam + h * (rows * big_w[i]).sum(axis=1)))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
 def _solve_window(
@@ -597,35 +636,43 @@ def _solve_window(
     steps as they are, and are read off its collocation polynomials (see
     _dense_output).
     """
-    member, starts, half, f, big_w, nfev = _resolve(members, settings)
+    counts, starts, half, f, big_w, nfev = _resolve(members, settings)
     a_steps, b_steps, a_nodes, b_nodes = _step_maps(half, f)
     lam_steps = half * (big_w @ _collocation()[1])
     times = np.asarray(times, dtype=float)
-    bounds = np.searchsorted(member, np.arange(len(members) + 1)).tolist()
     out = []
+    end = 0
     for k, (_, (t_core, terms)) in enumerate(members):
-        steps = slice(bounds[k], bounds[k + 1])
+        steps = slice(end, end + counts[k])
+        end = steps.stop
         lam_ends = np.cumsum(lam_steps[steps])
         lam_starts = lam_ends - lam_steps[steps]
         # f carries the phase from each step's start; Lam there rotates b
         b_rotated = b_steps[steps] * np.exp(-2j * lam_starts)
         a, b = 1.0 + 0.0j, 0.0j
-        prefix = [(a, b)]  # U(t, 0) = [[a, -b*], [b, a*]] at t = 0 and at each step's end
+        a_ends, b_ends = [a], [b]  # U(t, 0) = [[a, -b*], [b, a*]] at t = 0 and at each step's end
         for ak, bk in zip(a_steps[steps].tolist(), b_rotated.tolist()):
             a, b = ak * a - bk.conjugate() * b, bk * a + ak.conjugate() * b
-            prefix.append((a, b))
-        states = _dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
-                               b_nodes[steps], lam_starts, prefix)
+            a_ends.append(a)
+            b_ends.append(b)
+        if times.size:
+            states = _dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
+                                   b_nodes[steps], lam_starts, np.array((a_ends, b_ends), dtype=complex))
+        else:
+            states = (np.empty(0, dtype=complex), np.empty(0, dtype=complex), times)
         j = cmath.exp(2j * float(lam_ends[-1])) * _tail_coefficient(terms)
         # V = C(J) U = [[alpha, -beta*], [beta, alpha*]]
         n = math.sqrt(1.0 + abs(j) ** 2)
         alpha, beta = (a - j * b) / n, (j.conjugate() * a + b) / n
+        product = alpha * beta
         result = PropagationResult(
-            probability=min(4.0 * (alpha * beta).imag ** 2, 1.0),
+            probability=min(4.0 * product.imag ** 2, 1.0),
+            single_passage=abs(beta) ** 2,
+            phase=cmath.phase(product),
             t_core=t_core,
             tail_error=float(_tail_error(terms)),
             nfev=nfev[k],
-            n_steps=len(prefix) - 1,
+            n_steps=counts[k],
         )
         out.append((result, (beta, alpha.conjugate()), states))
     return out

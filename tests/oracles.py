@@ -8,7 +8,10 @@ forms at the end are special cases of library routes, written out
 separately so that a test compares two derivations.  Last come the
 closed forms of `levelcross.ddp` and `levelcross.znt` without their
 memoised per-N constants, and the propagator's series power and trace
-readout rows as single-exponent and Legendre-basis references.
+readout rows as single-exponent and Legendre-basis references.  The
+plain forms of its trimmed kernels end the file: the tail series with
+every series product taken to full order, and the Picard iteration with
+both changes taken at every sweep and real collocation matrices.
 """
 
 import cmath
@@ -25,6 +28,7 @@ from levelcross.models import (
     check_glancing,
     nonadiabatic_coupling,
 )
+import levelcross.propagator as propagator
 from levelcross.propagator import PropagatorSettings, _mixing_half_angle, _tail_point
 
 EULER_GAMMA = 0.5772156649015328606
@@ -124,7 +128,7 @@ def contour_tail(model: DiabaticModel, T: float) -> complex:
     """J(T) e^{-2i Lam(T)} = int_T^inf gamma e^{2i (Lam - Lam(T))} dt by
     integration along the steepest-descent path t(s) = (T^m + i s)^(1/m),
     s in [0, 60 m], with m one more than the degree of eps (N + 1 for
-    t^N, 3 for the parabolic family), read off the level's own Taylor series.
+    t^N, 3 for the parabolic family), the model's `degree` member.
 
     On that path 2i (Lam - Lam(T)) ~ -2 s/m for eps ~ t^N, so the integrand
     decays like e^{-2s/m} (like e^{-A s/3} for the parabolic family) instead
@@ -133,7 +137,7 @@ def contour_tail(model: DiabaticModel, T: float) -> complex:
     the square root on one continuous branch, since the path stays clear
     of the zero points.  Shares no code with the propagator's tail series.
     """
-    m = int(np.flatnonzero(model.level_series(1.0, 256))[-1]) + 1  # degree < 256
+    m = model.degree + 1
     v = model.V
 
     def rhs(s, y):
@@ -306,3 +310,52 @@ def legendre_integration_rows(y: np.ndarray, m: int) -> np.ndarray:
     x, w = leg.leggauss(m)
     to_coeffs = (np.arange(m) + 0.5)[:, None] * leg.legvander(x, m - 1).T * w
     return leg.legvander(y, m) @ leg.legint(to_coeffs, lbnd=-1)
+
+
+def series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two truncated Taylor series at the same points, to the
+    shorter length, every order of both included."""
+    n = min(len(a), len(b))
+    c = a[0] * b[:n]
+    for j in range(1, n):
+        c[j:] += a[j] * b[: n - j]
+    return c
+
+
+def tail_series_full(eps: np.ndarray, v) -> np.ndarray:
+    """The tail terms u_0 .. u_7 of propagator._tail_series, with its two
+    products with eps taken to full order, over the orders past the
+    level's degree (exact zeros) too."""
+    n = len(eps) - 1
+    s = series_product(eps[:n], eps[:n])
+    s[0] += v * v
+    inv_w, inv_w3 = propagator._powers(s)
+    u = 0.25 * v * series_product(propagator._shift(eps), inv_w3)
+    half_inv_w = 0.5 * inv_w
+    terms = [u[0]]
+    while len(u) > 1:
+        u = series_product(propagator._shift(u), half_inv_w)
+        terms.append(u[0])
+    return np.array(terms)
+
+
+def step_maps_two_sided(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """propagator._step_maps on one pass of steps, with the largest change of
+    both a and b taken at every Picard sweep and the real collocation
+    matrices, which numpy casts to complex at every product."""
+    _, weights, _, integrate = propagator._collocation()
+    hf = half[:, None] * f
+    hfc = hf.conj()
+    b = hfc @ integrate
+    a = 1.0 - (hf * b) @ integrate
+    for _ in range(propagator._PICARD_ITERATIONS - 1):
+        b_next = (hfc * a) @ integrate
+        a_next = 1.0 - (hf * b_next) @ integrate
+        change = max(np.abs(a_next - a).max(), np.abs(b_next - b).max())
+        a, b = a_next, b_next
+        if change <= propagator._PICARD_TOL:
+            break
+    else:
+        raise ToleranceFailure(f"collocation iteration did not converge in {propagator._PICARD_ITERATIONS} "
+                               f"sweeps (last change {change!r})")
+    return 1.0 - (hf * b) @ weights, (hfc * a) @ weights, a, b

@@ -289,6 +289,14 @@ class TestFamilyProtocol:
                     exact = (k + 1) * one[k + 1]
                     assert abs(exact - fd[k]) <= 1e-7 * max(1.0, abs(exact))
 
+    def test_degree_ends_the_series(self):
+        # the orders of level_series past `degree` are exact zeros, whose
+        # products the propagator's tail series skips
+        assert [m.degree for m in self.MODELS] == [2, 6, 10, 2, 2]
+        for m in self.MODELS:
+            series = m.level_series(np.array([0.9, 1.7, 3.1]), m.degree + 4)
+            assert series[m.degree].all() and not series[m.degree + 1 :].any()
+
     def test_level_is_even_in_time(self):
         # eps(-t) = eps(t), so eps'(-t) = -eps'(t): with V constant, the
         # propagator's M(-t) = M(t)^T, which lets it solve only [0, T]

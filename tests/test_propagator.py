@@ -8,6 +8,7 @@ contour quadrature of the tail integral.
 """
 
 import cmath
+import functools
 import math
 import time
 import warnings
@@ -44,6 +45,8 @@ from oracles import (
     phase_half,
     power_series,
     propagate_diabatic,
+    step_maps_two_sided,
+    tail_series_full,
 )
 
 
@@ -84,7 +87,7 @@ HANDOVER_MODELS = (
 
 def _terms(model, t):
     """The tail terms u_0 .. u_7 of `model` at t (a float or an array of them)."""
-    return _tail_series(model.level_series(t, propagator._EPS_ORDERS), model.V)
+    return _tail_series(model.level_series(t, propagator._EPS_ORDERS), model.V, model.degree)
 
 
 def _rule(model, t, tol):
@@ -246,9 +249,9 @@ class TestBatchedScan:
         passes = []
         real = propagator._tail_series
 
-        def recording(eps, v):
+        def recording(eps, v, degree):
             passes.append(eps.shape[1:])
-            return real(eps, v)
+            return real(eps, v, degree)
 
         monkeypatch.setattr(propagator, "_tail_series", recording)
         _tail_point(Superparabolic(2, 1.0), PropagatorSettings().tail_tol)
@@ -303,6 +306,97 @@ class TestSeriesKernels:
         # t = 0 and the exact node points take their point's row, not 0/0
         assert not got[0].any() and not got[-propagator._NODES - 2].any()
         assert np.array_equal(got[-propagator._NODES :], propagator._collocation()[3].T)
+
+
+class TestTrimmedKernels:
+    """Each kernel that skips numpy calls gives its plain form's bits."""
+
+    def test_tail_series_skips_only_zero_orders(self):
+        # the first 256 points of each model's handover scan, one point, and
+        # a batch of both families as the scan stacks it (at the largest
+        # degree), with V^2 underflowing and the series or the level
+        # overflowing: the same bits, non-finite ones included
+        models = [
+            Superparabolic(2, 0.2), Superparabolic(6, 1.0), Superparabolic(50, 0.3), Superparabolic(2, 1e-300),
+            Superparabolic(2, 1e300), Superparabolic(6, 1e300), Superparabolic(200, 1e300),
+            Parabolic(1.0, -7.6, 1.0), Parabolic(1.0, 4.0, 1.0), Parabolic(0.5, 2.0, 1.3),
+            Parabolic(1.0, 1e300, 1.0), Parabolic(1e300, 0.0, 1e-300),
+        ]
+        grid = 1.01 ** np.arange(256)
+        overflowed = 0
+        with np.errstate(all="ignore"):
+            for m in models:
+                t = max(m.floor, 1.0) * grid
+                for points in (float(t[0]), t):
+                    eps = m.level_series(points, propagator._EPS_ORDERS)
+                    got = _tail_series(eps, m.V, m.degree)
+                    assert got.tobytes() == tail_series_full(eps, m.V).tobytes()
+                overflowed += not np.isfinite(got).all()
+            batch = [Parabolic(1.0, 4.0, 1.0), Superparabolic(6, 1.0), Superparabolic(2, 1e300)]
+            eps = np.stack([m.level_series(max(m.floor, 1.0) * grid[:16], propagator._EPS_ORDERS) for m in batch], 1)
+            v = np.array([m.V for m in batch])[:, None]
+            got = _tail_series(eps, v, max(m.degree for m in batch))
+            assert got.tobytes() == tail_series_full(eps, v).tobytes()
+        assert overflowed == 5
+
+    def test_step_maps_match_two_sided_iteration(self, monkeypatch):
+        settings = PropagatorSettings()
+        models = [Superparabolic(2, 1.0), Superparabolic(10, 3.0), Parabolic(1.0, 4.0, 1.0), Parabolic(1.0, -4.0, 1.0)]
+        members = [(m, _tail_point(m, settings.tail_tol)) for m in models]
+        for member in members:
+            _, _, half, f, _, _ = propagator._resolve([member], settings)
+            got, want = propagator._step_maps(half, f), step_maps_two_sided(half, f)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        _, _, half, f, _, _ = propagator._resolve(members, settings)
+        # too few sweeps to converge, or steps so wide (|h f| = 5) that even
+        # 64 sweeps leave a change of 1.4e-13, where a changes the more: the
+        # same failure, naming the last change of either amplitude
+        wide = (np.ones(3), np.full((3, 32), 5.0 + 1.0j))
+        for sweeps, steps in [(2, (half, f)), (3, (half, f)), (5, (half, f)), (2, wide), (5, wide), (64, wide)]:
+            monkeypatch.setattr(propagator, "_PICARD_ITERATIONS", sweeps)
+            with pytest.raises(ToleranceFailure) as got:
+                propagator._step_maps(*steps)
+            with pytest.raises(ToleranceFailure) as want:
+                step_maps_two_sided(*steps)
+            assert str(got.value) == str(want.value)
+        monkeypatch.undo()
+        # in passes of 16 steps, each iterating to its own convergence
+        monkeypatch.setattr(propagator, "_PASS_STEPS", 16)
+        got = propagator._step_maps(half, f)
+        want = zip(*(step_maps_two_sided(half[k : k + 16], f[k : k + 16]) for k in range(0, half.size, 16)))
+        assert half.size > 32 and [x.tobytes() for x in got] == [np.concatenate(x).tobytes() for x in want]
+
+    def test_resolve_shortcuts_match_a_bisecting_batch(self, monkeypatch):
+        # Superparabolic(2, 0.2) and Parabolic(1, 0, 0.3) accept their eight
+        # first steps in one pass, whose steps are then taken as they are,
+        # unsorted; Superparabolic(2, 1.0) bisects, and so sorts any batch
+        # it is in.  Each member gets its lone solve's steps, to the bit
+        settings = PropagatorSettings()
+        one_pass, bisecting = [Superparabolic(2, 0.2), Parabolic(1.0, 0.0, 0.3)], Superparabolic(2, 1.0)
+
+        def resolve(models):
+            return propagator._resolve([(m, _tail_point(m, settings.tail_tol)) for m in models], settings)
+
+        lone = {m: resolve([m]) for m in one_pass + [bisecting]}
+        assert [lone[m][0] for m in one_pass + [bisecting]] == [[8], [8], [9]]
+
+        def check(models):
+            counts, *columns, nfev = resolve(models)
+            end = 0
+            for k, m in enumerate(models):
+                steps = slice(end, end + counts[k])
+                end = steps.stop
+                assert ([counts[k]], [nfev[k]]) == (lone[m][0], lone[m][5])
+                assert [c[steps].tobytes() for c in columns] == [c.tobytes() for c in lone[m][1:5]]
+            assert end == len(columns[0])
+
+        check(one_pass + [bisecting])
+        check([bisecting] + one_pass)
+        # passes of 8 steps: a member a pass, each accepting every step, so
+        # that several passes are joined unsorted
+        monkeypatch.setattr(propagator, "_PASS_STEPS", 8)
+        check(one_pass)
+        check(one_pass + [bisecting])
 
 
 def _mp_tail_terms(model, t, count):
@@ -384,6 +478,18 @@ class TestPropagate:
         assert 0.0 < r.tail_error <= PropagatorSettings().tail_tol
         assert isinstance(r.nfev, int) and isinstance(r.n_steps, int)
         assert 0 < r.n_steps < r.nfev
+
+    def test_single_passage_and_phase_give_p(self):
+        # V = [[alpha, -beta*], [beta, alpha*]] is in SU(2), so
+        # P = 4 (Im alpha beta)^2 = 4 p (1 - p) sin^2 psi with p = |beta|^2
+        # and psi = arg(alpha beta), read off the same V
+        models = [Superparabolic(n, a) for n in (2, 6, 10, 50) for a in (0.3, 1.0, 2.5)]
+        models += [Parabolic(1.0, b, v0) for b in (-4.0, 0.0, 4.0) for v0 in (0.3, 1.0)]
+        for m in models:
+            r = propagate(m)
+            p, psi = r.single_passage, r.phase
+            assert 0.0 <= p <= 1.0 and -math.pi <= psi <= math.pi
+            assert abs(4.0 * p * (1.0 - p) * math.sin(psi) ** 2 - r.probability) <= 1e-12
 
     @pytest.mark.parametrize("times", [(), (0.5, 1.0, 2.0)], ids=["window", "trace-stops"])
     def test_nfev_counts_coupling_evaluations(self, times):
@@ -785,12 +891,26 @@ class TestBoxLimit:
 
     NS = (50, 100, 200, 400, 800)
 
+    @staticmethod
+    @functools.cache
+    def results(alpha):
+        return [propagate(Superparabolic(n, alpha)) for n in TestBoxLimit.NS]
+
     @pytest.mark.parametrize("alpha, sign", [(0.3, 1.0), (1.0, -1.0), (1.3, -1.0)])
     def test_exact_and_ddp_routes_tend_to_the_box(self, alpha, sign):
         box = box_limit_probability(alpha)
-        err = [propagate(Superparabolic(n, alpha)).probability - box for n in self.NS]
+        err = [r.probability - box for r in self.results(alpha)]
         assert all(sign * e > 0.0 for e in err)
         assert all(abs(e2) <= 0.66 * abs(e1) for e1, e2 in zip(err, err[1:]))
         assert abs(err[-1]) <= 0.016
         for n in self.NS:
             assert abs(ddp_probability(n, alpha) - box) <= 1.0 / n
+
+    @pytest.mark.parametrize("alpha, low, high", [(0.3, 0.473, 0.487), (1.0, 1.579, 1.621), (1.3, 2.053, 2.105)])
+    def test_single_passage_tends_to_one_half(self, alpha, low, high):
+        # each switch at |t| = 1 is sudden, so p -> 1/2; N (1/2 - p) is
+        # measured here, in [low, high] and falling as N doubles (its limit,
+        # if any, awaits the Demkov-edge derivation and is not asserted)
+        scaled = [n * (0.5 - r.single_passage) for n, r in zip(self.NS, self.results(alpha))]
+        assert all(low <= x <= high for x in scaled)
+        assert all(x2 < x1 for x1, x2 in zip(scaled, scaled[1:]))
