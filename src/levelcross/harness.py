@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -294,6 +294,4 @@ def compare_methods(rows: list[SweepRow], threshold: float = 0.05) -> Comparison
 
 
 def report_to_json(report: ComparisonReport) -> str:
-    # the report's own dicts and lists serialise as they are: no deep copy first
-    top = {f.name: getattr(report, f.name) for f in fields(report)}
-    return json.dumps(top, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"

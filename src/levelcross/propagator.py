@@ -184,24 +184,24 @@ class PropagationResult:
 
     probability is 4 (Im alpha beta)^2, read off the whole line's map
     V = C(J) U = [[alpha, -beta*], [beta, alpha*]] (see the module
-    docstring); single_passage is p = |beta|^2, the transition probability
-    between the adiabatic levels over the half line [0, inf), and phase is
-    psi = arg(alpha beta), so that probability = 4 p (1 - p) sin^2 psi, the
-    form the Zhu-Nakamura double-crossing formula takes; t_core is the
-    half-width of the window [-t_core, t_core] (the solve covers
-    [0, t_core]); tail_error is the size of the tail terms the sum omits at
-    t_core (see _tail_error); nfev is the number of coupling evaluations of
-    the solve, rejected steps included, and n_steps the number of
-    collocation steps it accepted.
+    docstring); t_core is the half-width of the window [-t_core, t_core]
+    (the solve covers [0, t_core]); tail_error is the size of the tail terms
+    the sum omits at t_core (see _tail_error); nfev is the number of
+    coupling evaluations of the solve, rejected steps included, and n_steps
+    the number of collocation steps it accepted.  single_passage is
+    p = |beta|^2, the transition probability between the adiabatic levels
+    over the half line [0, inf), and phase is psi = arg(alpha beta), so that
+    probability = 4 p (1 - p) sin^2 psi, the form the Zhu-Nakamura
+    double-crossing formula takes.
     """
 
     probability: float
-    single_passage: float
-    phase: float
     t_core: float
     tail_error: float
     nfev: int
     n_steps: int
+    single_passage: float
+    phase: float
 
 
 # J sums the tail terms u_0 .. u_5.  Over every frozen benchmark point, six
@@ -457,9 +457,8 @@ def _integration_rows(y: np.ndarray) -> np.ndarray:
         basis = weights / offset
         basis /= basis.sum(axis=1, keepdims=True)
     on = offset == 0.0
-    if on.any():
-        hit = on.any(axis=1)
-        basis[hit] = on[hit]
+    hit = on.any(axis=1)
+    basis[hit] = on[hit]
     return basis @ matrix
 
 
@@ -536,14 +535,11 @@ def _resolve(
         halves = steps[fail].repeat(2, axis=0)
         halves[1::2, 1] = halves[::2, 2] = (lo + half)[fail]
         queue = np.concatenate((halves, queue))
-    steps, half, f, big_w = done[0] if len(done) == 1 else (np.concatenate(parts) for parts in zip(*done))
+    steps, half, f, big_w = (np.concatenate(parts) for parts in zip(*done))
     if bisected:  # else the passes took the queue in its order, by member and position
         order = np.lexsort((steps[:, 1], steps[:, 0]))
         steps, half, f, big_w = steps[order], half[order], f[order], big_w[order]
-    if len(members) == 1:
-        accepted = [len(steps)]
-    else:
-        accepted = np.bincount(steps[:, 0].astype(int), minlength=len(members)).tolist()
+    accepted = np.bincount(steps[:, 0].astype(int), minlength=len(members)).tolist()
     # each failed step gave way to two, so a member evaluated 2 (accepted) - 8 steps
     nfev = [(2 * n - 8) * _NODES for n in accepted]
     return accepted, steps[:, 1], half, f, big_w, nfev
@@ -577,6 +573,7 @@ def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             raise ToleranceFailure(f"collocation iteration did not converge in {_PICARD_ITERATIONS} "
                                    f"sweeps (last change {change!r})")
         parts.append((1.0 - (hf * b) @ weights, (hfc * a) @ weights, a, b))
+    # one pass, as on every lone propagation, returns its arrays without a copy
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
@@ -589,13 +586,13 @@ def _dense_output(
     a_nodes: np.ndarray,
     b_nodes: np.ndarray,
     lam_starts: np.ndarray,
-    prefix: np.ndarray,
+    prefix: list[tuple[complex, complex]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a, b and Lam at each of `times` (in [0, t_core], at least one) of one
-    window, where U(t, 0) = [[a, -b*], [b, a*]], from its steps: their
-    starts and half-widths, f, W and the converged (a, b) at their nodes,
-    Lam at their starts, and U(start, 0) = [[a, -b*], [b, a*]] as
-    prefix[:, i] = (a, b) for the i-th step.
+    """a, b and Lam at each of `times` (in [0, t_core]) of one window, where
+    U(t, 0) = [[a, -b*], [b, a*]], from its steps: their starts and
+    half-widths, f, W and the converged (a, b) at their nodes, Lam at their
+    starts, and U(start, 0) = [[a, -b*], [b, a*]] as prefix[i] = (a, b) for
+    the i-th step.
 
     Each time is read off the collocation polynomial of the step that holds
     it: with R(y) the row that integrates node values from -1 to y (see
@@ -606,18 +603,20 @@ def _dense_output(
     and the step's map is chained onto U(start, 0).  At most _PASS_STEPS
     times are read at once, so that the readout holds at most a pass's
     nodes."""
-    parts = []
+    a_t, b_t, lam_t = np.empty(times.size, dtype=complex), np.empty(times.size, dtype=complex), np.empty(times.size)
     for c in range(0, times.size, _PASS_STEPS):
         t = times[c : c + _PASS_STEPS]
         i = np.searchsorted(starts, t, side="right") - 1
-        h, lam = half[i], lam_starts[i]
+        h = half[i]
         rows = _integration_rows((t - (starts[i] + h)) / h)
         hf = h[:, None] * f[i]
-        b = (rows * hf.conj() * a_nodes[i]).sum(axis=1) * np.exp(-2j * lam)
+        b = (rows * hf.conj() * a_nodes[i]).sum(axis=1) * np.exp(-2j * lam_starts[i])
         a = 1.0 - (rows * hf * b_nodes[i]).sum(axis=1)
-        a0, b0 = prefix[:, i]
-        parts.append((a * a0 - b.conj() * b0, b * a0 + a.conj() * b0, lam + h * (rows * big_w[i]).sum(axis=1)))
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(columns) for columns in zip(*parts))
+        a0, b0 = np.array(prefix)[i].T
+        a_t[c : c + _PASS_STEPS] = a * a0 - b.conj() * b0
+        b_t[c : c + _PASS_STEPS] = b * a0 + a.conj() * b0
+        lam_t[c : c + _PASS_STEPS] = lam_starts[i] + h * (rows * big_w[i]).sum(axis=1)
+    return a_t, b_t, lam_t
 
 
 def _solve_window(
@@ -650,14 +649,13 @@ def _solve_window(
         # f carries the phase from each step's start; Lam there rotates b
         b_rotated = b_steps[steps] * np.exp(-2j * lam_starts)
         a, b = 1.0 + 0.0j, 0.0j
-        a_ends, b_ends = [a], [b]  # U(t, 0) = [[a, -b*], [b, a*]] at t = 0 and at each step's end
+        prefix = [(a, b)]  # U(t, 0) = [[a, -b*], [b, a*]] at t = 0 and at each step's end
         for ak, bk in zip(a_steps[steps].tolist(), b_rotated.tolist()):
             a, b = ak * a - bk.conjugate() * b, bk * a + ak.conjugate() * b
-            a_ends.append(a)
-            b_ends.append(b)
+            prefix.append((a, b))
         if times.size:
             states = _dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
-                                   b_nodes[steps], lam_starts, np.array((a_ends, b_ends), dtype=complex))
+                                   b_nodes[steps], lam_starts, prefix)
         else:
             states = (np.empty(0, dtype=complex), np.empty(0, dtype=complex), times)
         j = cmath.exp(2j * float(lam_ends[-1])) * _tail_coefficient(terms)

@@ -1,6 +1,5 @@
 """Sweep grid plumbing, CSV round-trips, peak/node finding, comparisons."""
 
-import dataclasses
 import json
 import math
 import random
@@ -516,19 +515,6 @@ class TestCompareMethods:
         assert data["n_value"] == 2
         assert data["frequency_agreement"]["ddp"] == pytest.approx(0.1)
         assert data["nodes"]["numeric"] == [2.0]
-
-    def test_json_report_matches_deep_copy(self):
-        # serialising the fields as they are gives the text of dataclasses.asdict's deep copy
-        rows = [
-            SweepRow(n=2, alpha=a, values={"numeric": 0.1 + 0.1 * a, "ddp": 0.2, "znt-double": 0.1 + 0.05 * a,
-                                           "znt-tunnel": None}, status="znt-tunnel:BranchFailure")
-            for a in (0.5, 1.0, 1.5)
-        ]
-        rep = compare_methods(rows, 0.05)
-        assert rep.max_abs_deviation["znt-tunnel"] is None and rep.nodes["znt-tunnel"] == []
-        assert set(rep.peaks) == set(METHODS)
-        want = json.dumps(dataclasses.asdict(rep), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        assert report_to_json(rep) == want
 
 
 def test_method_tuple_is_exhaustive():
