@@ -37,9 +37,7 @@ from .models import (
     DiabaticModel,
     Parabolic,
     Superparabolic,
-    adiabatic_levels,
     model_from_params,
-    nonadiabatic_coupling,
 )
 from .propagator import (
     PropagationResult,

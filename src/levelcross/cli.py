@@ -12,15 +12,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import sys
 import warnings
 
 import numpy as np
 
+from . import harness
 from .ddp import ddp_probability, phase_integral, zero_points
 from .errors import LevelCrossError
 from .harness import (
     METHODS,
+    SPACINGS,
     SweepConfig,
     compare_methods,
     read_sweep_csv,
@@ -28,8 +31,15 @@ from .harness import (
     run_sweep,
 )
 from .models import model_from_params
-from .propagator import PropagatorSettings, _propagate_traced, propagate
+from .propagator import PropagatorSettings, _propagate_traced, propagate, propagate_trace
 from .znt import fit_parameters, glancing_double_crossing, glancing_tunneling, znt_phase_estimate
+
+
+# flag defaults that are library decisions, read from the signatures at
+# import: a caller may later replace these names with (*args, **kwargs)
+# wrappers, as levelbench's tracer does
+_SAMPLES = inspect.signature(propagate_trace).parameters["sample_count"].default
+_THRESHOLD = inspect.signature(compare_methods).parameters["threshold"].default
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -79,9 +89,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spacing=args.spacing,
         methods=tuple(tok.strip() for tok in args.methods.split(",") if tok.strip()),
         settings=PropagatorSettings(args.tail_tol),
-        out_path=args.out,
     )
     rows = run_sweep(config)
+    harness.write_sweep_csv(rows, config.methods, args.out)  # through the module: levelbench wraps it
     failed = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows to {args.out} ({failed} with failures)")
     return 0
@@ -204,7 +214,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--alpha-min", type=float, required=True)
     sp.add_argument("--alpha-max", type=float, required=True)
     sp.add_argument("--points", type=int, required=True)
-    sp.add_argument("--spacing", choices=("linear", "log"), default="log")
+    sp.add_argument("--spacing", choices=SPACINGS, default=SweepConfig.spacing)
     sp.add_argument("--methods", type=str, default=",".join(METHODS))
     sp.add_argument("--out", type=str, required=True)
     sp.set_defaults(func=_cmd_sweep)
@@ -219,7 +229,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--B", type=float, default=None)
     sp.add_argument("--V0", type=float, default=None)
     sp.add_argument("--trace", type=str, default=None, help="write population trace CSV here")
-    sp.add_argument("--samples", type=int, default=512)
+    sp.add_argument("--samples", type=int, default=_SAMPLES)
     sp.set_defaults(func=_cmd_propagate)
 
     sp = sub.add_parser(
@@ -248,7 +258,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     sp = sub.add_parser("compare", help="method-comparison report from a sweep CSV")
     sp.add_argument("csv", type=str)
-    sp.add_argument("--threshold", type=float, default=0.05)
+    sp.add_argument("--threshold", type=float, default=_THRESHOLD)
     sp.add_argument("--report", type=str, default=None)
     sp.set_defaults(func=_cmd_compare)
 

@@ -27,6 +27,7 @@ from .znt import glancing_double_crossing, glancing_tunneling
 
 __all__ = [
     "METHODS",
+    "SPACINGS",
     "SweepConfig",
     "SweepRow",
     "ComparisonReport",
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 METHODS = ("numeric", "ddp", "znt-double", "znt-tunnel")
+SPACINGS = ("linear", "log")
 
 _NAN_TOKEN = "NaN"
 
@@ -57,7 +59,6 @@ class SweepConfig:
     spacing: str = "log"
     methods: tuple[str, ...] = METHODS
     settings: PropagatorSettings = field(default_factory=PropagatorSettings)
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         ns = set()
@@ -72,7 +73,7 @@ class SweepConfig:
             raise ValueError("alpha_max must be >= alpha_min")
         if not isinstance(self.points, numbers.Integral) or self.points < 2:
             raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
-        if self.spacing not in ("linear", "log"):
+        if self.spacing not in SPACINGS:
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         requested = set(self.methods)
         unknown = requested.difference(METHODS)
@@ -142,7 +143,7 @@ def _evaluate_point(
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evaluate every requested method on the grid; optionally write CSV.
+    """Evaluate every requested method on the grid.
 
     Rows come back ordered by (N, ascending alpha).  Per-point failures
     are recorded in the row status, never raised.
@@ -155,8 +156,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         else:
             numeric = [None] * len(grid)
         rows += [_evaluate_point(n, alpha, config.methods, p) for alpha, p in zip(grid, numeric)]
-    if config.out_path is not None:
-        write_sweep_csv(rows, config.methods, config.out_path)
     return rows
 
 

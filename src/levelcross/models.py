@@ -1,4 +1,4 @@
-"""Diabatic two-level model families and their adiabatic quantities.
+"""Diabatic two-level model families.
 
 Hamiltonian convention (hbar = 1):
 
@@ -22,8 +22,8 @@ family supplies just what is specific to it:
   propagator's tail handover starts (1.2 alpha^(1/N), the margin shrinking
   as 1 + 10/N past N = 50, or 1.2 sqrt(max(B, 0)/A + 1)).
 
-Everything derived from eps and V (gamma, W, the propagator's coupling
-and its tail terms) is written once, against these members.  The reduced
+The propagator reads only these members: its coupling, its tail series
+and its handover search are written once, for every family.  The reduced
 (a^2, b^2) that the Zhu-Nakamura forms take is not a shared member: the
 parabolic family has its own, ``Parabolic.reduced_parameters()``, and the
 glancing forms read ``znt.glancing_reduced_parameters(N, alpha)``.
@@ -42,8 +42,6 @@ __all__ = [
     "Parabolic",
     "DiabaticModel",
     "check_glancing",
-    "adiabatic_levels",
-    "nonadiabatic_coupling",
     "model_from_params",
 ]
 
@@ -184,26 +182,6 @@ class Parabolic:
 
 
 DiabaticModel = Union[Superparabolic, Parabolic]
-
-
-def adiabatic_levels(model: DiabaticModel, t: float) -> tuple[float, float]:
-    """Instantaneous eigenvalues (lower, upper) = (-W, +W)."""
-    w = math.hypot(model.level(t)[0], model.V)
-    return -w, w
-
-
-def nonadiabatic_coupling(model: DiabaticModel, t: complex) -> complex:
-    """gamma(t) = (V deps/dt - eps dV/dt) / (2 (eps^2 + V^2)).
-
-    The coupling V is constant, so this is V deps/dt / (2 W^2); at a
-    complex t it is the analytic continuation.
-    """
-    eps, deps = model.level(t)
-    v = model.V
-    w2 = eps * eps + v * v
-    if w2 == 0.0:
-        raise ValueError(f"adiabatic gap vanishes at t={t!r}")
-    return v * deps / (2.0 * w2)
 
 
 def model_from_params(model: str, *, N=None, alpha=None, A=None, B=None, V0=None) -> DiabaticModel:

@@ -1,5 +1,9 @@
 """Reference integrators, limits and closed forms used only by the tests.
 
+First come a model's adiabatic levels and nonadiabatic coupling, which
+no library route calls: the propagator evaluates both from
+``model.level`` in its own batched form.
+
 The integrators here step with scipy's solve_ivp DOP853, while the
 library solves by vectorized Gauss-Legendre collocation: a test that
 compares the two compares two integration methods as well as two
@@ -23,11 +27,7 @@ from scipy.special import airy
 
 from levelcross.errors import LevelCrossError, ToleranceFailure
 from levelcross.znt import double_crossing_probability, tunneling_probability
-from levelcross.models import (
-    DiabaticModel,
-    check_glancing,
-    nonadiabatic_coupling,
-)
+from levelcross.models import DiabaticModel, check_glancing
 import levelcross.propagator as propagator
 from levelcross.propagator import PropagatorSettings, _mixing_half_angle, _tail_point
 
@@ -41,6 +41,26 @@ PARABOLIC_C = math.sqrt(math.pi) * math.gamma(0.25) / (3.0 * math.sqrt(2.0) * ma
 class NonSimpleZero(LevelCrossError):
     """Residue extrapolation did not stabilize; the supplied point is not
     a simple zero of the squared adiabatic gap."""
+
+
+def adiabatic_levels(model: DiabaticModel, t: float) -> tuple[float, float]:
+    """Instantaneous eigenvalues (lower, upper) = (-W, +W)."""
+    w = math.hypot(model.level(t)[0], model.V)
+    return -w, w
+
+
+def nonadiabatic_coupling(model: DiabaticModel, t: complex) -> complex:
+    """gamma(t) = (V deps/dt - eps dV/dt) / (2 (eps^2 + V^2)).
+
+    The coupling V is constant, so this is V deps/dt / (2 W^2); at a
+    complex t it is the analytic continuation.
+    """
+    eps, deps = model.level(t)
+    v = model.V
+    w2 = eps * eps + v * v
+    if w2 == 0.0:
+        raise ValueError(f"adiabatic gap vanishes at t={t!r}")
+    return v * deps / (2.0 * w2)
 
 
 def phase_half(model: DiabaticModel, t_core: float) -> float:
@@ -159,7 +179,7 @@ def coupling_continued(model: DiabaticModel, z: complex) -> complex:
     # Analytic continuation of the nonadiabatic coupling, with the overall
     # sign fixed by the contour derivation (basis vectors chosen so the
     # residue prefactors alternate starting at -1).  The opposite global
-    # sign is used on the real axis by models.nonadiabatic_coupling; final
+    # sign is used on the real axis by nonadiabatic_coupling above; final
     # probabilities are insensitive to this relative convention.
     return -nonadiabatic_coupling(model, z)
 

@@ -24,7 +24,7 @@ from levelcross.harness import (
     find_oscillation_peaks,
     run_sweep,
 )
-from levelcross.models import Superparabolic, adiabatic_levels
+from levelcross.models import Superparabolic
 from levelcross.errors import DegenerateGeometry
 from levelcross.propagator import propagate
 from levelcross.znt import (
@@ -37,6 +37,7 @@ from levelcross.znt import (
 )
 from oracles import (
     PARABOLIC_C,
+    adiabatic_levels,
     ddp_parabolic_closed_form,
     propagate_diabatic,
     residue_prefactor,

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -14,12 +15,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levelcross.cli as cli
 import levelcross.propagator as propagator
 from levelcross.cli import _build_parser, _merge_config, main
 from levelcross.ddp import ddp_probability
-from levelcross.harness import SweepRow, parse_sweep_csv, write_sweep_csv
+from levelcross.harness import (
+    SPACINGS,
+    SweepConfig,
+    SweepRow,
+    compare_methods,
+    emit_sweep_csv,
+    parse_sweep_csv,
+    run_sweep,
+    write_sweep_csv,
+)
 from levelcross.models import Superparabolic
-from levelcross.propagator import PropagationResult, _tail_point, propagate
+from levelcross.propagator import (
+    PropagationResult,
+    PropagatorSettings,
+    _tail_point,
+    propagate,
+    propagate_trace,
+)
 from oracles import PARABOLIC_C
 
 
@@ -196,6 +213,16 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert rows[0].values["ddp"] == ddp_probability(2, 0.5)
 
+    def test_file_is_the_emitted_rows(self, tmp_path):
+        # the file sweep writes is emit_sweep_csv of run_sweep on the same grid
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--N", "6,2", "--alpha-min", "0.5", "--alpha-max", "1.0",
+                   "--points", "3", "--methods", "numeric,ddp", "--out", str(out)])
+        assert rc == 0
+        config = SweepConfig(n_values=(2, 6), alpha_min=0.5, alpha_max=1.0, points=3,
+                             methods=("numeric", "ddp"))
+        assert out.read_text(encoding="ascii") == emit_sweep_csv(run_sweep(config), config.methods)
+
     def test_comma_separated_n(self, tmp_path):
         out = tmp_path / "s.csv"
         rc = main(
@@ -325,6 +352,18 @@ class TestCompareCommand:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert 0.0 < data["max_abs_deviation"]["ddp"] < 0.2
+
+    def test_multi_n_sweep_is_refused(self, tmp_path, capsys):
+        # a sweep over several N writes one CSV, and compare takes one N panel
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--N", "2,6", "--alpha-min", "0.5", "--alpha-max", "1.0",
+                   "--points", "3", "--methods", "numeric,ddp", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        assert main(["compare", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: compare_methods needs a single N, got [2, 6]\n"
 
 
 class TestFitCommand:
@@ -660,6 +699,39 @@ def _run(argv):
         except SystemExit as exc:
             rc = ("exit", exc.code)
     return rc, out.getvalue(), err.getvalue()
+
+
+def _library_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_parser_defaults_are_the_library_defaults():
+    _, sub = _build_parser()
+    sweep = sub["sweep"].parse_args(["--N", "2", "--alpha-min", "1", "--alpha-max", "2",
+                                     "--points", "2", "--out", "s.csv"])
+    assert sweep.spacing == SweepConfig.spacing
+    assert sweep.tail_tol == PropagatorSettings.tail_tol
+    spacing = next(a for a in sub["sweep"]._actions if a.dest == "spacing")
+    assert tuple(spacing.choices) == SPACINGS
+    propagate_args = sub["propagate"].parse_args([])
+    assert propagate_args.samples == _library_default(propagate_trace, "sample_count")
+    assert propagate_args.tail_tol == PropagatorSettings.tail_tol
+    assert sub["compare"].parse_args(["s.csv"]).threshold == _library_default(compare_methods, "threshold")
+
+
+def test_parser_builds_with_wrapped_library_names(monkeypatch):
+    # a tracer may replace the names cli imports with (*args, **kwargs)
+    # wrappers before main first builds its parser
+    for name in ("compare_methods", "propagate_trace"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _fn=fn, **kwargs: _fn(*args, **kwargs))
+    _build_parser.cache_clear()
+    try:
+        _, sub = _build_parser()
+        assert sub["compare"].parse_args(["s.csv"]).threshold == _library_default(compare_methods, "threshold")
+        assert sub["propagate"].parse_args([]).samples == _library_default(propagate_trace, "sample_count")
+    finally:
+        _build_parser.cache_clear()
 
 
 def test_cached_parser_behaves_as_fresh(tmp_path):

@@ -270,19 +270,6 @@ class TestRunSweep:
                               methods=("ddp", "znt-double", "znt-tunnel")))
         assert resolve_calls == [4, 4] and scan_calls == [4, 4]
 
-    def test_out_path_written(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        cfg = SweepConfig(
-            n_values=(2,),
-            alpha_min=0.5,
-            alpha_max=1.0,
-            points=2,
-            methods=("ddp",),
-            out_path=str(out),
-        )
-        rows = run_sweep(cfg)
-        assert out.read_text(encoding="ascii") == emit_sweep_csv(rows, cfg.methods)
-
 
 def _rows_with_failure():
     return [

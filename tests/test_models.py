@@ -5,14 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from levelcross.models import (
-    Parabolic,
-    Superparabolic,
-    adiabatic_levels,
-    model_from_params,
-    nonadiabatic_coupling,
-)
+from levelcross.models import Parabolic, Superparabolic, model_from_params
 from levelcross.znt import glancing_reduced_parameters
+from oracles import adiabatic_levels, nonadiabatic_coupling
 
 
 def _seeded_models(rng):

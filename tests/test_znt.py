@@ -9,7 +9,7 @@ from scipy.integrate import simpson
 
 from levelcross.ddp import phase_integral
 from levelcross.errors import BracketingError, BranchFailure, DegenerateGeometry
-from levelcross.models import Superparabolic, adiabatic_levels
+from levelcross.models import Superparabolic
 from levelcross.znt import (
     FitGeometry,
     arg_gamma_imag,
@@ -25,7 +25,7 @@ from levelcross.znt import (
     tunneling_probability,
     znt_phase_estimate,
 )
-from oracles import PARABOLIC_C, single_passage_parabolic
+from oracles import PARABOLIC_C, adiabatic_levels, single_passage_parabolic
 
 C = PARABOLIC_C
 
