@@ -18,6 +18,9 @@ family supplies just what is specific to it:
   k < L, exact (eps is a polynomial), for a float t or an array of them;
 - ``degree``, the degree of eps, past which those coefficients are exact
   zeros (N, or 2 for the parabolic family);
+- ``level_key``, what eps depends on (N, or (A, B)): two models of one
+  family with equal keys have equal ``level`` and ``level_series``, so a
+  batch evaluates them once per key;
 - ``floor``, a time past all level structure, where the search for the
   propagator's tail handover starts (1.2 alpha^(1/N), the margin shrinking
   as 1 + 10/N past N = 50, or 1.2 sqrt(max(B, 0)/A + 1)).
@@ -84,6 +87,10 @@ class Superparabolic:
         return self.N
 
     @property
+    def level_key(self) -> int:
+        return self.N
+
+    @property
     def floor(self) -> float:
         # 1.2 alpha^(1/N) up to N = 50, then (1 + 10/N) alpha^(1/N): the
         # phase 2W ~ 2 t^N that the window must resolve grows like t^N, and
@@ -137,6 +144,10 @@ class Parabolic:
         return self.V0
 
     degree = 2
+
+    @property
+    def level_key(self) -> tuple[float, float]:
+        return self.A, self.B
 
     @property
     def floor(self) -> float:

@@ -34,7 +34,11 @@ from the next two terms, not estimated from ratios.  The window ends at
 the first point of a x1.01 grid from the floor past the level structure
 where the terms already decrease, |u_0| > ... > |u_6|, and that error is
 at most settings.tail_tol; numpy evaluates the rule for a whole batch of
-models at once, on a block of grid points per model in each pass.  J
+models at once, on a block of grid points per model in each pass.  The
+first block ends a few points past the handover that the leading order
+of u_6 predicts (for eps ~ c t^d, |u_6| falls like V t^-(8d+7)), so that
+a scan evaluates few points past its handover; the block never changes
+a point's terms, only how many points a pass holds.  J
 completes the window through one exactly unitary factor,
 
     C(J) = [[1, -J], [conj(J), 1]] / sqrt(1+|J|^2),
@@ -92,13 +96,16 @@ included; a solve that would need more than _MAX_NODES of them raises
 NonConvergence before it allocates them.
 
 One solve can cover a batch of models, as a sweep's numeric column does:
-their steps share the passes, each model's level is evaluated on its own
-steps, and each step is accepted on its own, so every model gets the
-steps, nfev and n_steps of a lone solve.  The node cap covers the whole
-batch.  _propagate_batch scans a batch's handovers in one call and
-returns each model's result or failure: a model whose handover scan
-fails is left out of the solve, and a batch whose solve fails is solved
-again one model at a time from the handovers already found.
+their steps share the passes, and each step is accepted on its own, so
+every model gets the steps, nfev and n_steps of a lone solve.  Models of
+one family with equal level_key (N, or (A, B)) share their level, eps
+and its derivatives, and differ only in V: the handover scan and the
+solve evaluate each such level once per pass, on the rows of all its
+models, with V taken per row.  The node cap covers the whole batch.
+_propagate_batch scans a batch's handovers in one call and returns each
+model's result or failure: a model whose handover scan fails is left
+out of the solve, and a batch whose solve fails is solved again one
+model at a time from the handovers already found.
 """
 
 from __future__ import annotations
@@ -218,14 +225,18 @@ _TAIL_PHASES = tuple(1j ** (m + 1) for m in range(_TAIL_TERMS))
 _EPS_ORDERS = _TAIL_TERMS + 3
 
 # the handover scan's grid points, and how many of them one numpy pass
-# evaluates per model: a lone model's first pass covers a factor
-# 1.01^256 = 12.8 past the start, where nearly every handover lies; in a
-# batch the block shrinks with the models still scanning, so that a pass
-# holds about _SCAN_PASS_POINTS points (at least _SCAN_MIN_CHUNK per model)
+# evaluates per model: a lone model's pass covers a factor 1.01^256 = 12.8
+# past its start; in a batch the block shrinks with the models still
+# scanning, so that a pass holds about _SCAN_PASS_POINTS points (at least
+# _SCAN_MIN_CHUNK per model).  The first pass ends _SCAN_MARGIN points past
+# the latest predicted handover (see _handover_index), if that is sooner:
+# the prediction fell at most 16 points short on the parabolic family at
+# B in [-12, 10], and within one point on the glancing acceptance grids
 _SCAN_POINTS = 2048
 _SCAN_CHUNK = 256
 _SCAN_MIN_CHUNK = 16
 _SCAN_PASS_POINTS = 4096
+_SCAN_MARGIN = 24
 
 
 @functools.cache
@@ -320,6 +331,68 @@ def _tail_error(terms):
     return np.hypot(terms[_TAIL_TERMS], terms[_TAIL_TERMS + 1])
 
 
+def _levels(models: Sequence[DiabaticModel]) -> tuple[list[DiabaticModel], np.ndarray]:
+    """The distinct levels of `models`, each as the first model that has it,
+    and the index of each model's level among them.  Models of one family
+    with equal level_key have one level."""
+    levels, index = [], {}
+    group = []
+    for model in models:
+        key = (type(model), model.level_key)
+        if key not in index:
+            index[key] = len(levels)
+            levels.append(model)
+        group.append(index[key])
+    return levels, np.array(group, dtype=int)
+
+
+def _level_rows(
+    levels: Sequence[DiabaticModel], group: np.ndarray
+) -> list[tuple[DiabaticModel, slice | np.ndarray]]:
+    """For rows whose levels are levels[group], each level and the rows that
+    have it, in order: a slice of all rows if they have one level."""
+    if len(levels) == 1:
+        return [(levels[0], slice(None))]
+    order = np.argsort(group, kind="stable")
+    cuts = np.flatnonzero(np.diff(group[order])) + 1
+    if not cuts.size:
+        return [(levels[group[0]], slice(None))]
+    return [(levels[group[rows[0]]], rows) for rows in np.split(order, cuts)]
+
+
+def _handover_index(
+    levels: Sequence[DiabaticModel], group: np.ndarray, v: np.ndarray, starts: np.ndarray, tol: float
+) -> np.ndarray:
+    """For each model, of level levels[group], coupling v and scan start
+    `starts`, the grid index k* where the leading-order size of u_6 meets
+    tol: NaN where it cannot be predicted.
+
+    Past the level structure eps ~ c t^d, with d the level's degree and c
+    read as eps'(T) / (d T^(d-1)) at T = 1e100^(1/d), where eps' stays in
+    range.  Then |u_0| ~ V d / (4 c^2) t^-(2d+1), each derivative over 2W
+    multiplies by p_m / (2c) t^-(d+1) with p_m = 2d + 1 + m (d+1), and
+    |u_6| = tol at t* = (V d / (4 c^2) prod_{m<6} p_m / (2c) / tol)^(1/(8d+7)),
+    which the x1.01 grid from the start reaches at k* = ceil(log_1.01(t*/start)).
+    The levels' constants are Python floats, as a batch has few levels.
+    """
+    log_scale, exponent = [], []
+    for level in levels:
+        d = level.degree
+        big_t = 1e100 ** (1.0 / d)
+        try:
+            c = float(level.level(big_t)[1]) / (d * big_t ** (d - 1))
+        except ArithmeticError:
+            c = math.nan
+        if 0.0 < c < math.inf:  # the log of d / (4 c^2) prod_{m<6} p_m / (2c)
+            p = math.prod(2 * d + 1 + m * (d + 1) for m in range(_TAIL_TERMS))
+            log_scale.append(math.log(0.25 * d * p) - _TAIL_TERMS * math.log(2.0) - (_TAIL_TERMS + 2) * math.log(c))
+        else:
+            log_scale.append(math.nan)
+        exponent.append(2 * d + 1 + _TAIL_TERMS * (d + 1))
+    log_t = (np.array(log_scale)[group] + np.log(v) - math.log(tol)) / np.array(exponent)[group]
+    return np.ceil((log_t - np.log(starts)) / math.log(1.01))
+
+
 def _tail_points(
     models: Sequence[DiabaticModel], tol: float, max_angle: float = math.pi
 ) -> list[tuple[float, np.ndarray] | Exception]:
@@ -342,12 +415,17 @@ def _tail_points(
     window ends.  Each numpy pass evaluates the rule on the next block of
     grid points of every model still scanning, a row of points per model:
     the series costs about as much at a few points as at hundreds, so a
-    batch shares that cost, and only the level's evaluation is made per
-    model.  The block has _SCAN_CHUNK points for a lone model and shrinks
-    as more models scan, to _SCAN_PASS_POINTS in all but never under
-    _SCAN_MIN_CHUNK per model.  Each model's level is evaluated on its own
-    contiguous row, so that its terms and t_core are those of a lone scan
-    to the bit, whatever batch it is scanned in.
+    batch shares that cost, and the level is evaluated once per pass for
+    all the rows of models with one level (see _levels).  The block has
+    _SCAN_CHUNK points for a lone model and shrinks as more models scan,
+    to _SCAN_PASS_POINTS in all but never under _SCAN_MIN_CHUNK per model.
+    The first pass ends _SCAN_MARGIN points past the latest handover that
+    _handover_index predicts, if that is sooner, but at least
+    _SCAN_MIN_CHUNK points from the start; a NaN prediction, and a trace,
+    keep the full block: the trace's mixing-angle test (max_angle < pi)
+    can move the handover past the prediction.  Every point's terms are
+    elementwise in its own t, so that a model's terms and t_core are those
+    of a lone scan to the bit, whatever batch and block it is scanned in.
     """
     out: list[tuple[float, np.ndarray] | Exception | None] = [None] * len(models)
     pending = []
@@ -356,17 +434,29 @@ def _tail_points(
             out[i] = ZeroDivisionError(f"squared coupling V^2 underflows to 0 for {model!r}")
         else:
             pending.append(i)
+    levels, group = _levels([models[i] for i in pending])
     starts = np.array([max(models[i].floor, 1.0) for i in pending])
     v = np.array([models[i].V for i in pending])
+    limit = _SCAN_POINTS
+    if pending and max_angle >= math.pi:
+        latest = float(_handover_index(levels, group, v, starts, tol).max())
+        if math.isfinite(latest):
+            limit = min(_SCAN_POINTS, max(_SCAN_MIN_CHUNK, int(latest) + _SCAN_MARGIN))
     first = 0
     while pending and first < _SCAN_POINTS:
-        rows = min(max(_SCAN_MIN_CHUNK, min(_SCAN_CHUNK, _SCAN_PASS_POINTS // len(pending))), _SCAN_POINTS - first)
+        rows = min(max(_SCAN_MIN_CHUNK, min(_SCAN_CHUNK, _SCAN_PASS_POINTS // len(pending))), _SCAN_POINTS - first,
+                   limit)
+        limit = _SCAN_POINTS
         t = starts[:, None] * _scan_grid()[first : first + rows]
-        eps = np.empty((_EPS_ORDERS,) + t.shape)
+        parts = _level_rows(levels, group)
         with np.errstate(all="ignore"):  # an overflow ends that model's scan below
-            for j, i in enumerate(pending):
-                eps[:, j] = models[i].level_series(t[j], _EPS_ORDERS)
-            u = _tail_series(eps, v[:, None], max(models[i].degree for i in pending))
+            if len(parts) == 1:
+                eps = parts[0][0].level_series(t, _EPS_ORDERS)
+            else:
+                eps = np.empty((_EPS_ORDERS,) + t.shape)
+                for level, at in parts:
+                    eps[:, at] = level.level_series(t[at], _EPS_ORDERS)
+            u = _tail_series(eps, v[:, None], max(level.degree for level, _ in parts))
             size = np.abs(u[: _TAIL_TERMS + 1])
             passes = (_tail_error(u) <= tol) & np.all(size[:-1] > size[1:], axis=0)
             if max_angle < math.pi:  # atan2 never exceeds pi
@@ -381,7 +471,7 @@ def _tail_points(
             else:
                 out[i] = OverflowError(f"tail series overflows at t = {float(t[j, k])!r} for {models[i]!r}")
         pending = [pending[j] for j in scanning]
-        starts, v = starts[scanning], v[scanning]
+        starts, v, group = starts[scanning], v[scanning], group[scanning]
         first += rows
     for i in pending:
         out[i] = NonConvergence(f"could not locate tail handover point for {models[i]!r}")
@@ -476,12 +566,14 @@ def _resolve(
     starts as eight equal steps.  Steps that fail the resolution rule (see
     the module docstring) are bisected, and only the new halves are
     evaluated.  A pass evaluates at most _PASS_STEPS steps of any members,
-    each member's level on its own steps; the whole batch evaluates at most
-    _MAX_NODES nodes.
+    each level once on the steps of all members that have it (see _levels);
+    the whole batch evaluates at most _MAX_NODES nodes.
     """
     nodes, _, _, integrate = _collocation()
     trailing = _complex_collocation()[1]
     models = [model for model, _ in members]
+    levels, group = _levels(models)
+    coupling = np.array([model.V for model in models])
     # the queue of steps, a row (member, start, end) each, kept sorted by
     # member so that each member's steps in a pass are contiguous; the
     # eighths k (t_core / 8) are those np.linspace(0, t_core, 9) makes
@@ -507,17 +599,8 @@ def _resolve(
         lo, hi = steps[:, 1], steps[:, 2]
         half = 0.5 * (hi - lo)
         t = (lo + half)[:, None] + half[:, None] * nodes
-        first, last = int(steps[0, 0]), int(steps[-1, 0])
-        bounds = [0, len(steps)] if first == last else steps[:, 0].searchsorted(range(first, last + 2)).tolist()
-        big_w, g = np.empty_like(t), np.empty_like(t)
         with np.errstate(all="ignore"):  # a range error is named below
-            for model, a, b in zip(models[first : last + 1], bounds, bounds[1:]):
-                if a < b:
-                    v = model.V
-                    eps, deps = model.level(t[a:b])
-                    s = eps * eps + v * v
-                    np.sqrt(s, out=big_w[a:b])
-                    np.divide(0.5 * v * deps, s, out=g[a:b])
+            big_w, g = _couplings(levels, group, coupling, steps[:, 0], t)
         bad = ~(np.isfinite(big_w) & np.isfinite(g))
         if bad.any():
             row, col = np.argwhere(bad)[0]
@@ -543,6 +626,35 @@ def _resolve(
     # each failed step gave way to two, so a member evaluated 2 (accepted) - 8 steps
     nfev = [(2 * n - 8) * _NODES for n in accepted]
     return accepted, steps[:, 1], half, f, big_w, nfev
+
+
+def _coupling(model: DiabaticModel, t: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+    """W and gamma = V eps' / (2 W^2) at the times t, for the level of
+    `model` and the coupling v (a float, or a column of one per row)."""
+    eps, deps = model.level(t)
+    s = eps * eps + v * v
+    return np.sqrt(s), 0.5 * v * deps / s
+
+
+def _couplings(
+    levels: Sequence[DiabaticModel], group: np.ndarray, coupling: np.ndarray, member: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_coupling at the nodes t of a pass's steps, a row per step, where
+    `member` is each step's member and levels[group] and `coupling` are
+    each member's level and V.  Each level is evaluated once, on the rows
+    of all its members."""
+    first, last = int(member[0]), int(member[-1])
+    if first == last:  # the steps of one member, as in every lone solve
+        return _coupling(levels[group[first]], t, float(coupling[first]))
+    member = member.astype(int)
+    v = coupling[member, None]
+    parts = _level_rows(levels, group[member])
+    if len(parts) == 1:
+        return _coupling(parts[0][0], t, v)
+    big_w, g = np.empty_like(t), np.empty_like(t)
+    for level, rows in parts:
+        big_w[rows], g[rows] = _coupling(level, t[rows], v[rows])
+    return big_w, g
 
 
 def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

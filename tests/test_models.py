@@ -292,6 +292,21 @@ class TestFamilyProtocol:
             series = m.level_series(np.array([0.9, 1.7, 3.1]), m.degree + 4)
             assert series[m.degree].all() and not series[m.degree + 1 :].any()
 
+    def test_equal_level_keys_give_equal_levels(self):
+        # level_key is what eps depends on (N, or (A, B)), not V: a batch
+        # evaluates the level once for all its members with one key
+        ts = np.array([0.0, 0.9, 1.7, 3.1])
+        for a, b in ((Superparabolic(6, 0.3), Superparabolic(6, 1.7)),
+                     (Parabolic(1.0, 4.0, 1.0), Parabolic(1.0, 4.0, 2.5)),
+                     (Parabolic(2.0, -1.5, 0.1), Parabolic(2, -1.5, 7))):
+            assert a.level_key == b.level_key and a.V != b.V
+            assert hash(a.level_key) == hash(b.level_key)
+            for ea, eb in zip(a.level(ts), b.level(ts)):
+                assert ea.tobytes() == eb.tobytes()
+            assert a.level_series(ts, 9).tobytes() == b.level_series(ts, 9).tobytes()
+        assert [m.level_key for m in self.MODELS] == [2, 6, 10, (1.3, 2.0), (0.7, -3.0)]
+        assert Parabolic(1.0, 4.0, 1.0).level_key != Parabolic(1.0, 4.5, 1.0).level_key
+
     def test_level_is_even_in_time(self):
         # eps(-t) = eps(t), so eps'(-t) = -eps'(t): with V constant, the
         # propagator's M(-t) = M(t)^T, which lets it solve only [0, T]

@@ -8,6 +8,7 @@ contour quadrature of the tail integral.
 """
 
 import cmath
+import dataclasses
 import functools
 import math
 import time
@@ -208,19 +209,33 @@ class TestSpanAndTail:
         assert _tail_point(m, 1e-14)[0] > _tail_point(m, 1e-8)[0]
 
 
+def _predicted_index(models, tol):
+    """The grid index k* that the scan predicts for each of `models`."""
+    levels, group = propagator._levels(models)
+    starts = np.array([max(m.floor, 1.0) for m in models])
+    return propagator._handover_index(levels, group, np.array([m.V for m in models]), starts, tol)
+
+
+def _handover_outcomes(handovers):
+    """Each handover as (t_core, bytes of its terms), or its failure as (type, message)."""
+    return [(type(h), str(h)) if isinstance(h, Exception) else (h[0], h[1].tobytes()) for h in handovers]
+
+
 class TestBatchedScan:
+    # one mixed batch of both families at N = 2, 6 and 50, with V^2
+    # underflowing (alpha = 1e-300) and the series (alpha = 1e300,
+    # B = 1e300) or the level itself (N = 200) overflowing
+    MIXED = (
+        Superparabolic(2, 0.2), Superparabolic(6, 1.0), Superparabolic(2, 1e-300), Superparabolic(50, 5.0),
+        Parabolic(1.0, -7.6, 1.0), Superparabolic(2, 1e300), Parabolic(1.0, 4.0, 1.0), Superparabolic(6, 1e300),
+        Parabolic(1.0, 1e300, 1.0), Superparabolic(50, 0.3), Parabolic(0.5, 2.0, 1.3), Superparabolic(6, 1e-300),
+        Superparabolic(200, 1e300), Superparabolic(2, 2.5),
+    )
+
     def test_batch_matches_lone_scans(self):
-        # one mixed batch of both families at N = 2, 6 and 50, with V^2
-        # underflowing (alpha = 1e-300) and the series (alpha = 1e300,
-        # B = 1e300) or the level itself (N = 200) overflowing: each member
-        # gets the lone scan's handover to the bit, or its failure with the
-        # same type and message, in input order
-        models = [
-            Superparabolic(2, 0.2), Superparabolic(6, 1.0), Superparabolic(2, 1e-300), Superparabolic(50, 5.0),
-            Parabolic(1.0, -7.6, 1.0), Superparabolic(2, 1e300), Parabolic(1.0, 4.0, 1.0), Superparabolic(6, 1e300),
-            Parabolic(1.0, 1e300, 1.0), Superparabolic(50, 0.3), Parabolic(0.5, 2.0, 1.3), Superparabolic(6, 1e-300),
-            Superparabolic(200, 1e300), Superparabolic(2, 2.5),
-        ]
+        # each member gets the lone scan's handover to the bit, or its
+        # failure with the same type and message, in input order
+        models = list(self.MIXED)
         tol = PropagatorSettings().tail_tol
         handovers = {}
         for max_angle in (math.pi, propagator._TRACE_MIXING_ANGLE):
@@ -242,10 +257,73 @@ class TestBatchedScan:
         wide, narrow = handovers.values()
         assert all(a <= b for a, b in zip(wide, narrow)) and wide != narrow
 
+    def test_block_size_never_changes_a_handover(self, monkeypatch):
+        # a point's terms do not depend on the block that holds it: a first
+        # pass of 24 points (prediction 0), today's full block (prediction
+        # _SCAN_POINTS) and the real prediction give every member the same
+        # handover to the bit, or the same failure
+        models = list(self.MIXED)
+        tol = PropagatorSettings().tail_tol
+        for max_angle in (math.pi, propagator._TRACE_MIXING_ANGLE):
+            runs = [_handover_outcomes(_tail_points(models, tol, max_angle))]
+            for predicted in (0, propagator._SCAN_POINTS):
+                monkeypatch.setattr(propagator, "_handover_index",
+                                    lambda levels, group, *args, k=predicted: np.full(len(group), float(k)))
+                runs.append(_handover_outcomes(_tail_points(models, tol, max_angle)))
+            monkeypatch.undo()
+            assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_predicted_handover_is_near_the_scan(self):
+        # the leading-order prediction k* lands within one grid point of the
+        # handover on the glancing acceptance grids, and the first pass's
+        # margin covers its shortfall on the parabolic family, so that a
+        # change to the series or the floor that breaks it fails here
+        # instead of costing a second pass
+        tol = PropagatorSettings().tail_tol
+
+        def indices(models):
+            predicted = _predicted_index(models, tol)
+            assert np.isfinite(predicted).all()
+            found = []
+            for m, (t, _) in zip(models, _tail_points(models, tol)):
+                grid = max(m.floor, 1.0) * propagator._scan_grid()
+                found.append(int(np.flatnonzero(grid == t)[0]))
+            return np.array(found), predicted
+
+        for n, alphas in ((2, np.linspace(0.2, 2.5, 300)), (6, np.geomspace(0.1, 3.0, 300)),
+                          (10, np.geomspace(0.1, 3.0, 300))):
+            k, predicted = indices([Superparabolic(n, float(a)) for a in alphas])
+            assert k.min() > 0 and np.abs(k - predicted).max() <= 1
+        k, predicted = indices([Parabolic(1.0, float(b), 1.0) for b in np.linspace(-12.0, 10.0, 89)])
+        assert (k <= predicted + propagator._SCAN_MARGIN).all()
+
+    def test_prediction_falls_back_without_raising(self, monkeypatch):
+        # a level out of range or a non-positive leading coefficient gives
+        # a NaN or infinite k*, and the scan keeps the full block
+        class Flat(CountingModel):
+            def level(self, t):
+                return 0.0 * t, 0.0 * t
+
+        class Falling(CountingModel):
+            def level(self, t):
+                return -t * t, -2.0 * t
+
+        tol = PropagatorSettings().tail_tol
+        for m in (Parabolic(1e300, 0.0, 1.0), Flat(Superparabolic(2, 1.0)), Falling(Superparabolic(2, 1.0))):
+            assert not np.isfinite(_predicted_index([m], tol)).all()
+        passes = []
+        real = propagator._tail_series
+        monkeypatch.setattr(propagator, "_tail_series", lambda eps, *args: passes.append(eps.shape) or real(eps, *args))
+        with pytest.raises(OverflowError, match="tail series overflows"):
+            _tail_point(Parabolic(1e300, 0.0, 1.0), tol)
+        assert passes == [(propagator._EPS_ORDERS, 1, 256)]
+
     def test_pass_bound(self, monkeypatch):
-        # a lone model scans 256 grid points in its first pass; a batch
-        # scans a block of rows per pending member that shrinks as more
-        # members pend, to 4096 points in all but never under 16 rows
+        # the first pass ends 24 grid points past the latest predicted
+        # handover (16 points at least), where that is sooner than its full
+        # block; a trace keeps the full block, 256 points for a lone model.
+        # Later passes scan a block of rows per pending member that shrinks
+        # as more members pend, to 4096 points in all but never under 16 rows
         passes = []
         real = propagator._tail_series
 
@@ -254,17 +332,130 @@ class TestBatchedScan:
             return real(eps, v, degree)
 
         monkeypatch.setattr(propagator, "_tail_series", recording)
-        _tail_point(Superparabolic(2, 1.0), PropagatorSettings().tail_tol)
+        tol = PropagatorSettings().tail_tol
+        m = Superparabolic(2, 1.0)
+        (k,) = _predicted_index([m], tol)
+        _tail_point(m, tol)
+        assert passes == [(1, k + 24)] and k + 24 < 256
+        passes.clear()
+        _tail_point(m, tol, propagator._TRACE_MIXING_ANGLE)
         assert passes == [(1, 256)]
+        passes.clear()
+        panel = [Superparabolic(10, a) for a in (0.1, 0.3, 1.0, 3.0)]
+        _tail_points(panel, tol)
+        assert passes == [(4, int(_predicted_index(panel, tol).max()) + 24)]
         passes.clear()
         alphas = np.geomspace(0.1, 3.0, 512).tolist()
         models = [Superparabolic(n, a) for a in alphas for n in (2, 10)]
-        batch = _tail_points(models, PropagatorSettings().tail_tol)
+        batch = _tail_points(models, tol)
         assert not any(isinstance(h, Exception) for h in batch)
         assert passes[0] == (1024, 16) and len(passes) > 1
         for (pending, rows), (later, _) in zip(passes, passes[1:] + [(0, 0)]):
             assert rows == max(16, min(256, 4096 // pending)) and pending * rows <= 16 * 1024
             assert later <= pending
+
+
+class LevelLog:
+    """A model that logs each call of its level and level_series, with its
+    level_key and the number of rows it is evaluated on."""
+
+    def __init__(self, model, log):
+        self.model, self.log = model, log
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def __repr__(self):
+        return f"LevelLog({self.model!r})"
+
+    def level(self, t):
+        self.log.append(("level", self.model.level_key, len(t) if np.ndim(t) else 0))
+        return self.model.level(t)
+
+    def level_series(self, t, L):
+        self.log.append(("level_series", self.model.level_key, len(t)))
+        return self.model.level_series(t, L)
+
+
+class TestLevelGroups:
+    # members that share levels, N = 6 and (A, B) = (1, 4), but not V
+    INTERLEAVED = (
+        Superparabolic(6, 0.3), Parabolic(1.0, 4.0, 1.0), Superparabolic(6, 1.7), Parabolic(1.0, 4.0, 2.5),
+        Superparabolic(10, 1.0),
+    )
+
+    def test_interleaved_batch_matches_lone_propagations(self):
+        # the handover, its error and the steps are a lone solve's to the
+        # bit; P, p and psi to rounding, as the step integrals of W come
+        # from one matrix-vector product over the whole batch, whose BLAS
+        # kernel rounds a row by where it falls in the matrix
+        settings = PropagatorSettings()
+        batch = propagator._propagate_batch(list(self.INTERLEAVED), settings)
+        for m, got in zip(self.INTERLEAVED, batch):
+            want = propagate(m, settings)
+            for field in dataclasses.fields(PropagationResult):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if field.name in ("probability", "single_passage", "phase"):
+                    assert abs(a - b) <= 1e-14, (m, field.name)
+                else:
+                    assert repr(a) == repr(b), (m, field.name)
+
+    def test_levels_group_by_family_and_key(self):
+        models = list(self.INTERLEAVED) + [Parabolic(6.0, 0.0, 1.0), Superparabolic(6, 9.0)]
+        levels, group = propagator._levels(models)
+        assert levels == [models[0], models[1], models[4], models[5]]
+        assert group.tolist() == [0, 1, 0, 1, 2, 3, 0]
+        parts = propagator._level_rows(levels, np.array([1, 0, 1, 2, 0]))
+        assert [(level, rows.tolist()) for level, rows in parts] == [(levels[0], [1, 4]), (levels[1], [0, 2]),
+                                                                     (levels[2], [3])]
+        ((level, rows),) = propagator._level_rows(levels, np.array([2, 2, 2]))
+        assert level is levels[2] and rows == slice(None)
+        ((level, rows),) = propagator._level_rows(levels[:1], np.array([0, 0]))
+        assert level is levels[0] and rows == slice(None)
+
+    def test_one_level_call_per_group_per_pass(self, monkeypatch):
+        # the scan calls level_series, and the solve calls level, once per
+        # pass for each level among the members still in it, on all their
+        # rows at once
+        log = []
+        models = [LevelLog(m, log) for m in self.INTERLEAVED]
+        real_series, real_couplings = propagator._tail_series, propagator._couplings
+
+        def series_pass(eps, v, degree):
+            log.append(("pass", None, eps.shape[1]))
+            return real_series(eps, v, degree)
+
+        def coupling_pass(levels, group, coupling, member, t):
+            out = real_couplings(levels, group, coupling, member, t)
+            log.append(("pass", None, len(t)))
+            return out
+
+        def passes(kind):
+            calls, out = [], []
+            for name, key, rows in log:
+                if name == "pass":
+                    out.append((calls, rows))
+                    calls = []
+                elif name == kind:
+                    calls.append((key, rows))
+            assert not calls
+            return out
+
+        monkeypatch.setattr(propagator, "_tail_series", series_pass)
+        monkeypatch.setattr(propagator, "_couplings", coupling_pass)
+        settings = PropagatorSettings()
+        handovers = _tail_points(models, settings.tail_tol)
+        scan = passes("level_series")
+        log.clear()
+        propagator._solve_window(list(zip(models, handovers)), settings)
+        solve = passes("level")
+        assert len(scan) >= 1 and len(solve) > 1
+        for calls, rows in scan + solve:
+            keys = [key for key, _ in calls]
+            assert len(set(keys)) == len(keys) and sum(n for _, n in calls) == rows
+        # every member is in the first pass of each: one call per level
+        assert [key for key, _ in scan[0][0]] == [6, (1.0, 4.0), 10]
+        assert [key for key, _ in solve[0][0]] == [6, (1.0, 4.0), 10]
 
 
 class TestSeriesKernels:
