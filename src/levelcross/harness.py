@@ -21,12 +21,13 @@ import numpy as np
 from .ddp import ddp_probability
 from .errors import MissingColumn, _attempt
 from .models import Superparabolic, check_glancing
-from .propagator import PropagationResult, PropagatorSettings, _propagate_batch
+from .propagator import PropagatorSettings, _propagate_batch
 from .propagator import propagate  # noqa: F401  (unused: levelbench/spans.py wraps it by name)
 from .znt import glancing_double_crossing, glancing_tunneling
 
 __all__ = [
     "METHODS",
+    "ROUTES",
     "SPACINGS",
     "SweepConfig",
     "SweepRow",
@@ -42,7 +43,18 @@ __all__ = [
     "report_to_json",
 ]
 
-METHODS = ("numeric", "ddp", "znt-double", "znt-tunnel")
+# each method's route: (models, settings) -> its outcome for each model, in
+# order, which is P or the failure in _FAILURES that the method raised.  The
+# closed forms are looked up at call time, so a wrapper set on this module's
+# name is the one called.
+ROUTES = {
+    "numeric": lambda models, settings: [
+        r if isinstance(r, Exception) else r.probability for r in _propagate_batch(models, settings)],
+    "ddp": lambda models, _: [_attempt(ddp_probability, m.N, m.alpha) for m in models],
+    "znt-double": lambda models, _: [_attempt(glancing_double_crossing, m.N, m.alpha) for m in models],
+    "znt-tunnel": lambda models, _: [_attempt(glancing_tunneling, m.N, m.alpha) for m in models],
+}
+METHODS = tuple(ROUTES)
 SPACINGS = ("linear", "log")
 
 _NAN_TOKEN = "NaN"
@@ -119,29 +131,6 @@ class ComparisonReport:
     frequency_agreement: dict[str, float | None]
 
 
-def _evaluate_point(
-    n: int, alpha: float, methods: tuple[str, ...], numeric: PropagationResult | Exception | None
-) -> SweepRow:
-    """The row at (n, alpha), given the numeric column's outcome there."""
-    values: dict[str, float | None] = {}
-    failures: list[str] = []
-    for m in methods:
-        if m == "numeric":
-            outcome = numeric if isinstance(numeric, Exception) else numeric.probability
-        elif m == "ddp":
-            outcome = _attempt(ddp_probability, n, alpha)
-        elif m == "znt-double":
-            outcome = _attempt(glancing_double_crossing, n, alpha)
-        else:
-            outcome = _attempt(glancing_tunneling, n, alpha)
-        if isinstance(outcome, Exception):
-            values[m] = None
-            failures.append(f"{m}:{type(outcome).__name__}")
-        else:
-            values[m] = outcome
-    return SweepRow(n=n, alpha=alpha, values=values, status=";".join(failures) or "ok")
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every requested method on the grid.
 
@@ -151,11 +140,13 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     grid = config.alpha_grid()
     rows = []
     for n in config.n_values:  # a panel at a time, so that a failed solve redoes one N only
-        if "numeric" in config.methods:
-            numeric = _propagate_batch([Superparabolic(n, alpha) for alpha in grid], config.settings)
-        else:
-            numeric = [None] * len(grid)
-        rows += [_evaluate_point(n, alpha, config.methods, p) for alpha, p in zip(grid, numeric)]
+        models = [Superparabolic(n, alpha) for alpha in grid]
+        columns = [ROUTES[m](models, config.settings) for m in config.methods]
+        for alpha, outcomes in zip(grid, zip(*columns)):
+            cells = list(zip(config.methods, outcomes))
+            failures = [f"{m}:{type(p).__name__}" for m, p in cells if isinstance(p, Exception)]
+            values = {m: None if isinstance(p, Exception) else p for m, p in cells}
+            rows.append(SweepRow(n=n, alpha=alpha, values=values, status=";".join(failures) or "ok"))
     return rows
 
 

@@ -749,7 +749,8 @@ def _solve_window(
     """
     counts, starts, half, f, big_w, nfev = _resolve(members, settings)
     a_steps, b_steps, a_nodes, b_nodes = _step_maps(half, f)
-    lam_steps = half * (big_w @ _collocation()[1])
+    # summed row by row: a product over the batch would round a row by its place in it
+    lam_steps = half * (big_w * _collocation()[1]).sum(axis=1)
     times = np.asarray(times, dtype=float)
     out = []
     end = 0

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelcross import propagator
+from levelcross import harness, propagator
 from levelcross.ddp import ddp_probability
 from levelcross.errors import MissingColumn
 from levelcross.harness import (
     METHODS,
+    ROUTES,
     ComparisonReport,
     SweepConfig,
     SweepRow,
@@ -28,7 +29,7 @@ from levelcross.harness import (
     run_sweep,
     write_sweep_csv,
 )
-from levelcross.models import Superparabolic
+from levelcross.models import Parabolic, Superparabolic
 from levelcross.propagator import PropagatorSettings, propagate
 from oracles import PARABOLIC_C, ddp_parabolic_closed_form
 
@@ -136,6 +137,12 @@ def scan_calls(monkeypatch):
     return calls
 
 
+def _panel(n, lo, hi, spacing):
+    """The glancing models of a 300-point sweep panel."""
+    grid = SweepConfig(n_values=(n,), alpha_min=lo, alpha_max=hi, points=300, spacing=spacing).alpha_grid()
+    return [Superparabolic(n, alpha) for alpha in grid]
+
+
 class TestRunSweep:
     def test_ddp_column_delegates(self):
         cfg = SweepConfig(
@@ -195,18 +202,47 @@ class TestRunSweep:
         b = emit_sweep_csv(run_sweep(cfg), cfg.methods)
         assert a == b
 
-    @pytest.mark.parametrize("n, lo, hi, spacing", [(2, 0.2, 2.5, "linear"), (6, 0.1, 3.0, "log"),
-                                                    (10, 0.1, 3.0, "log")], ids=["n2", "n6", "n10"])
-    def test_batched_column_matches_lone_propagate(self, n, lo, hi, spacing):
-        # the three 300-point acceptance grids: each member keeps its own
-        # handover, steps and counts, and P moves only by rounding
-        grid = SweepConfig(n_values=(n,), alpha_min=lo, alpha_max=hi, points=300, spacing=spacing).alpha_grid()
-        batched = propagator._propagate_batch([Superparabolic(n, alpha) for alpha in grid], PropagatorSettings())
-        for alpha, got in zip(grid, batched, strict=True):
-            lone = propagate(Superparabolic(n, alpha))
-            assert (got.nfev, got.n_steps, got.t_core, got.tail_error) == (
-                lone.nfev, lone.n_steps, lone.t_core, lone.tail_error)
-            assert abs(got.probability - lone.probability) <= 1e-13
+    @pytest.mark.parametrize("models", [
+        _panel(2, 0.2, 2.5, "linear"), _panel(6, 0.1, 3.0, "log"), _panel(10, 0.1, 3.0, "log"),
+        [Superparabolic(6, 0.3), Parabolic(1, 4, 1), Superparabolic(6, 1.7), Parabolic(1, 4, 2.5),
+         Superparabolic(10, 1)],
+    ], ids=["n2", "n6", "n10", "mixed"])
+    def test_batched_column_matches_lone_propagate(self, models):
+        # the three 300-point acceptance grids, and a batch whose members
+        # alternate between levels: each member's result is its lone
+        # propagate's, every field to the bit
+        batched = propagator._propagate_batch(models, PropagatorSettings())
+        for model, got in zip(models, batched, strict=True):
+            assert got == propagate(model)
+
+    def test_cells_are_lone_route_outcomes(self):
+        # each cell is its method's route run on that point alone: the value,
+        # or the failure named in the status (this panel has both kinds of
+        # znt-tunnel failure)
+        cfg = SweepConfig(n_values=(10,), alpha_min=0.3, alpha_max=0.6, points=8)
+        rows = run_sweep(cfg)
+        assert {"znt-tunnel:ValueError", "znt-tunnel:BranchFailure"} <= {r.status for r in rows}
+        for row in rows:
+            lone = {m: ROUTES[m]([Superparabolic(row.n, row.alpha)], cfg.settings)[0] for m in METHODS}
+            failed = [f"{m}:{type(p).__name__}" for m, p in lone.items() if isinstance(p, Exception)]
+            assert row.status == (";".join(failed) or "ok")
+            assert row.values == {m: None if isinstance(p, Exception) else p for m, p in lone.items()}
+
+    @pytest.mark.parametrize("method, name", [("ddp", "ddp_probability"), ("znt-double", "glancing_double_crossing"),
+                                              ("znt-tunnel", "glancing_tunneling")])
+    def test_routes_call_the_module_name(self, monkeypatch, method, name):
+        # a closed form is looked up when its route runs, so a wrapper set on
+        # the harness module's name (as a tracer sets it) sees every call
+        calls = []
+        real = getattr(harness, name)
+
+        def wrapper(n, alpha):
+            calls.append((n, alpha))
+            return real(n, alpha)
+
+        monkeypatch.setattr(harness, name, wrapper)
+        rows = run_sweep(SweepConfig(n_values=(6,), alpha_min=0.5, alpha_max=2.0, points=3, methods=(method,)))
+        assert calls == [(6, r.alpha) for r in rows]
 
     def test_capped_point_fails_alone(self, monkeypatch, resolve_calls, lone_calls, scan_calls):
         # alpha = 1e6 takes the batch past the node cap; the batch is then
@@ -505,4 +541,4 @@ class TestCompareMethods:
 
 
 def test_method_tuple_is_exhaustive():
-    assert METHODS == ("numeric", "ddp", "znt-double", "znt-tunnel")
+    assert METHODS == tuple(ROUTES) == ("numeric", "ddp", "znt-double", "znt-tunnel")
