@@ -84,8 +84,10 @@ at once by Picard iteration to convergence: the Gauss collocation
 solution (Hairer, Norsett & Wanner 1993, sec. II.7), of order
 2 x 32 = 64 at the step's end.  The collocation matrices that act on
 complex node values are kept as complex copies, the very casts numpy
-would otherwise make on every product, and a sweep takes the change of a
-only once that of b is within the tolerance.
+would otherwise make on every product.  The steps of one model sweep
+until their largest change of a and b is within the tolerance, and no
+further; a sweep reads the full change only once that of b at the steps'
+last nodes, which is at most the full one, is within the tolerance.
 The steps chain as SU(2) matrices [[a, -b*], [b, a*]] (b rotated by
 e^{-2i Lam(start)}), and their prefix products give U(t, 0) at every step
 end.  Between the ends the collocation polynomials give dense output: a
@@ -96,8 +98,12 @@ included; a solve that would need more than _MAX_NODES of them raises
 NonConvergence before it allocates them.
 
 One solve can cover a batch of models, as a sweep's numeric column does:
-their steps share the passes, and each step is accepted on its own, so
-every model gets the steps, nfev and n_steps of a lone solve.  Models of
+their steps share the passes, each step is accepted on its own, each
+model's Picard iteration stops on its own, and every sum over a step's
+nodes reads that step's row alone.  So every model gets the steps, nfev
+and n_steps of a lone solve, and its whole result wherever the BLAS
+rounds a row of a matrix product alike whatever rows share the product
+(as OpenBLAS on x86-64 did for products of two rows or more).  Models of
 one family with equal level_key (N, or (A, B)) share their level, eps
 and its derivatives, and differ only in V: the handover scan and the
 solve evaluate each such level once per pass, on the rows of all its
@@ -112,6 +118,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import numbers
 from collections.abc import Sequence
@@ -657,36 +664,93 @@ def _couplings(
     return big_w, g
 
 
-def _step_maps(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _step_maps(
+    half: np.ndarray, f: np.ndarray, counts: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(a, b) at the end of each step from (1, 0) at its start, for
     a' = -f b, b' = conj(f) a, and (a, b) at the step's nodes: the
     Gauss-Legendre collocation solution, by Picard iteration to convergence
-    on up to _PASS_STEPS steps at once."""
+    on the passes of _passes(counts), for members of `counts` steps each."""
     weights, _, integrate = _complex_collocation()
     parts = []
-    for k in range(0, half.size, _PASS_STEPS):
-        hf = half[k : k + _PASS_STEPS, None] * f[k : k + _PASS_STEPS]
+    for lo, sizes in _passes(counts):
+        hi = lo + sum(sizes)
+        hf = half[lo:hi, None] * f[lo:hi]
         hfc = hf.conj()
-        # the first sweep from (a, b) = (1, 0)
-        b = hfc @ integrate
-        a = 1.0 - (hf * b) @ integrate
-        for sweep in range(1, _PICARD_ITERATIONS):
-            b_next = (hfc * a) @ integrate
-            a_next = 1.0 - (hf * b_next) @ integrate
-            # the largest change of either decides, so that of a is needed
-            # only once b's is within the tolerance (or for the message)
-            change = np.abs(b_next - b).max()
-            if not change > _PICARD_TOL or sweep == _PICARD_ITERATIONS - 1:
-                change = max(np.abs(a_next - a).max(), change)
-            a, b = a_next, b_next
-            if change <= _PICARD_TOL:
-                break
-        else:
-            raise ToleranceFailure(f"collocation iteration did not converge in {_PICARD_ITERATIONS} "
-                                   f"sweeps (last change {change!r})")
-        parts.append((1.0 - (hf * b) @ weights, (hfc * a) @ weights, a, b))
+        a, b = _picard(hf, hfc, integrate, np.array(sizes))
+        parts.append((1.0 - np.add.reduce(hf * b * weights, axis=1), np.add.reduce(hfc * a * weights, axis=1), a, b))
     # one pass, as on every lone propagation, returns its arrays without a copy
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(columns) for columns in zip(*parts))
+
+
+def _passes(counts: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """The passes of _step_maps over the steps of members of `counts` steps
+    each: (first step, sizes of its segments), where a pass holds whole
+    segments, up to _PASS_STEPS steps.  A segment is a member, or, for a
+    member of more steps, one of the fewest near-equal parts it splits
+    into, as it does alone.  So no pass is a lone row, which numpy would
+    multiply by a matrix-vector kernel that may round it otherwise."""
+    if sum(counts) <= _PASS_STEPS:  # one pass, as in every lone solve and sweep panel
+        return [(0, list(counts))]
+    passes, lo, filled = [], 0, _PASS_STEPS
+    for n in counts:
+        k = -(-n // _PASS_STEPS)
+        for size in (n // k + (i < n % k) for i in range(k)):
+            if filled + size > _PASS_STEPS:
+                passes.append((lo, []))
+                filled = 0
+            passes[-1][1].append(size)
+            filled += size
+            lo += size
+    return passes
+
+
+def _picard(
+    hf: np.ndarray, hfc: np.ndarray, integrate: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) at the nodes of a pass of _step_maps, from (1, 0), by sweeps
+    of b = R (hfc a), a = 1 - R (hf b) with R the integration matrix: each
+    segment of `sizes` rows keeps the first sweep that changes its a and b
+    by at most _PICARD_TOL, and later sweeps run on the segments left."""
+    # the first sweep from (a, b) = (1, 0)
+    b = hfc @ integrate
+    a = 1.0 - (hf * b) @ integrate
+    a_out, b_out, rows = a, b, None  # rows: where the rows still sweeping go, once some have stopped
+    starts = np.cumsum(sizes) - sizes if sizes.size > 1 else None
+    for sweep in range(1, _PICARD_ITERATIONS):
+        b_next = (hfc * a) @ integrate
+        a_next = 1.0 - (hf * b_next) @ integrate
+        # a segment stops once the largest change of a and b on it is within
+        # the tolerance; that of b at the last nodes is at most this, and
+        # while it exceeds the tolerance on every segment, none stops
+        change = np.abs(b_next[:, -1] - b[:, -1])
+        least = change.max() if sizes.size == 1 else np.maximum.reduceat(change, starts).min()
+        if not least > _PICARD_TOL or sweep == _PICARD_ITERATIONS - 1:
+            change = np.maximum(np.abs(b_next - b), np.abs(a_next - a))
+            if sizes.size == 1:  # one segment, as in every lone solve
+                change = least = change.max()
+            else:
+                change = np.maximum.reduceat(change.max(axis=1), starts)
+                least = change.min()
+        a, b = a_next, b_next
+        if least > _PICARD_TOL:
+            continue
+        if rows is None and sizes.size == 1:
+            return a, b
+        going = change > _PICARD_TOL
+        if rows is not None:
+            a_out[rows], b_out[rows] = a, b
+        elif going.any():
+            a_out, b_out, rows = a, b, np.arange(len(a))
+        else:
+            return a, b
+        if not going.any():
+            return a_out, b_out
+        keep = np.repeat(going, sizes)
+        rows, a, b, hf, hfc, sizes = rows[keep], a[keep], b[keep], hf[keep], hfc[keep], sizes[going]
+        starts = np.cumsum(sizes) - sizes
+    raise ToleranceFailure(f"collocation iteration did not converge in {_PICARD_ITERATIONS} "
+                           f"sweeps (last change {np.max(change)!r})")
 
 
 def _dense_output(
@@ -748,30 +812,32 @@ def _solve_window(
     _dense_output).
     """
     counts, starts, half, f, big_w, nfev = _resolve(members, settings)
-    a_steps, b_steps, a_nodes, b_nodes = _step_maps(half, f)
+    a_steps, b_steps, a_nodes, b_nodes = _step_maps(half, f, counts)
     # summed row by row: a product over the batch would round a row by its place in it
-    lam_steps = half * (big_w * _collocation()[1]).sum(axis=1)
+    lam_steps = half * np.add.reduce(big_w * _collocation()[1], axis=1)
+    bounds = [0, *itertools.accumulate(counts)]
+    # Lam at each step's end, summed over each member's steps alone
+    lam_ends = [np.cumsum(lam_steps[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    lam_ends = lam_ends[0] if len(lam_ends) == 1 else np.concatenate(lam_ends)
+    lam_starts = lam_ends - lam_steps
+    # f carries the phase from each step's start; Lam there rotates b
+    b_rotated = (b_steps * np.exp(-2j * lam_starts)).tolist()
+    a_listed = a_steps.tolist()
     times = np.asarray(times, dtype=float)
+    no_states = (np.empty(0, dtype=complex), np.empty(0, dtype=complex), times)
     out = []
-    end = 0
     for k, (_, (t_core, terms)) in enumerate(members):
-        steps = slice(end, end + counts[k])
-        end = steps.stop
-        lam_ends = np.cumsum(lam_steps[steps])
-        lam_starts = lam_ends - lam_steps[steps]
-        # f carries the phase from each step's start; Lam there rotates b
-        b_rotated = b_steps[steps] * np.exp(-2j * lam_starts)
+        steps = slice(bounds[k], bounds[k + 1])
         a, b = 1.0 + 0.0j, 0.0j
         prefix = [(a, b)]  # U(t, 0) = [[a, -b*], [b, a*]] at t = 0 and at each step's end
-        for ak, bk in zip(a_steps[steps].tolist(), b_rotated.tolist()):
+        for ak, bk in zip(a_listed[steps], b_rotated[steps]):
             a, b = ak * a - bk.conjugate() * b, bk * a + ak.conjugate() * b
             prefix.append((a, b))
+        states = no_states
         if times.size:
             states = _dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
-                                   b_nodes[steps], lam_starts, prefix)
-        else:
-            states = (np.empty(0, dtype=complex), np.empty(0, dtype=complex), times)
-        j = cmath.exp(2j * float(lam_ends[-1])) * _tail_coefficient(terms)
+                                   b_nodes[steps], lam_starts[steps], prefix)
+        j = cmath.exp(2j * float(lam_ends[steps.stop - 1])) * _tail_coefficient(terms)
         # V = C(J) U = [[alpha, -beta*], [beta, alpha*]]
         n = math.sqrt(1.0 + abs(j) ** 2)
         alpha, beta = (a - j * b) / n, (j.conjugate() * a + b) / n

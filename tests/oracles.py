@@ -360,9 +360,10 @@ def tail_series_full(eps: np.ndarray, v) -> np.ndarray:
 
 
 def step_maps_two_sided(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, ...]:
-    """propagator._step_maps on one pass of steps, with the largest change of
-    both a and b taken at every Picard sweep and the real collocation
-    matrices, which numpy casts to complex at every product."""
+    """propagator._step_maps on the steps of one member, iterated together
+    until their largest change is within the tolerance, with the largest
+    change of both a and b taken at every Picard sweep and the real
+    collocation matrices, which numpy casts to complex at every product."""
     _, weights, _, integrate = propagator._collocation()
     hf = half[:, None] * f
     hfc = hf.conj()
@@ -378,4 +379,4 @@ def step_maps_two_sided(half: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, ..
     else:
         raise ToleranceFailure(f"collocation iteration did not converge in {propagator._PICARD_ITERATIONS} "
                                f"sweeps (last change {change!r})")
-    return 1.0 - (hf * b) @ weights, (hfc * a) @ weights, a, b
+    return 1.0 - (hf * b * weights).sum(axis=1), (hfc * a * weights).sum(axis=1), a, b

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from levelcross import harness, propagator
 from levelcross.ddp import ddp_probability
-from levelcross.errors import MissingColumn
+from levelcross.errors import LevelCrossError, MissingColumn
 from levelcross.harness import (
     METHODS,
     ROUTES,
@@ -31,6 +31,7 @@ from levelcross.harness import (
 )
 from levelcross.models import Parabolic, Superparabolic
 from levelcross.propagator import PropagatorSettings, propagate
+from levelcross.znt import glancing_double_crossing, glancing_tunneling
 from oracles import PARABOLIC_C, ddp_parabolic_closed_form
 
 
@@ -163,22 +164,29 @@ class TestRunSweep:
             )
 
     def test_tunneling_failures_become_sentinels(self):
-        cfg = SweepConfig(
-            n_values=(6,),
-            alpha_min=0.2,
-            alpha_max=0.44,
-            points=7,
-            spacing="linear",
-            methods=("znt-tunnel",),
-        )
-        rows = run_sweep(cfg)
-        statuses = [r.status for r in rows]
-        assert any("znt-tunnel:BranchFailure" in s for s in statuses)
-        assert any("znt-tunnel:ValueError" in s for s in statuses)
-        assert any(s == "ok" for s in statuses)
-        for row in rows:
-            failed = row.status != "ok"
-            assert (row.values["znt-tunnel"] is None) == failed
+        # a failing cell is None and named in the status, and every cell is
+        # its method called on that point alone; the N=10 panel has both
+        # kinds of znt-tunnel failure beside the three other methods
+        direct = {"numeric": lambda n, alpha: propagate(Superparabolic(n, alpha)).probability,
+                  "ddp": ddp_probability, "znt-double": glancing_double_crossing, "znt-tunnel": glancing_tunneling}
+        for cfg in (SweepConfig(n_values=(6,), alpha_min=0.2, alpha_max=0.44, points=7, spacing="linear",
+                                methods=("znt-tunnel",)),
+                    SweepConfig(n_values=(10,), alpha_min=0.3, alpha_max=0.6, points=8)):
+            rows = run_sweep(cfg)
+            statuses = [r.status for r in rows]
+            assert any("znt-tunnel:BranchFailure" in s for s in statuses)
+            assert any("znt-tunnel:ValueError" in s for s in statuses)
+            assert any(s == "ok" for s in statuses)
+            for row in rows:
+                failed = []
+                for method in cfg.methods:
+                    try:
+                        want = direct[method](row.n, row.alpha)
+                    except (LevelCrossError, ValueError, ArithmeticError) as exc:
+                        failed.append(f"{method}:{type(exc).__name__}")
+                        want = None
+                    assert row.values[method] == want
+                assert row.status == (";".join(failed) or "ok")
 
     def test_rows_ordered_by_n_then_alpha(self):
         cfg = SweepConfig(
@@ -214,19 +222,6 @@ class TestRunSweep:
         batched = propagator._propagate_batch(models, PropagatorSettings())
         for model, got in zip(models, batched, strict=True):
             assert got == propagate(model)
-
-    def test_cells_are_lone_route_outcomes(self):
-        # each cell is its method's route run on that point alone: the value,
-        # or the failure named in the status (this panel has both kinds of
-        # znt-tunnel failure)
-        cfg = SweepConfig(n_values=(10,), alpha_min=0.3, alpha_max=0.6, points=8)
-        rows = run_sweep(cfg)
-        assert {"znt-tunnel:ValueError", "znt-tunnel:BranchFailure"} <= {r.status for r in rows}
-        for row in rows:
-            lone = {m: ROUTES[m]([Superparabolic(row.n, row.alpha)], cfg.settings)[0] for m in METHODS}
-            failed = [f"{m}:{type(p).__name__}" for m, p in lone.items() if isinstance(p, Exception)]
-            assert row.status == (";".join(failed) or "ok")
-            assert row.values == {m: None if isinstance(p, Exception) else p for m, p in lone.items()}
 
     @pytest.mark.parametrize("method, name", [("ddp", "ddp_probability"), ("znt-double", "glancing_double_crossing"),
                                               ("znt-tunnel", "glancing_tunneling")])

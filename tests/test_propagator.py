@@ -8,7 +8,6 @@ contour quadrature of the tail integral.
 """
 
 import cmath
-import dataclasses
 import functools
 import math
 import time
@@ -385,20 +384,11 @@ class TestLevelGroups:
     )
 
     def test_interleaved_batch_matches_lone_propagations(self):
-        # the handover, its error and the steps are a lone solve's to the
-        # bit; P, p and psi to rounding, as the step integrals of W come
-        # from one matrix-vector product over the whole batch, whose BLAS
-        # kernel rounds a row by where it falls in the matrix
+        # every field of each member's result is its lone solve's, to the bit
         settings = PropagatorSettings()
         batch = propagator._propagate_batch(list(self.INTERLEAVED), settings)
         for m, got in zip(self.INTERLEAVED, batch):
-            want = propagate(m, settings)
-            for field in dataclasses.fields(PropagationResult):
-                a, b = getattr(got, field.name), getattr(want, field.name)
-                if field.name in ("probability", "single_passage", "phase"):
-                    assert abs(a - b) <= 1e-14, (m, field.name)
-                else:
-                    assert repr(a) == repr(b), (m, field.name)
+            assert got == propagate(m, settings), m
 
     def test_levels_group_by_family_and_key(self):
         models = list(self.INTERLEAVED) + [Parabolic(6.0, 0.0, 1.0), Superparabolic(6, 9.0)]
@@ -535,27 +525,57 @@ class TestTrimmedKernels:
         models = [Superparabolic(2, 1.0), Superparabolic(10, 3.0), Parabolic(1.0, 4.0, 1.0), Parabolic(1.0, -4.0, 1.0)]
         members = [(m, _tail_point(m, settings.tail_tol)) for m in models]
         for member in members:
-            _, _, half, f, _, _ = propagator._resolve([member], settings)
-            got, want = propagator._step_maps(half, f), step_maps_two_sided(half, f)
+            counts, _, half, f, _, _ = propagator._resolve([member], settings)
+            got, want = propagator._step_maps(half, f, counts), step_maps_two_sided(half, f)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        _, _, half, f, _, _ = propagator._resolve(members, settings)
+        counts, _, half, f, _, _ = propagator._resolve(members, settings)
+        # in a batch, each member sweeps until its own change is within the
+        # tolerance: its maps are those of its steps alone
+        bounds = np.cumsum([0, *counts])
+        members_alone = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        got = propagator._step_maps(half, f, counts)
+        want = zip(*(step_maps_two_sided(half[rows], f[rows]) for rows in members_alone))
+        assert [x.tobytes() for x in got] == [np.concatenate(x).tobytes() for x in want]
         # too few sweeps to converge, or steps so wide (|h f| = 5) that even
         # 64 sweeps leave a change of 1.4e-13, where a changes the more: the
         # same failure, naming the last change of either amplitude
-        wide = (np.ones(3), np.full((3, 32), 5.0 + 1.0j))
-        for sweeps, steps in [(2, (half, f)), (3, (half, f)), (5, (half, f)), (2, wide), (5, wide), (64, wide)]:
+        wide = (np.ones(3), np.full((3, 32), 5.0 + 1.0j), [3])
+        for sweeps, steps in [(2, (half, f, counts)), (3, (half, f, counts)), (5, (half, f, counts)), (2, wide),
+                              (5, wide), (64, wide)]:
             monkeypatch.setattr(propagator, "_PICARD_ITERATIONS", sweeps)
             with pytest.raises(ToleranceFailure) as got:
                 propagator._step_maps(*steps)
             with pytest.raises(ToleranceFailure) as want:
-                step_maps_two_sided(*steps)
+                step_maps_two_sided(*steps[:2])
             assert str(got.value) == str(want.value)
         monkeypatch.undo()
-        # in passes of 16 steps, each iterating to its own convergence
-        monkeypatch.setattr(propagator, "_PASS_STEPS", 16)
-        got = propagator._step_maps(half, f)
-        want = zip(*(step_maps_two_sided(half[k : k + 16], f[k : k + 16]) for k in range(0, half.size, 16)))
-        assert half.size > 32 and [x.tobytes() for x in got] == [np.concatenate(x).tobytes() for x in want]
+        # a member of more than _PASS_STEPS steps splits into near-equal
+        # parts, each sweeping on its own
+        monkeypatch.setattr(propagator, "_PASS_STEPS", 4)
+        parts = [part for rows in members_alone for part in np.array_split(rows, -(-rows.size // 4))]
+        got = propagator._step_maps(half, f, counts)
+        want = zip(*(step_maps_two_sided(half[rows], f[rows]) for rows in parts))
+        assert max(map(len, parts)) == 4 and [x.tobytes() for x in got] == [np.concatenate(x).tobytes() for x in want]
+
+    def test_member_stops_on_its_own(self):
+        # a member whose steps converge in few sweeps keeps its values while
+        # a wider member in its pass sweeps on: sweeping a converged member
+        # further can move its last bits (|h f| = 1 beside |h f| = 2)
+        rng = np.random.default_rng(0)
+        half = np.ones(6)
+        f = np.concatenate([np.exp(1j * rng.uniform(0, 6, (3, 32))), 2.0 * np.exp(1j * rng.uniform(0, 6, (3, 32)))])
+        got = propagator._step_maps(half, f, [3, 3])
+        alone = zip(propagator._step_maps(half[:3], f[:3], [3]), propagator._step_maps(half[3:], f[3:], [3]))
+        assert [x.tobytes() for x in got] == [np.concatenate(x).tobytes() for x in alone]
+
+    def test_passes_hold_whole_members(self, monkeypatch):
+        # a pass takes whole members up to _PASS_STEPS steps, and a longer
+        # member is split into the fewest near-equal parts, so that no pass
+        # holds a lone row
+        monkeypatch.setattr(propagator, "_PASS_STEPS", 8)
+        assert propagator._passes([3, 5, 10, 2, 17]) == [(0, [3, 5]), (8, [5]), (13, [5, 2]), (20, [6]), (26, [6]),
+                                                         (32, [5])]
+        assert propagator._passes([9]) == [(0, [5]), (5, [4])]
 
     def test_resolve_shortcuts_match_a_bisecting_batch(self, monkeypatch):
         # Superparabolic(2, 0.2) and Parabolic(1, 0, 0.3) accept their eight
