@@ -31,7 +31,7 @@ from .harness import (
     run_sweep,
 )
 from .models import model_from_params
-from .propagator import PropagatorSettings, _propagate_traced, propagate, propagate_trace
+from .propagator import PropagatorSettings, propagate, propagate_trace
 from .znt import fit_parameters, glancing_double_crossing, glancing_tunneling, znt_phase_estimate
 
 
@@ -102,13 +102,12 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         args.model, N=args.N, alpha=args.alpha, A=args.A, B=args.B, V0=args.V0
     )
     settings = PropagatorSettings(args.tail_tol)
-    if args.trace is None:
-        result = propagate(model, settings)
-    else:  # one solve on the trace window gives both
-        result, samples = _propagate_traced(model, settings, args.samples)
+    # a trace first: a sample count it refuses stops the command before any output
+    samples = None if args.trace is None else propagate_trace(model, settings, args.samples)
+    result = propagate(model, settings)
     for field in dataclasses.fields(result):
         print(f"{field.name} = {getattr(result, field.name):.17g}")
-    if args.trace is not None:
+    if samples is not None:
         with open(args.trace, "w", encoding="ascii", newline="") as fh:
             fh.write("t,P1,P2,norm\n")
             for t, p1, p2, norm in samples:

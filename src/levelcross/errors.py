@@ -40,9 +40,9 @@ class BracketingError(LevelCrossError):
 
 class NonConvergence(LevelCrossError):
     """The tail handover point, where tail_error = hypot(u_6, u_7) falls
-    to tail_tol, was not found; or resolving the window, or the weights
-    that read a trace's samples off the collocation polynomials, would go
-    past the solve's node cap."""
+    to tail_tol, or a trace window's end, was not found; or resolving the
+    window, or the weights that read a trace's samples off the collocation
+    polynomials, would go past the solve's node cap."""
 
 
 class ToleranceFailure(LevelCrossError):

@@ -31,14 +31,10 @@ orders past the level's degree, exact zeros that would add only zeros
 last), so J(T) = e^{2i Lam(T)} sum_{m < 6} i^(m+1) u_m.  Its error, the omitted
 sum_{m >= 6} i^(m+1) u_m, is hypot(u_6, u_7) to leading order: computed
 from the next two terms, not estimated from ratios.  The window ends at
-the first point of a x1.01 grid from the floor past the level structure
-where the terms already decrease, |u_0| > ... > |u_6|, and that error is
-at most settings.tail_tol; numpy evaluates the rule for a whole batch of
-models at once, on a block of grid points per model in each pass.  The
-first block ends a few points past the handover that the leading order
-of u_6 predicts (for eps ~ c t^d, |u_6| falls like V t^-(8d+7)), so that
-a scan evaluates few points past its handover; the block never changes
-a point's terms, only how many points a pass holds.  J
+the handover t_core: the first point of a x1.01 grid from the floor past
+the level structure where the terms already decrease,
+|u_0| > ... > |u_6|, and that error is at most settings.tail_tol, the
+one handover rule (see _tail_points, which scans a batch at once).  J
 completes the window through one exactly unitary factor,
 
     C(J) = [[1, -J], [conj(J), 1]] / sqrt(1+|J|^2),
@@ -82,18 +78,18 @@ tail_tol above that rounding: PropagatorSettings refuses one below 1e-17.
 On every resolved step, a' = -f b, b' = conj(f) a is solved from (1, 0)
 at once by Picard iteration to convergence: the Gauss collocation
 solution (Hairer, Norsett & Wanner 1993, sec. II.7), of order
-2 x 32 = 64 at the step's end.  The collocation matrices that act on
-complex node values are kept as complex copies, the very casts numpy
-would otherwise make on every product.  The steps of one model sweep
-until their largest change of a and b is within the tolerance, and no
+2 x 32 = 64 at the step's end.  The steps of one model sweep until
+their largest change of a and b is within the tolerance, and no
 further; a sweep reads the full change only once that of b at the steps'
 last nodes, which is at most the full one, is within the tolerance.
 The steps chain as SU(2) matrices [[a, -b*], [b, a*]] (b rotated by
 e^{-2i Lam(start)}), and their prefix products give U(t, 0) at every step
-end.  Between the ends the collocation polynomials give dense output: a
-trace reads U(t, 0) and Lam(t) at each sample |t| off the step that holds
-it, so its samples leave the steps, nfev and n_steps of its solve as
-they are.  nfev counts the coupling evaluations, those on rejected steps
+end.  Between the ends the collocation polynomials give dense output,
+read off the step that holds each time, which leaves the steps, nfev
+and n_steps of the solve as they are.  A trace solves past t_core, to
+where the mixing angle is small, and reads U(t, 0) and Lam(t) at each
+sample |t| and at t_core, where the tail completes it as in propagate.
+nfev counts the coupling evaluations, those on rejected steps
 included; a solve that would need more than _MAX_NODES of them raises
 NonConvergence before it allocates them.
 
@@ -140,6 +136,9 @@ _NODES = 32
 # within seconds instead of running on
 _MAX_NODES = 1 << 22
 _PASS_STEPS = 1 << 13
+
+# the equal steps each window starts as, before any is bisected
+_FIRST_STEPS = 8
 
 # Picard sweeps allowed per solve, and the change in the node values at
 # which they have converged
@@ -231,6 +230,9 @@ _TAIL_PHASES = tuple(1j ** (m + 1) for m in range(_TAIL_TERMS))
 # _TAIL_TERMS + 1, and each later term is one order shorter
 _EPS_ORDERS = _TAIL_TERMS + 3
 
+# the handover scan's grid step: each point is 1.01 times the one before
+_SCAN_STEP = 1.01
+
 # the handover scan's grid points, and how many of them one numpy pass
 # evaluates per model: a lone model's pass covers a factor 1.01^256 = 12.8
 # past its start; in a batch the block shrinks with the models still
@@ -248,8 +250,8 @@ _SCAN_MARGIN = 24
 
 @functools.cache
 def _scan_grid() -> np.ndarray:
-    """The handover scan's grid factors 1.01^k, k < _SCAN_POINTS."""
-    return 1.01 ** np.arange(_SCAN_POINTS)
+    """The handover scan's grid factors _SCAN_STEP^k, k < _SCAN_POINTS."""
+    return _SCAN_STEP ** np.arange(_SCAN_POINTS)
 
 
 # A truncated Taylor series is an array whose first axis is the order k and
@@ -397,25 +399,23 @@ def _handover_index(
             log_scale.append(math.nan)
         exponent.append(2 * d + 1 + _TAIL_TERMS * (d + 1))
     log_t = (np.array(log_scale)[group] + np.log(v) - math.log(tol)) / np.array(exponent)[group]
-    return np.ceil((log_t - np.log(starts)) / math.log(1.01))
+    return np.ceil((log_t - np.log(starts)) / math.log(_SCAN_STEP))
 
 
-def _tail_points(
-    models: Sequence[DiabaticModel], tol: float, max_angle: float = math.pi
-) -> list[tuple[float, np.ndarray] | Exception]:
+def _tail_points(models: Sequence[DiabaticModel], tol: float) -> list[tuple[float, np.ndarray] | Exception]:
     """For each of `models`, in order, the handover point t_core and the
     tail terms there (see _tail_series), or the failure that ends its scan.
 
-    t_core is the first point of the grid max(floor, 1) x 1.01^k where the
-    terms decrease up to the first omitted one, |u_0| > ... > |u_6|,
-    _tail_error is at most tol, and the mixing angle atan2(V, eps(t)) is at
-    most max_angle (by default any angle passes).  Before the terms
-    decrease the series is not yet asymptotic, and small late terms prove
-    nothing.  A model whose V^2 underflows fails with ZeroDivisionError
-    (gamma would be 0/0 where eps = 0), one whose series leaves the float
-    range first with OverflowError, and one that finds no point on the
-    grid with NonConvergence.  Every check that can fail a model before
-    its solve is made here.
+    t_core is the first point of the grid max(floor, 1) x _SCAN_STEP^k
+    where the terms decrease up to the first omitted one,
+    |u_0| > ... > |u_6|, and _tail_error is at most tol: the one handover
+    rule of every propagation and trace.  Before the terms decrease the
+    series is not yet asymptotic, and small late terms prove nothing.  A
+    model whose V^2 underflows fails with ZeroDivisionError (gamma would
+    be 0/0 where eps = 0), one whose series leaves the float range first
+    with OverflowError, and one that finds no point on the grid with
+    NonConvergence.  Every check that can fail a model before its solve
+    is made here.
 
     The 1% step keeps the window within 1% of the first passing point, which
     matters at large N, where the phase 2W ~ 2 t^N oscillates fastest at the
@@ -428,11 +428,10 @@ def _tail_points(
     to _SCAN_PASS_POINTS in all but never under _SCAN_MIN_CHUNK per model.
     The first pass ends _SCAN_MARGIN points past the latest handover that
     _handover_index predicts, if that is sooner, but at least
-    _SCAN_MIN_CHUNK points from the start; a NaN prediction, and a trace,
-    keep the full block: the trace's mixing-angle test (max_angle < pi)
-    can move the handover past the prediction.  Every point's terms are
-    elementwise in its own t, so that a model's terms and t_core are those
-    of a lone scan to the bit, whatever batch and block it is scanned in.
+    _SCAN_MIN_CHUNK points from the start; a NaN prediction keeps the full
+    block.  Every point's terms are elementwise in its own t, so that a
+    model's terms and t_core are those of a lone scan to the bit, whatever
+    batch and block it is scanned in.
     """
     out: list[tuple[float, np.ndarray] | Exception | None] = [None] * len(models)
     pending = []
@@ -445,7 +444,7 @@ def _tail_points(
     starts = np.array([max(models[i].floor, 1.0) for i in pending])
     v = np.array([models[i].V for i in pending])
     limit = _SCAN_POINTS
-    if pending and max_angle >= math.pi:
+    if pending:
         latest = float(_handover_index(levels, group, v, starts, tol).max())
         if math.isfinite(latest):
             limit = min(_SCAN_POINTS, max(_SCAN_MIN_CHUNK, int(latest) + _SCAN_MARGIN))
@@ -466,8 +465,6 @@ def _tail_points(
             u = _tail_series(eps, v[:, None], max(level.degree for level, _ in parts))
             size = np.abs(u[: _TAIL_TERMS + 1])
             passes = (_tail_error(u) <= tol) & np.all(size[:-1] > size[1:], axis=0)
-            if max_angle < math.pi:  # atan2 never exceeds pi
-                passes &= np.arctan2(v[:, None], eps[0]) <= max_angle
         stop = passes | ~np.isfinite(u).all(axis=0)
         scanning = []
         for j, (i, k) in enumerate(zip(pending, stop.argmax(axis=1).tolist())):
@@ -485,10 +482,10 @@ def _tail_points(
     return out
 
 
-def _tail_point(model: DiabaticModel, tol: float, max_angle: float = math.pi) -> tuple[float, np.ndarray]:
+def _tail_point(model: DiabaticModel, tol: float) -> tuple[float, np.ndarray]:
     """The handover (t_core, tail terms there) of one model: the batch of
     one of _tail_points, whose failure it raises."""
-    (handover,) = _tail_points([model], tol, max_angle)
+    (handover,) = _tail_points([model], tol)
     if isinstance(handover, Exception):
         raise handover
     return handover
@@ -529,7 +526,7 @@ def _complex_collocation() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _readout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _barycentric() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points z = {-1} and the _NODES nodes, their barycentric weights,
     and the matrix [0; integrate^T] that takes the Lagrange basis row L(y)
     on z to the row L(y) [0; integrate^T] that integrates node values from
@@ -547,8 +544,8 @@ def _readout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _integration_rows(y: np.ndarray) -> np.ndarray:
     """For each y, the row that integrates node values from -1 to y, by the
     barycentric formula L_i(y) = (w_i / (y - z_i)) / sum_j w_j / (y - z_j)
-    on _readout's points; a y on one of them takes that point's row."""
-    z, weights, matrix = _readout()
+    on _barycentric's points; a y on one of them takes that point's row."""
+    z, weights, matrix = _barycentric()
     offset = y[:, None] - z
     with np.errstate(divide="ignore", invalid="ignore"):  # the rows at a point are replaced below
         basis = weights / offset
@@ -560,34 +557,33 @@ def _integration_rows(y: np.ndarray) -> np.ndarray:
 
 
 def _resolve(
-    members: Sequence[tuple[DiabaticModel, tuple[float, np.ndarray]]],
-    settings: PropagatorSettings,
+    windows: Sequence[tuple[DiabaticModel, float]], settings: PropagatorSettings
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Steps of [0, t_core] on which the coupling is resolved, for each
-    member (model, handover) of a batch, t_core being handover[0].
+    """Steps of [0, T] on which the coupling is resolved, for each member
+    (model, T) of a batch of windows.
 
     Returns the number of steps of each member, then, sorted by member and
     then by position, each step's start and half-width, the coupling
     f = gamma e^{2i (Lam - Lam(start))} and W at its nodes, and the number
     of coupling evaluations made for each member.  Each member's window
-    starts as eight equal steps.  Steps that fail the resolution rule (see
-    the module docstring) are bisected, and only the new halves are
-    evaluated.  A pass evaluates at most _PASS_STEPS steps of any members,
+    starts as _FIRST_STEPS equal steps.  Steps that fail the resolution
+    rule (see the module docstring) are bisected, and only the new halves
+    are evaluated.  A pass evaluates at most _PASS_STEPS steps of any members,
     each level once on the steps of all members that have it (see _levels);
     the whole batch evaluates at most _MAX_NODES nodes.
     """
     nodes, _, _, integrate = _collocation()
     trailing = _complex_collocation()[1]
-    models = [model for model, _ in members]
+    models = [model for model, _ in windows]
     levels, group = _levels(models)
     coupling = np.array([model.V for model in models])
     # the queue of steps, a row (member, start, end) each, kept sorted by
     # member so that each member's steps in a pass are contiguous; the
-    # eighths k (t_core / 8) are those np.linspace(0, t_core, 9) makes
+    # points k (T / n) are those np.linspace(0, T, n + 1) makes, n = _FIRST_STEPS
     queue = []
-    for k, (model, (t_core, _)) in enumerate(members):
-        h = t_core / 8.0
-        queue += [(k, j * h, (j + 1) * h) for j in range(8)]
+    for k, (model, t_end) in enumerate(windows):
+        h = t_end / _FIRST_STEPS
+        queue += [(k, j * h, (j + 1) * h) for j in range(_FIRST_STEPS)]
     queue = np.array(queue)
     done = []
     spent = 0
@@ -598,7 +594,7 @@ def _resolve(
             k = int(queue[width.argmin(), 0])
             raise NonConvergence(
                 f"collocation node cap of {_MAX_NODES} nodes reached with {np.count_nonzero(queue[:, 0] == k)} "
-                f"steps of [0, {members[k][1][0]!r}] unresolved, the shortest {float(width.min())!r} wide, "
+                f"steps of [0, {windows[k][1]!r}] unresolved, the shortest {float(width.min())!r} wide, "
                 f"for {models[k]!r}"
             )
         steps, queue = queue[:_PASS_STEPS], queue[_PASS_STEPS:]
@@ -629,9 +625,9 @@ def _resolve(
     if bisected:  # else the passes took the queue in its order, by member and position
         order = np.lexsort((steps[:, 1], steps[:, 0]))
         steps, half, f, big_w = steps[order], half[order], f[order], big_w[order]
-    accepted = np.bincount(steps[:, 0].astype(int), minlength=len(members)).tolist()
-    # each failed step gave way to two, so a member evaluated 2 (accepted) - 8 steps
-    nfev = [(2 * n - 8) * _NODES for n in accepted]
+    accepted = np.bincount(steps[:, 0].astype(int), minlength=len(windows)).tolist()
+    # each failed step gave way to two, so a member evaluated 2 (accepted) - _FIRST_STEPS steps
+    nfev = [(2 * n - _FIRST_STEPS) * _NODES for n in accepted]
     return accepted, steps[:, 1], half, f, big_w, nfev
 
 
@@ -764,7 +760,7 @@ def _dense_output(
     lam_starts: np.ndarray,
     prefix: list[tuple[complex, complex]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a, b and Lam at each of `times` (in [0, t_core]) of one window, where
+    """a, b and Lam at each of `times` (in [0, T]) of one window, where
     U(t, 0) = [[a, -b*], [b, a*]], from its steps: their starts and
     half-widths, f, W and the converged (a, b) at their nodes, Lam at their
     starts, and U(start, 0) = [[a, -b*], [b, a*]] as prefix[i] = (a, b) for
@@ -796,22 +792,16 @@ def _dense_output(
 
 
 def _solve_window(
-    members: Sequence[tuple[DiabaticModel, tuple[float, np.ndarray]]],
-    settings: PropagatorSettings,
-    times: Sequence[float] = (),
-) -> list[tuple[PropagationResult, tuple[complex, complex], tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """The propagation over [-t_core, t_core] of each member (model,
-    handover) of a batch, from one solve of all their windows [0, t_core].
+    windows: Sequence[tuple[DiabaticModel, float]], settings: PropagatorSettings, times: Sequence[float] = ()
+) -> list[tuple[tuple, tuple[np.ndarray, np.ndarray, np.ndarray], int, int]]:
+    """One solve of the windows [0, T] of a batch of members (model, T).
 
-    `handover` is (t_core, tail terms there), as _tail_point returns it.
-    Returns, for each member, the result, the state (beta, alpha*) at t = 0,
-    from which U(t, 0) carries it to any t, and arrays a, b and Lam at each
-    of the `times` in [0, t_core], where U(t, 0) = [[a, -b*], [b, a*]].
-    The times are not step edges: they leave the solve, its nfev and its
-    steps as they are, and are read off its collocation polynomials (see
-    _dense_output).
+    Returns, for each member, (a, b, Lam(T)) with U(T, 0) = [[a, -b*],
+    [b, a*]], arrays a, b and Lam at each of the `times` in [0, T], read
+    off the collocation polynomials (see _dense_output), which leave the
+    solve as it is, and the solve's nfev and n_steps.
     """
-    counts, starts, half, f, big_w, nfev = _resolve(members, settings)
+    counts, starts, half, f, big_w, nfev = _resolve(windows, settings)
     a_steps, b_steps, a_nodes, b_nodes = _step_maps(half, f, counts)
     # summed row by row: a product over the batch would round a row by its place in it
     lam_steps = half * np.add.reduce(big_w * _collocation()[1], axis=1)
@@ -826,33 +816,33 @@ def _solve_window(
     times = np.asarray(times, dtype=float)
     no_states = (np.empty(0, dtype=complex), np.empty(0, dtype=complex), times)
     out = []
-    for k, (_, (t_core, terms)) in enumerate(members):
+    for k in range(len(windows)):
         steps = slice(bounds[k], bounds[k + 1])
         a, b = 1.0 + 0.0j, 0.0j
         prefix = [(a, b)]  # U(t, 0) = [[a, -b*], [b, a*]] at t = 0 and at each step's end
         for ak, bk in zip(a_listed[steps], b_rotated[steps]):
             a, b = ak * a - bk.conjugate() * b, bk * a + ak.conjugate() * b
             prefix.append((a, b))
-        states = no_states
-        if times.size:
-            states = _dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
-                                   b_nodes[steps], lam_starts[steps], prefix)
-        j = cmath.exp(2j * float(lam_ends[steps.stop - 1])) * _tail_coefficient(terms)
-        # V = C(J) U = [[alpha, -beta*], [beta, alpha*]]
-        n = math.sqrt(1.0 + abs(j) ** 2)
-        alpha, beta = (a - j * b) / n, (j.conjugate() * a + b) / n
-        product = alpha * beta
-        result = PropagationResult(
-            probability=min(4.0 * product.imag ** 2, 1.0),
-            single_passage=abs(beta) ** 2,
-            phase=cmath.phase(product),
-            t_core=t_core,
-            tail_error=float(_tail_error(terms)),
-            nfev=nfev[k],
-            n_steps=counts[k],
-        )
-        out.append((result, (beta, alpha.conjugate()), states))
+        states = _dense_output(times, starts[steps], half[steps], f[steps], big_w[steps], a_nodes[steps],
+                               b_nodes[steps], lam_starts[steps], prefix) if times.size else no_states
+        out.append(((a, b, float(lam_ends[steps.stop - 1])), states, nfev[k], counts[k]))
     return out
+
+
+def _readout(u, handover: tuple[float, np.ndarray], nfev: int, n_steps: int) -> tuple[PropagationResult, tuple]:
+    """The result of a solve completed at its handover (t_core, tail terms),
+    from u = (a, b, Lam(t_core)) with U(t_core, 0) = [[a, -b*], [b, a*]],
+    and the state (beta, alpha*) at t = 0 of V = C(J) U(t_core, 0) =
+    [[alpha, -beta*], [beta, alpha*]] (see the module docstring)."""
+    (a, b, lam), (t_core, terms) = u, handover
+    j = cmath.exp(2j * lam) * _tail_coefficient(terms)
+    n = math.sqrt(1.0 + abs(j) ** 2)
+    alpha, beta = (a - j * b) / n, (j.conjugate() * a + b) / n
+    product = alpha * beta
+    result = PropagationResult(probability=min(4.0 * product.imag ** 2, 1.0), t_core=t_core,
+                               tail_error=float(_tail_error(terms)), nfev=nfev, n_steps=n_steps,
+                               single_passage=abs(beta) ** 2, phase=cmath.phase(product))
+    return result, (beta, alpha.conjugate())
 
 
 def _propagate_batch(
@@ -861,20 +851,21 @@ def _propagate_batch(
     """propagate for each of `models`, in order: its result, or the failure
     (one of _FAILURES) it raised.
 
-    Batches of at most _PASS_STEPS // 8 models, whose first steps (eight
-    each) fit one pass, are scanned for their handovers together and then
+    Batches of at most _PASS_STEPS // _FIRST_STEPS models, whose first
+    steps fit one pass, are scanned for their handovers together and then
     solved together.  A model whose handover scan fails is left out of its
     batch's solve; a batch whose solve fails (the node cap is shared) is
     solved again one model at a time, from the handovers already found.
     """
     out: list[PropagationResult | Exception] = []
-    size = _PASS_STEPS // 8
+    size = _PASS_STEPS // _FIRST_STEPS
     for k in range(0, len(models), size):
         batch = models[k : k + size]
         handovers = _tail_points(batch, settings.tail_tol)
         members = [(m, h) for m, h in zip(batch, handovers) if not isinstance(h, Exception)]
         try:
-            solved = iter([result for result, _, _ in _solve_window(members, settings)] if members else [])
+            windows = _solve_window([(m, h[0]) for m, h in members], settings) if members else []
+            solved = iter([_readout(u, h, nfev, n_steps)[0] for (u, _, nfev, n_steps), (_, h) in zip(windows, members)])
         except _FAILURES:
             solved = iter([_attempt(_solve_lone, member, settings) for member in members])
         out += [h if isinstance(h, Exception) else next(solved) for h in handovers]
@@ -883,7 +874,9 @@ def _propagate_batch(
 
 def _solve_lone(member: tuple[DiabaticModel, tuple[float, np.ndarray]], settings: PropagatorSettings) -> PropagationResult:
     """The result of one member (model, handover) solved on its own."""
-    return _solve_window([member], settings)[0][0]
+    model, handover = member
+    ((u, _, nfev, n_steps),) = _solve_window([(model, handover[0])], settings)
+    return _readout(u, handover, nfev, n_steps)[0]
 
 
 def propagate(model: DiabaticModel, settings: PropagatorSettings = PropagatorSettings()) -> PropagationResult:
@@ -907,50 +900,58 @@ def _mixing_half_angle(model: DiabaticModel, t):
 _TRACE_MIXING_ANGLE = 1e-2
 
 
+def _trace_end(model: DiabaticModel, t_core: float) -> float:
+    """The end T of a trace window: the first point of the handover scan's
+    grid at or past t_core with mixing angle atan2(V, eps) at most
+    _TRACE_MIXING_ANGLE, read off the level alone, _SCAN_CHUNK points at a time."""
+    grid = max(model.floor, 1.0) * _scan_grid()
+    for first in range(int(np.searchsorted(grid, t_core)), _SCAN_POINTS, _SCAN_CHUNK):
+        t = grid[first : first + _SCAN_CHUNK]
+        with np.errstate(all="ignore"):  # a level out of range fails its solve
+            small = np.arctan2(model.V, model.level(t)[0]) <= _TRACE_MIXING_ANGLE
+        if small.any():
+            return float(t[small.argmax()])
+    raise NonConvergence(f"could not locate trace window end for {model!r}")
+
+
 def propagate_trace(
     model: DiabaticModel,
     settings: PropagatorSettings = PropagatorSettings(),
     sample_count: int = 512,
 ) -> list[tuple[float, float, float, float]]:
-    """Uniformly sampled (t, |c1|^2, |c2|^2, norm) along the integrated window.
+    """Uniformly sampled (t, |c1|^2, |c2|^2, norm) along the window [-T, T].
 
     The samples are diabatic populations, which differ from the adiabatic
-    ones by about theta/2 for the mixing angle theta = atan2(V, eps).  The
-    window therefore ends at the first point of the handover scan that also
-    has theta <= 1e-2, so that the last sample is within about 5e-3 of the
-    asymptotic P.  The samples are read off the collocation polynomials of
-    the solve's steps, which they do not change: the solve, its nfev and
-    its steps are those of the window alone.  The readout evaluates _NODES
-    weights at each distinct |t|, which count against the node cap, so a
-    sample_count above 2 _MAX_NODES / _NODES (262,144) raises
-    NonConvergence at once.
+    ones by about theta/2 for the mixing angle theta = atan2(V, eps), so
+    the window runs on past propagate's handover t_core to T, where
+    theta <= 1e-2 (see _trace_end), and the last sample is within about
+    5e-3 of the asymptotic P.  The tail completes the state at t = 0 at
+    t_core, as in propagate.  The samples and U(t_core, 0) are read off the
+    solve's collocation polynomials, _NODES weights per distinct |t|, which
+    count against the node cap: a sample_count above 2 _MAX_NODES / _NODES
+    (262,144) raises NonConvergence at once.
     """
-    return _propagate_traced(model, settings, sample_count)[1]
-
-
-def _propagate_traced(
-    model: DiabaticModel, settings: PropagatorSettings, sample_count: int
-) -> tuple[PropagationResult, list[tuple[float, float, float, float]]]:
-    """The result and the samples of propagate_trace, from its one solve."""
     if not isinstance(sample_count, numbers.Integral) or sample_count < 2:
         raise ValueError(f"sample_count must be an integer >= 2, got {sample_count!r}")
     distinct = (sample_count + 1) // 2
     if distinct * _NODES > _MAX_NODES:
         raise NonConvergence(f"sample_count={sample_count!r} reads {distinct} distinct |t| of {_NODES} weights each, "
                              f"past the collocation node cap of {_MAX_NODES} nodes")
-    handover = _tail_point(model, settings.tail_tol, _TRACE_MIXING_ANGLE)
-    t_core = handover[0]
-    ts = np.linspace(-t_core, t_core, sample_count)
+    handover = _tail_point(model, settings.tail_tol)
+    t_end = _trace_end(model, handover[0])
+    ts = np.linspace(-t_end, t_end, sample_count)
     ts = 0.5 * (ts - ts[::-1])  # exactly odd, so each |t| is read out once
-    result, (bp0, bm0), (a, b, lam) = _solve_window([(model, handover)], settings, ts[sample_count // 2 :])[0]
+    times = np.append(ts[sample_count // 2 :], handover[0])
+    ((_, (a, b, lam), nfev, n_steps),) = _solve_window([(model, t_end)], settings, times)
+    _, (bp0, bm0) = _readout((a[-1], b[-1], lam[-1]), handover, nfev, n_steps)
     # t < 0: U(t, 0) = conj(U(-t, 0)) and Lam(t) = -Lam(-t)
-    back = slice(sample_count % 2, None)  # the |t| of the samples at t < 0
-    a = np.concatenate((a[back][::-1].conj(), a))
-    b = np.concatenate((b[back][::-1].conj(), b))
-    lam = np.concatenate((-lam[back][::-1], lam))
+    back = slice(sample_count % 2, -1)  # the |t| of the samples at t < 0
+    a = np.concatenate((a[back][::-1].conj(), a[:-1]))
+    b = np.concatenate((b[back][::-1].conj(), b[:-1]))
+    lam = np.concatenate((-lam[back][::-1], lam[:-1]))
     c_half, s_half = _mixing_half_angle(model, ts)
     up = (a * bp0 - b.conj() * bm0) * np.exp(-1j * lam)
     dn = (b * bp0 + a.conj() * bm0) * np.exp(1j * lam)
     p1 = np.abs(up * c_half - dn * s_half) ** 2
     p2 = np.abs(up * s_half + dn * c_half) ** 2
-    return result, list(zip(ts.tolist(), p1.tolist(), p2.tolist(), (p1 + p2).tolist()))
+    return list(zip(ts.tolist(), p1.tolist(), p2.tolist(), (p1 + p2).tolist()))

@@ -88,28 +88,35 @@ class TestPropagate:
         assert first[2] > 1.0 - 1e-4
         assert first[3] == pytest.approx(1.0, abs=1e-9)
 
-    def test_trace_is_one_solve(self, tmp_path, capsys, monkeypatch):
-        # the printed result and the trace file come from the same solve,
-        # on the trace window, which ends no earlier than the handover point
-        calls = []
+    @pytest.mark.parametrize("model", [
+        ["--N", "2", "--alpha", "1.0"], ["--N", "6", "--alpha", "1.3"],
+        ["--model", "parabolic", "--A", "1", "--B", "4", "--V0", "1"],
+        ["--model", "parabolic", "--A", "1", "--B", "-4", "--V0", "1"],
+    ], ids=["n2", "n6", "b+4", "b-4"])
+    def test_trace_is_one_solve(self, tmp_path, capsys, monkeypatch, model):
+        # with --trace the command prints what it prints without, byte for
+        # byte, from propagate's own solve; the trace is one solve more, on
+        # its window [0, T], which ends at or past the handover point
+        rc = main(["propagate", *model])
+        assert rc == 0
+        plain = capsys.readouterr().out
+        windows = []
         real = propagator._resolve
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(members, settings):
+            windows.append([t for _, t in members])
+            return real(members, settings)
 
         monkeypatch.setattr(propagator, "_resolve", counting)
-        rc = main(
-            ["propagate", "--N", "2", "--alpha", "1.0", "--trace", str(tmp_path / "t.csv"),
-             "--samples", "8"]
-        )
+        trace = tmp_path / "t.csv"
+        rc = main(["propagate", *model, "--trace", str(trace), "--samples", "8"])
         assert rc == 0
-        assert len(calls) == 1
-        vals = _values(capsys.readouterr().out)
-        p = propagate(Superparabolic(2, 1.0)).probability
-        assert abs(float(vals["probability"]) - p) < 1e-9
-        assert float(vals["t_core"]) >= _tail_point(Superparabolic(2, 1.0), 3e-12)[0]
-        assert float(vals["tail_error"]) <= 3e-12
+        out = capsys.readouterr().out
+        assert out == plain + f"trace written to {trace}\n"
+        t_core = float(_values(out)["t_core"])
+        ((t_end,), (t_window,)) = windows  # the trace first, so that a refused sample count prints nothing
+        assert t_window == t_core <= t_end
+        assert float(trace.read_text(encoding="ascii").splitlines()[-1].split(",")[0]) == t_end
 
     def test_settings_flags(self, capsys):
         rc = main(

@@ -256,13 +256,16 @@ class TestRunSweep:
 
     def test_batch_size_capped(self, monkeypatch):
         # a batch's first steps must fit one pass, so a 5000-point panel
-        # goes to the solve in batches of at most _PASS_STEPS // 8 models,
+        # goes to the solve in batches of at most _PASS_STEPS // _FIRST_STEPS models,
         # in grid order, and each N panel separately
         batches = []
 
-        def recorder(members, settings):
-            batches.append([(m.N, m.alpha) for m, _ in members])
-            return [(SimpleNamespace(probability=m.alpha / (1.0 + m.alpha)), None, []) for m, _ in members]
+        def recorder(windows, settings):
+            batches.append([(m.N, m.alpha) for m, _ in windows])
+            return [(m.alpha, None, 0, 0) for m, _ in windows]
+
+        def readout(alpha, handover, nfev, n_steps):
+            return SimpleNamespace(probability=alpha / (1.0 + alpha)), None
 
         scans = []
 
@@ -272,9 +275,10 @@ class TestRunSweep:
 
         monkeypatch.setattr(propagator, "_tail_points", scanner)
         monkeypatch.setattr(propagator, "_solve_window", recorder)
+        monkeypatch.setattr(propagator, "_readout", readout)
         cfg = SweepConfig(n_values=(2, 6), alpha_min=0.1, alpha_max=3.0, points=5_000, methods=("numeric",))
         rows = run_sweep(cfg)
-        assert max(map(len, batches)) == propagator._PASS_STEPS // 8
+        assert max(map(len, batches)) == propagator._PASS_STEPS // propagator._FIRST_STEPS
         assert scans == list(map(len, batches))
         assert [point for batch in batches for point in batch] == [(r.n, r.alpha) for r in rows]
         assert all(len({n for n, _ in batch}) == 1 for batch in batches)

@@ -236,25 +236,26 @@ class TestBatchedScan:
         # failure with the same type and message, in input order
         models = list(self.MIXED)
         tol = PropagatorSettings().tail_tol
-        handovers = {}
-        for max_angle in (math.pi, propagator._TRACE_MIXING_ANGLE):
-            batch = _tail_points(models, tol, max_angle)
-            assert len(batch) == len(models)
-            failures = []
-            for m, got in zip(models, batch):
-                try:
-                    t, terms = _tail_point(m, tol, max_angle)
-                except (ZeroDivisionError, OverflowError, NonConvergence) as exc:
-                    assert type(got) is type(exc) and str(got) == str(exc)
-                    failures.append(type(exc))
-                else:
-                    assert got[0] == t and got[1].tobytes() == terms.tobytes()
-            assert failures == [ZeroDivisionError, OverflowError, OverflowError, OverflowError, ZeroDivisionError,
-                                OverflowError]
-            handovers[max_angle] = [h[0] for h in batch if not isinstance(h, Exception)]
-        # the trace's mixing-angle test moves some handovers out, none in
-        wide, narrow = handovers.values()
-        assert all(a <= b for a, b in zip(wide, narrow)) and wide != narrow
+        batch = _tail_points(models, tol)
+        assert len(batch) == len(models)
+        failures = []
+        for m, got in zip(models, batch):
+            try:
+                t, terms = _tail_point(m, tol)
+            except (ZeroDivisionError, OverflowError, NonConvergence) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                failures.append(type(exc))
+            else:
+                assert got[0] == t and got[1].tobytes() == terms.tobytes()
+        assert failures == [ZeroDivisionError, OverflowError, OverflowError, OverflowError, ZeroDivisionError,
+                            OverflowError]
+        # a trace's window end is a later point of the same grid, where the
+        # mixing angle is small: some move out, none in
+        found = [(m, h[0]) for m, h in zip(models, batch) if not isinstance(h, Exception)]
+        ends = [propagator._trace_end(m, t) for m, t in found]
+        assert all(t <= end for (_, t), end in zip(found, ends)) and [t for _, t in found] != ends
+        for (m, _), end in zip(found, ends):
+            assert end in max(m.floor, 1.0) * propagator._scan_grid()
 
     def test_block_size_never_changes_a_handover(self, monkeypatch):
         # a point's terms do not depend on the block that holds it: a first
@@ -263,14 +264,12 @@ class TestBatchedScan:
         # handover to the bit, or the same failure
         models = list(self.MIXED)
         tol = PropagatorSettings().tail_tol
-        for max_angle in (math.pi, propagator._TRACE_MIXING_ANGLE):
-            runs = [_handover_outcomes(_tail_points(models, tol, max_angle))]
-            for predicted in (0, propagator._SCAN_POINTS):
-                monkeypatch.setattr(propagator, "_handover_index",
-                                    lambda levels, group, *args, k=predicted: np.full(len(group), float(k)))
-                runs.append(_handover_outcomes(_tail_points(models, tol, max_angle)))
-            monkeypatch.undo()
-            assert runs[1] == runs[0] and runs[2] == runs[0]
+        runs = [_handover_outcomes(_tail_points(models, tol))]
+        for predicted in (0, propagator._SCAN_POINTS):
+            monkeypatch.setattr(propagator, "_handover_index",
+                                lambda levels, group, *args, k=predicted: np.full(len(group), float(k)))
+            runs.append(_handover_outcomes(_tail_points(models, tol)))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_predicted_handover_is_near_the_scan(self):
         # the leading-order prediction k* lands within one grid point of the
@@ -320,8 +319,7 @@ class TestBatchedScan:
     def test_pass_bound(self, monkeypatch):
         # the first pass ends 24 grid points past the latest predicted
         # handover (16 points at least), where that is sooner than its full
-        # block; a trace keeps the full block, 256 points for a lone model.
-        # Later passes scan a block of rows per pending member that shrinks
+        # block, for a trace's scan too.  Later passes scan a block of rows per pending member that shrinks
         # as more members pend, to 4096 points in all but never under 16 rows
         passes = []
         real = propagator._tail_series
@@ -337,8 +335,8 @@ class TestBatchedScan:
         _tail_point(m, tol)
         assert passes == [(1, k + 24)] and k + 24 < 256
         passes.clear()
-        _tail_point(m, tol, propagator._TRACE_MIXING_ANGLE)
-        assert passes == [(1, 256)]
+        propagate_trace(m, sample_count=8)
+        assert passes == [(1, k + 24)]
         passes.clear()
         panel = [Superparabolic(10, a) for a in (0.1, 0.3, 1.0, 3.0)]
         _tail_points(panel, tol)
@@ -437,7 +435,7 @@ class TestLevelGroups:
         handovers = _tail_points(models, settings.tail_tol)
         scan = passes("level_series")
         log.clear()
-        propagator._solve_window(list(zip(models, handovers)), settings)
+        propagator._solve_window([(m, h[0]) for m, h in zip(models, handovers)], settings)
         solve = passes("level")
         assert len(scan) >= 1 and len(solve) > 1
         for calls, rows in scan + solve:
@@ -474,7 +472,7 @@ class TestSeriesKernels:
         # step's start, on every node of one step, and between them
         m = Superparabolic(2, 1.0)
         handover = _tail_point(m, PropagatorSettings().tail_tol)
-        _, starts, half, _, _, _ = propagator._resolve([(m, handover)], PropagatorSettings())
+        _, starts, half, _, _, _ = propagator._resolve([(m, handover[0])], PropagatorSettings())
         nodes = propagator._collocation()[0]
         times = np.concatenate(([0.0], starts, starts[2] + half[2] * (1.0 + nodes),
                                 np.linspace(0.0, handover[0], 101)))
@@ -523,7 +521,7 @@ class TestTrimmedKernels:
     def test_step_maps_match_two_sided_iteration(self, monkeypatch):
         settings = PropagatorSettings()
         models = [Superparabolic(2, 1.0), Superparabolic(10, 3.0), Parabolic(1.0, 4.0, 1.0), Parabolic(1.0, -4.0, 1.0)]
-        members = [(m, _tail_point(m, settings.tail_tol)) for m in models]
+        members = [(m, _tail_point(m, settings.tail_tol)[0]) for m in models]
         for member in members:
             counts, _, half, f, _, _ = propagator._resolve([member], settings)
             got, want = propagator._step_maps(half, f, counts), step_maps_two_sided(half, f)
@@ -586,7 +584,7 @@ class TestTrimmedKernels:
         one_pass, bisecting = [Superparabolic(2, 0.2), Parabolic(1.0, 0.0, 0.3)], Superparabolic(2, 1.0)
 
         def resolve(models):
-            return propagator._resolve([(m, _tail_point(m, settings.tail_tol)) for m in models], settings)
+            return propagator._resolve([(m, _tail_point(m, settings.tail_tol)[0]) for m in models], settings)
 
         lone = {m: resolve([m]) for m in one_pass + [bisecting]}
         assert [lone[m][0] for m in one_pass + [bisecting]] == [[8], [8], [9]]
@@ -710,9 +708,9 @@ class TestPropagate:
         m = Superparabolic(2, 1.0)
         handover = _tail_point(m, PropagatorSettings().tail_tol)
         counted = CountingModel(m)
-        r, _, states = propagator._solve_window([(counted, handover)], PropagatorSettings(), times)[0]
-        assert r.nfev == counted.points
-        assert r.n_steps * propagator._NODES <= r.nfev < 400
+        _, states, nfev, n_steps = propagator._solve_window([(counted, handover[0])], PropagatorSettings(), times)[0]
+        assert nfev == counted.points
+        assert n_steps * propagator._NODES <= nfev < 400
         assert all(len(column) == len(times) for column in states)
 
     def test_basis_agreement_grid(self):
@@ -750,8 +748,8 @@ class TestPropagate:
                   Superparabolic(6, 1.0), Superparabolic(10, 2.0), Parabolic(1.0, 4.0, 1.0),
                   Parabolic(1.0, -4.0, 1.0), Parabolic(1.0, 4.0, 3e-3)):
             handover = _tail_point(m, 3e-12)
-            ((loose, _, _),) = propagator._solve_window([(m, handover)], PropagatorSettings())
-            ((tight, _, _),) = propagator._solve_window([(m, handover)], PropagatorSettings(tail_tol=1e-15))
+            loose = propagator._solve_lone((m, handover), PropagatorSettings())
+            tight = propagator._solve_lone((m, handover), PropagatorSettings(tail_tol=1e-15))
             assert tight.nfev > loose.nfev
             assert abs(tight.probability - loose.probability) <= 1e-14
 
@@ -850,7 +848,7 @@ def test_window_states_match_interaction_rhs():
         handover = _tail_point(m, PropagatorSettings().tail_tol)
         t_core = handover[0]
         times = [0.0, 0.1 * t_core, 0.5 * t_core, t_core]
-        _, _, states = propagator._solve_window([(m, handover)], PropagatorSettings(), times)[0]
+        _, states, _, _ = propagator._solve_window([(m, t_core)], PropagatorSettings(), times)[0]
         sol = solve_ivp(interaction_rhs(m), (0.0, t_core), np.array([1.0, 0.0, 0.0], dtype=complex),
                         method="DOP853", rtol=1e-12, atol=1e-14, t_eval=times)
         for a, b, lam, want in zip(*states, sol.y.T):
@@ -905,15 +903,59 @@ def test_one_solve_per_propagation(count_solves, run):
     assert len(count_solves) == 1
 
 
-def test_trace_solve_independent_of_sample_count():
-    # the samples are read off the window's steps, not made step edges, so
-    # a trace's solve is its window's whatever the sample count
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: [propagate(Superparabolic(2, 1.0))],
+        lambda: propagator._propagate_batch([Superparabolic(10, a) for a in (0.1, 0.3, 1.0, 3.0)],
+                                            PropagatorSettings()),
+        lambda: propagator._propagate_batch(TestBatchedScan.MIXED, PropagatorSettings()),
+    ],
+    ids=["lone", "panel", "mixed"],
+)
+def test_nfev_is_the_count_of_coupling_nodes(monkeypatch, run):
+    # nfev is inferred from the accepted steps, as (2 n - _FIRST_STEPS)
+    # _NODES: count the nodes each member's couplings are evaluated at,
+    # so that a change to the first steps or to the bisection that breaks
+    # the formula fails here
+    solves = []
+    real_resolve, real_couplings = propagator._resolve, propagator._couplings
+
+    def resolving(windows, settings):
+        solves.append(np.zeros(len(windows), dtype=int))
+        return real_resolve(windows, settings)
+
+    def counting(levels, group, coupling, member, t):
+        solves[-1] += np.bincount(member.astype(int), minlength=len(solves[-1])) * t.shape[1]
+        return real_couplings(levels, group, coupling, member, t)
+
+    monkeypatch.setattr(propagator, "_resolve", resolving)
+    monkeypatch.setattr(propagator, "_couplings", counting)
+    results = [r for r in run() if not isinstance(r, Exception)]
+    (counted,) = solves
+    assert counted.tolist() == [r.nfev for r in results] and len(results) > 0
+
+
+def test_trace_solve_independent_of_sample_count(monkeypatch):
+    # the samples and t_core are read off the window's steps, not made step
+    # edges, so a trace's solve is that of its window [0, T] alone whatever
+    # the sample count: same nfev, n_steps and U(T, 0)
     m = Parabolic(1.0, 4.0, 1.0)
-    handover = _tail_point(m, PropagatorSettings().tail_tol, 1e-2)
-    ((window, _, _),) = propagator._solve_window([(m, handover)], PropagatorSettings())
+    t_end = propagator._trace_end(m, _tail_point(m, PropagatorSettings().tail_tol)[0])
+    ((window, _, nfev, n_steps),) = propagator._solve_window([(m, t_end)], PropagatorSettings())
+    real, solves = propagator._solve_window, []
+
+    def recording(windows, settings, times=()):
+        solves.append((windows, real(windows, settings, times)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(propagator, "_solve_window", recording)
     for n in (8, 257, 1001):
-        traced, _ = propagator._propagate_traced(m, PropagatorSettings(), n)
-        assert (traced.nfev, traced.n_steps) == (window.nfev, window.n_steps)
+        propagate_trace(m, sample_count=n)
+        ((windows, ((end, _, traced_nfev, traced_steps),)),) = solves
+        assert windows == [(m, t_end)]
+        assert (end, traced_nfev, traced_steps) == (window, nfev, n_steps)
+        solves.clear()
 
 
 def test_node_cap_raises_non_convergence(monkeypatch):
@@ -924,7 +966,7 @@ def test_node_cap_raises_non_convergence(monkeypatch):
     handover = _tail_point(counted.model, PropagatorSettings().tail_tol)
     with pytest.raises(NonConvergence,
                        match=r"node cap of 300 nodes reached with \d+ steps of \[0, .*\] unresolved"):
-        propagator._solve_window([(counted, handover)], PropagatorSettings())
+        propagator._solve_window([(counted, handover[0])], PropagatorSettings())
     assert 0 < counted.points <= 300
 
 
@@ -942,7 +984,7 @@ def test_level_exception_reaches_caller_as_itself():
     m = CountingModel(Superparabolic(2, 1.0), fail=LevelBroke("level failed"))
     handover = _tail_point(m.model, PropagatorSettings().tail_tol)
     with pytest.raises(LevelBroke, match="level failed"):
-        propagator._solve_window([(m, handover)], PropagatorSettings())
+        propagator._solve_window([(m, handover[0])], PropagatorSettings())
 
 
 def test_non_finite_coupling_is_named_without_warnings():
@@ -956,7 +998,7 @@ def test_non_finite_coupling_is_named_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match=r"leaves the float range at t = "):
-            propagator._solve_window([(m, (2.0, np.zeros(8)))], PropagatorSettings())
+            propagator._solve_window([(m, 2.0)], PropagatorSettings())
 
 
 class TestMixingHalfAngle:
@@ -1023,6 +1065,40 @@ class TestTrace:
         eps, v = m.level(t_end)[0], m.V
         assert math.atan2(v, eps) <= 1e-2 * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("m", [Superparabolic(2, 1.0), Superparabolic(6, 1.3), Parabolic(1.0, 4.0, 1.0),
+                                   Parabolic(1.0, -4.0, 1.0)], ids=["n2", "n6", "b+4", "b-4"])
+    def test_state_at_zero_is_completed_at_the_handover(self, monkeypatch, m):
+        # the trace's state at t = 0 comes from propagate's handover through
+        # the same readout, with U(t_core, 0) read off the trace's longer
+        # solve: its P, p and psi are propagate's up to that solve's rounding
+        real, read = propagator._readout, []
+
+        def reading(*args):
+            read.append(real(*args)[0])
+            return real(*args)
+
+        monkeypatch.setattr(propagator, "_readout", reading)
+        propagate(m)
+        propagate_trace(m, sample_count=16)
+        lone, traced = read
+        assert (traced.t_core, traced.tail_error) == (lone.t_core, lone.tail_error)
+        for field in ("probability", "single_passage", "phase"):
+            assert abs(getattr(traced, field) - getattr(lone, field)) <= 1e-13
+
+    def test_window_end_not_found_is_non_convergence(self):
+        # a level whose mixing angle never falls to 1e-2 on the grid
+        # is refused once the whole grid past t_core is read
+        class Falling(CountingModel):
+            def level(self, t):
+                self.points += np.size(t)
+                return -t * t, -2.0 * t
+
+        m = Falling(Superparabolic(2, 1.0))
+        grid = m.floor * propagator._scan_grid()
+        with pytest.raises(NonConvergence, match="could not locate trace window end"):
+            propagator._trace_end(m, float(grid[5]))
+        assert m.points == propagator._SCAN_POINTS - 5
+
     def test_two_samples(self):
         rows = propagate_trace(Superparabolic(2, 1.0), sample_count=2)
         assert len(rows) == 2
@@ -1042,14 +1118,17 @@ class TestTrace:
         # one U(|t|, 0), conjugated for t < 0
         real, read = propagator._solve_window, []
 
-        def reading(members, settings, times=()):
+        def reading(windows, settings, times=()):
             read.append(list(times))
-            return real(members, settings, times)
+            return real(windows, settings, times)
 
         monkeypatch.setattr(propagator, "_solve_window", reading)
-        ts = [row[0] for row in propagate_trace(Superparabolic(2, 1.0), sample_count=n)]
+        m = Superparabolic(2, 1.0)
+        ts = [row[0] for row in propagate_trace(m, sample_count=n)]
         assert all(a == -b for a, b in zip(ts, ts[::-1]))
-        (times,) = read
+        # the last readout time is the handover, where the tail completes the solve
+        ((*times, t_core),) = read
+        assert t_core == _tail_point(m, PropagatorSettings().tail_tol)[0]
         assert len(set(times)) == len(times) == math.ceil(n / 2)
         assert times == ts[n // 2 :] == [-t for t in ts[: math.ceil(n / 2)]][::-1]
 
@@ -1145,7 +1224,7 @@ class TestHandoverIndependence:
         settings = PropagatorSettings()
         near = propagate(model, settings)
         t_far = 2.0 * near.t_core
-        ((far, _, _),) = propagator._solve_window([(model, (t_far, _terms(model, t_far)))], settings)
+        far = propagator._solve_lone((model, (t_far, _terms(model, t_far))), settings)
         cubic = 2.0 * abs(_terms(model, near.t_core)[0]) ** 3
         change = abs(near.probability - far.probability)
         return change, far.probability, near.tail_error, cubic, near.n_steps * settings.tail_tol
