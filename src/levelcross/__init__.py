@@ -3,7 +3,8 @@
 Three routes to the same number: exact numerical propagation
 (propagator), the coherent multi-zero-point adiabatic formula (ddp),
 and the Zhu-Nakamura closed forms (znt).  The harness sweeps them over
-parameter grids and compares.
+parameter grids and compares.  propagate and propagate_trace load the
+propagator, and with it numpy, on first use.
 """
 
 from .ddp import (
@@ -36,14 +37,10 @@ from .harness import (
 from .models import (
     DiabaticModel,
     Parabolic,
-    Superparabolic,
-    model_from_params,
-)
-from .propagator import (
     PropagationResult,
     PropagatorSettings,
-    propagate,
-    propagate_trace,
+    Superparabolic,
+    model_from_params,
 )
 from .znt import (
     FitGeometry,
@@ -62,3 +59,11 @@ from .znt import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("propagate", "propagate_trace"):
+        from . import propagator
+
+        return getattr(propagator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,8 +16,6 @@ import inspect
 import sys
 import warnings
 
-import numpy as np
-
 from . import harness
 from .ddp import ddp_probability, phase_integral, zero_points
 from .errors import LevelCrossError
@@ -30,15 +28,12 @@ from .harness import (
     report_to_json,
     run_sweep,
 )
-from .models import model_from_params
-from .propagator import PropagatorSettings, propagate, propagate_trace
+from .models import PropagatorSettings, model_from_params
 from .znt import fit_parameters, glancing_double_crossing, glancing_tunneling, znt_phase_estimate
 
 
-# flag defaults that are library decisions, read from the signatures at
-# import: a caller may later replace these names with (*args, **kwargs)
-# wrappers, as levelbench's tracer does
-_SAMPLES = inspect.signature(propagate_trace).parameters["sample_count"].default
+# --threshold's default is the library's, read from the signature at import: a
+# caller may later wrap the name with (*args, **kwargs), as levelbench's tracer does
 _THRESHOLD = inspect.signature(compare_methods).parameters["threshold"].default
 
 
@@ -98,12 +93,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_propagate(args: argparse.Namespace) -> int:
+    from .propagator import propagate, propagate_trace
+
     model = model_from_params(
         args.model, N=args.N, alpha=args.alpha, A=args.A, B=args.B, V0=args.V0
     )
     settings = PropagatorSettings(args.tail_tol)
     # a trace first: a sample count it refuses stops the command before any output
-    samples = None if args.trace is None else propagate_trace(model, settings, args.samples)
+    counts = {} if args.samples is None else {"sample_count": args.samples}  # else the library's default
+    samples = None if args.trace is None else propagate_trace(model, settings, **counts)
     result = propagate(model, settings)
     for field in dataclasses.fields(result):
         print(f"{field.name} = {getattr(result, field.name):.17g}")
@@ -147,6 +145,7 @@ def _cmd_znt(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    import numpy as np
     from scipy.interpolate import CubicSpline
 
     with open(args.curves, "r", encoding="utf-8") as fh:  # genfromtxt fails on an empty file
@@ -228,7 +227,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--B", type=float, default=None)
     sp.add_argument("--V0", type=float, default=None)
     sp.add_argument("--trace", type=str, default=None, help="write population trace CSV here")
-    sp.add_argument("--samples", type=int, default=_SAMPLES)
+    sp.add_argument("--samples", type=int, default=None)
     sp.set_defaults(func=_cmd_propagate)
 
     sp = sub.add_parser(

@@ -14,15 +14,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from .ddp import ddp_probability
 from .errors import MissingColumn, _attempt
-from .models import Superparabolic, check_glancing
-from .propagator import PropagatorSettings, _propagate_batch
-from .propagator import propagate  # noqa: F401  (unused: levelbench/spans.py wraps it by name)
+from .models import PropagatorSettings, Superparabolic, check_glancing
 from .znt import glancing_double_crossing, glancing_tunneling
 
 __all__ = [
@@ -43,13 +39,28 @@ __all__ = [
     "report_to_json",
 ]
 
+
+def __getattr__(name: str):
+    # levelbench/spans.py's seam, which no route calls, resolved on demand: no numpy at import
+    if name == "propagate":
+        from .propagator import propagate
+
+        return propagate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _numeric(models, settings):
+    from .propagator import _propagate_batch
+
+    return [r if isinstance(r, Exception) else r.probability for r in _propagate_batch(models, settings)]
+
+
 # each method's route: (models, settings) -> its outcome for each model, in
 # order, which is P or the failure in _FAILURES that the method raised.  The
 # closed forms are looked up at call time, so a wrapper set on this module's
 # name is the one called.
 ROUTES = {
-    "numeric": lambda models, settings: [
-        r if isinstance(r, Exception) else r.probability for r in _propagate_batch(models, settings)],
+    "numeric": _numeric,
     "ddp": lambda models, _: [_attempt(ddp_probability, m.N, m.alpha) for m in models],
     "znt-double": lambda models, _: [_attempt(glancing_double_crossing, m.N, m.alpha) for m in models],
     "znt-tunnel": lambda models, _: [_attempt(glancing_tunneling, m.N, m.alpha) for m in models],
@@ -96,6 +107,8 @@ class SweepConfig:
         object.__setattr__(self, "methods", tuple(m for m in METHODS if m in requested))
 
     def alpha_grid(self) -> list[float]:
+        import numpy as np
+
         if self.spacing == "linear":
             grid = np.linspace(self.alpha_min, self.alpha_max, self.points)
         else:
@@ -284,4 +297,4 @@ def compare_methods(rows: list[SweepRow], threshold: float = 0.05) -> Comparison
 
 
 def report_to_json(report: ComparisonReport) -> str:
-    return json.dumps(asdict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(vars(report), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -26,7 +26,9 @@ family supplies just what is specific to it:
   as 1 + 10/N past N = 50, or 1.2 sqrt(max(B, 0)/A + 1)).
 
 The propagator reads only these members: its coupling, its tail series
-and its handover search are written once, for every family.  The reduced
+and its handover search are written once, for every family.  Its
+``PropagatorSettings`` and ``PropagationResult`` live here too, so that
+code can name them without loading it, and with it numpy.  The reduced
 (a^2, b^2) that the Zhu-Nakamura forms take is not a shared member: the
 parabolic family has its own, ``Parabolic.reduced_parameters()``, and the
 glancing forms read ``znt.glancing_reduced_parameters(N, alpha)``.
@@ -36,14 +38,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Superparabolic",
     "Parabolic",
     "DiabaticModel",
+    "PropagatorSettings",
+    "PropagationResult",
     "check_glancing",
     "model_from_params",
 ]
@@ -102,6 +107,8 @@ class Superparabolic:
         return tn1 * t, self.N * tn1
 
     def level_series(self, t, L: int) -> np.ndarray:
+        import numpy as np
+
         n = self.N
         t = np.asarray(t, dtype=float)
         out = np.zeros((L,) + t.shape)
@@ -157,6 +164,8 @@ class Parabolic:
         return 0.5 * (self.A * t * t - self.B), self.A * t
 
     def level_series(self, t, L: int) -> np.ndarray:
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         out = np.zeros((max(L, 3),) + t.shape)
         out[0], out[1], out[2] = self.level(t) + (0.5 * self.A,)
@@ -209,3 +218,55 @@ def model_from_params(model: str, *, N=None, alpha=None, A=None, B=None, V0=None
             raise ValueError("parabolic model requires A and V0")
         return Parabolic(float(A), 0.0 if B is None else float(B), float(V0))
     raise ValueError(f"unknown model family {model!r}")
+
+
+@dataclass(frozen=True)
+class PropagatorSettings:
+    """Integration control: one absolute tolerance on the amplitude.
+
+    tail_tol bounds the part of the integrated-by-parts tail that the
+    sum omits at the handover point t_core, hypot(u_6, u_7) (see
+    propagator._tail_error), which alone fixes the window [-t_core, t_core]
+    that each propagation covers with one solve on [0, t_core].  It also
+    bounds the error each collocation step of that solve may add (see the
+    propagator's module docstring).  It must lie in [1e-17, 1e-6): below
+    1e-17 the step rule meets the rounding of the trailing coefficients,
+    and the steps shrink until the node cap.
+    """
+
+    tail_tol: float = 3e-12
+
+    def __post_init__(self) -> None:
+        ok = False
+        try:  # a string or None does not compare, and is refused too
+            ok = 1e-17 <= self.tail_tol < 1e-6
+        except TypeError:
+            pass
+        if not ok:
+            raise ValueError(f"tail_tol must lie in [1e-17, 1e-6), got {self.tail_tol!r}")
+
+
+@dataclass(frozen=True)
+class PropagationResult:
+    """Final probability plus diagnostics.
+
+    probability is 4 (Im alpha beta)^2, read off the whole line's map
+    V = C(J) U = [[alpha, -beta*], [beta, alpha*]] (see the propagator's
+    module docstring); t_core is the half-width of the window
+    [-t_core, t_core] (the solve covers [0, t_core]); tail_error is the size
+    of the tail terms the sum omits at t_core (see propagator._tail_error);
+    nfev is the number of coupling evaluations of the solve, rejected steps
+    included, and n_steps the number of collocation steps it accepted.  single_passage is
+    p = |beta|^2, the transition probability between the adiabatic levels
+    over the half line [0, inf), and phase is psi = arg(alpha beta), so that
+    probability = 4 p (1 - p) sin^2 psi, the form the Zhu-Nakamura
+    double-crossing formula takes.
+    """
+
+    probability: float
+    t_core: float
+    tail_error: float
+    nfev: int
+    n_steps: int
+    single_passage: float
+    phase: float

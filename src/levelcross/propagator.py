@@ -118,12 +118,11 @@ import itertools
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import _FAILURES, NonConvergence, ToleranceFailure, _attempt
-from .models import DiabaticModel
+from .models import DiabaticModel, PropagationResult, PropagatorSettings
 
 # Gauss-Legendre nodes per collocation step
 _NODES = 32
@@ -163,58 +162,6 @@ def __getattr__(name: str):
 
         return getattr(scipy.integrate, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass(frozen=True)
-class PropagatorSettings:
-    """Integration control: one absolute tolerance on the amplitude.
-
-    tail_tol bounds the part of the integrated-by-parts tail that the
-    sum omits at the handover point t_core, hypot(u_6, u_7) (see
-    _tail_error), which alone fixes the window [-t_core, t_core] that
-    each propagation covers with one solve on [0, t_core].  It also bounds
-    the error each collocation step of that solve may add (see the module
-    docstring).  It must lie in [1e-17, 1e-6): below 1e-17 the step rule
-    meets the rounding of the trailing coefficients, and the steps shrink
-    until the node cap.
-    """
-
-    tail_tol: float = 3e-12
-
-    def __post_init__(self) -> None:
-        ok = False
-        try:  # a string or None does not compare, and is refused too
-            ok = 1e-17 <= self.tail_tol < 1e-6
-        except TypeError:
-            pass
-        if not ok:
-            raise ValueError(f"tail_tol must lie in [1e-17, 1e-6), got {self.tail_tol!r}")
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    """Final probability plus diagnostics.
-
-    probability is 4 (Im alpha beta)^2, read off the whole line's map
-    V = C(J) U = [[alpha, -beta*], [beta, alpha*]] (see the module
-    docstring); t_core is the half-width of the window [-t_core, t_core]
-    (the solve covers [0, t_core]); tail_error is the size of the tail terms
-    the sum omits at t_core (see _tail_error); nfev is the number of
-    coupling evaluations of the solve, rejected steps included, and n_steps
-    the number of collocation steps it accepted.  single_passage is
-    p = |beta|^2, the transition probability between the adiabatic levels
-    over the half line [0, inf), and phase is psi = arg(alpha beta), so that
-    probability = 4 p (1 - p) sin^2 psi, the form the Zhu-Nakamura
-    double-crossing formula takes.
-    """
-
-    probability: float
-    t_core: float
-    tail_error: float
-    nfev: int
-    n_steps: int
-    single_passage: float
-    phase: float
 
 
 # J sums the tail terms u_0 .. u_5.  Over every frozen benchmark point, six

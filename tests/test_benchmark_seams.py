@@ -7,6 +7,8 @@ Some of those names exist for that reason alone, so deleting one breaks
 no library code; this test fails at once instead.  propagator.quad and
 propagator.solve_ivp are no longer imported with the module: its
 module-level __getattr__ resolves them from scipy.integrate on demand.
+harness.propagate is resolved the same way, from the propagator, so that
+importing harness loads no numpy.
 """
 
 from pathlib import Path

@@ -712,7 +712,7 @@ def _library_default(fn, name):
     return inspect.signature(fn).parameters[name].default
 
 
-def test_parser_defaults_are_the_library_defaults():
+def test_parser_defaults_are_the_library_defaults(tmp_path):
     _, sub = _build_parser()
     sweep = sub["sweep"].parse_args(["--N", "2", "--alpha-min", "1", "--alpha-max", "2",
                                      "--points", "2", "--out", "s.csv"])
@@ -720,23 +720,25 @@ def test_parser_defaults_are_the_library_defaults():
     assert sweep.tail_tol == PropagatorSettings.tail_tol
     spacing = next(a for a in sub["sweep"]._actions if a.dest == "spacing")
     assert tuple(spacing.choices) == SPACINGS
-    propagate_args = sub["propagate"].parse_args([])
-    assert propagate_args.samples == _library_default(propagate_trace, "sample_count")
-    assert propagate_args.tail_tol == PropagatorSettings.tail_tol
+    assert sub["propagate"].parse_args([]).tail_tol == PropagatorSettings.tail_tol
     assert sub["compare"].parse_args(["s.csv"]).threshold == _library_default(compare_methods, "threshold")
+    # without --samples a trace takes propagate_trace's own sample count: a header plus one line each
+    trace = tmp_path / "trace.csv"
+    rc, _, err = _run(["propagate", "--N", "2", "--alpha", "1", "--trace", str(trace)])
+    assert rc == 0, err
+    lines = trace.read_text(encoding="ascii").splitlines()
+    assert len(lines) == _library_default(propagate_trace, "sample_count") + 1
 
 
 def test_parser_builds_with_wrapped_library_names(monkeypatch):
     # a tracer may replace the names cli imports with (*args, **kwargs)
     # wrappers before main first builds its parser
-    for name in ("compare_methods", "propagate_trace"):
-        fn = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *args, _fn=fn, **kwargs: _fn(*args, **kwargs))
+    fn = cli.compare_methods
+    monkeypatch.setattr(cli, "compare_methods", lambda *args, **kwargs: fn(*args, **kwargs))
     _build_parser.cache_clear()
     try:
         _, sub = _build_parser()
         assert sub["compare"].parse_args(["s.csv"]).threshold == _library_default(compare_methods, "threshold")
-        assert sub["propagate"].parse_args([]).samples == _library_default(propagate_trace, "sample_count")
     finally:
         _build_parser.cache_clear()
 

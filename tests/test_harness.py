@@ -1,5 +1,6 @@
 """Sweep grid plumbing, CSV round-trips, peak/node finding, comparisons."""
 
+import dataclasses
 import json
 import math
 import random
@@ -537,6 +538,21 @@ class TestCompareMethods:
         assert data["n_value"] == 2
         assert data["frequency_agreement"]["ddp"] == pytest.approx(0.1)
         assert data["nodes"]["numeric"] == [2.0]
+
+    def test_json_report_is_the_asdict_form(self):
+        # report_to_json serialises the report's own field dict; the deep
+        # copy that dataclasses.asdict makes is the reference it must match
+        rows = [
+            SweepRow(n=2, alpha=a, values={"numeric": p, "ddp": p, "znt-tunnel": None},
+                     status="znt-tunnel:BranchFailure")
+            for a, p in [(0.5, 0.1), (1.0, 0.9), (1.5, 0.2), (2.0, 0.4), (2.5, 0.1)]
+        ]
+        rep = compare_methods(rows, threshold=0.05)
+        assert rep.max_abs_deviation["znt-tunnel"] is None and rep.frequency_agreement["znt-tunnel"] is None
+        assert rep.peaks["numeric"] == rep.peaks["ddp"] == [1.0, 2.0]
+        assert rep.nodes["numeric"] == rep.nodes["ddp"] == [1.5]
+        reference = json.dumps(dataclasses.asdict(rep), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert report_to_json(rep) == reference
 
 
 def test_method_tuple_is_exhaustive():

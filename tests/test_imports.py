@@ -1,9 +1,10 @@
-"""Which parts of scipy the package and each subcommand load.
+"""Which parts of numpy and scipy the package and each subcommand load.
 
-Importing levelcross loads numpy and nothing from scipy: each scipy
-subpackage is imported by the function that calls it.  Every check here
-starts a fresh interpreter and reads its sys.modules, so it tests what
-is loaded, not how long loading takes.
+Importing levelcross loads neither numpy nor scipy, nor the propagator:
+numpy is imported by the code that computes with it (the propagator, a
+sweep's alpha grid, fit), and each scipy subpackage by the function that
+calls it.  Every check here starts a fresh interpreter and reads its
+sys.modules, so it tests what is loaded, not how long loading takes.
 """
 
 import json
@@ -14,22 +15,30 @@ from pathlib import Path
 
 import pytest
 
+import levelcross
 from levelcross import propagator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # run the subcommand in sys.argv[1:] (none: import only), then print the
-# loaded scipy modules as the last line of stdout
+# loaded numpy and scipy modules, and whether the propagator is loaded, as
+# the last line of stdout
 _PROBE = """
 import json, sys
 import levelcross, levelcross.cli
 if sys.argv[1:]:
-    assert levelcross.cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+    try:
+        assert levelcross.cli.main(sys.argv[1:]) == 0
+    except SystemExit as exc:  # --help
+        assert exc.code == 0
+print(json.dumps([sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")),
+                  "levelcross.propagator" in sys.modules]))
 """
 
 
-def _scipy_loaded(*argv: str) -> set[str]:
+def _loaded(*argv: str) -> tuple[set[str], set[str], bool]:
+    """The numpy modules, the scipy modules, and whether levelcross.propagator
+    is loaded, after running `levelcross *argv` in a fresh interpreter."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
@@ -39,29 +48,53 @@ def _scipy_loaded(*argv: str) -> set[str]:
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    modules, propagator_loaded = json.loads(done.stdout.splitlines()[-1])
+    numpy = {m for m in modules if m.partition(".")[0] == "numpy"}
+    return numpy, set(modules) - numpy, propagator_loaded
 
 
-def test_import_loads_no_scipy():
-    assert _scipy_loaded() == set()
+def test_import_loads_no_numpy_scipy_or_propagator():
+    assert _loaded() == (set(), set(), False)
 
 
-@pytest.mark.parametrize("command", ["ddp", "propagate"])
-def test_commands_load_no_scipy(command):
-    assert _scipy_loaded(command, "--N", "2", "--alpha", "1") == set()
+@pytest.mark.parametrize("argv", [
+    ["ddp", "--N", "2", "--alpha", "1"],
+    ["zeros", "--N", "2", "--alpha", "1"],
+    ["phase", "--N", "2", "--alpha", "1"],
+    ["--help"],
+], ids=lambda argv: argv[0])
+def test_closed_form_commands_load_no_numpy(argv):
+    assert _loaded(*argv) == (set(), set(), False)
 
 
-def test_sweep_and_compare_load_no_scipy(tmp_path):
+def test_propagate_loads_numpy_and_no_scipy():
+    numpy, scipy, propagator_loaded = _loaded("propagate", "--N", "2", "--alpha", "1")
+    assert "numpy" in numpy and propagator_loaded
+    assert scipy == set()
+
+
+def test_sweep_loads_numpy_and_compare_loads_none(tmp_path):
     csv = str(tmp_path / "sweep.csv")
-    assert _scipy_loaded("sweep", "--N", "2", "--alpha-min", "0.5", "--alpha-max", "2",
-                         "--points", "3", "--methods", "numeric,ddp", "--out", csv) == set()
-    assert _scipy_loaded("compare", csv) == set()
+    numpy, scipy, _ = _loaded("sweep", "--N", "2", "--alpha-min", "0.5", "--alpha-max", "2",
+                              "--points", "3", "--methods", "numeric,ddp", "--out", csv)
+    assert "numpy" in numpy
+    assert scipy == set()
+    assert _loaded("compare", csv) == (set(), set(), False)
 
 
 def test_znt_loads_scipy_special_only():
-    loaded = _scipy_loaded("znt", "--branch", "double", "--N", "2", "--alpha", "1")
+    _, loaded, _ = _loaded("znt", "--branch", "double", "--N", "2", "--alpha", "1")
     assert "scipy.special" in loaded
     assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+
+
+def test_package_names_are_the_propagator_names():
+    assert levelcross.propagate is propagator.propagate
+    assert levelcross.propagate_trace is propagator.propagate_trace
+    assert levelcross.PropagatorSettings is propagator.PropagatorSettings
+    assert levelcross.PropagationResult is propagator.PropagationResult
+    with pytest.raises(AttributeError, match="no_such_name"):
+        levelcross.no_such_name
 
 
 def test_propagator_seam_names_resolve_on_demand():
