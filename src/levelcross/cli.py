@@ -93,14 +93,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_propagate(args: argparse.Namespace) -> int:
-    from .propagator import propagate, propagate_trace
+    from .propagator import _check_sample_count, propagate, propagate_trace
 
     model = model_from_params(
         args.model, N=args.N, alpha=args.alpha, A=args.A, B=args.B, V0=args.V0
     )
     settings = PropagatorSettings(args.tail_tol)
-    # a trace first: a sample count it refuses stops the command before any output
+    # a sample count a trace would refuse stops the command, with or without
+    # a trace, before any output; a trace runs first, so its failures do too
     counts = {} if args.samples is None else {"sample_count": args.samples}  # else the library's default
+    if counts:
+        _check_sample_count(args.samples)
     samples = None if args.trace is None else propagate_trace(model, settings, **counts)
     result = propagate(model, settings)
     for field in dataclasses.fields(result):

@@ -19,8 +19,9 @@ family supplies just what is specific to it:
 - ``degree``, the degree of eps, past which those coefficients are exact
   zeros (N, or 2 for the parabolic family);
 - ``level_key``, what eps depends on (N, or (A, B)): two models of one
-  family with equal keys have equal ``level`` and ``level_series``, so a
-  batch evaluates them once per key;
+  family with equal keys have equal ``level`` and ``level_series``, so the
+  propagator batches models by family and key, and evaluates a batch's
+  level once per pass;
 - ``floor``, a time past all level structure, where the search for the
   propagator's tail handover starts (1.2 alpha^(1/N), the margin shrinking
   as 1 + 10/N past N = 50, or 1.2 sqrt(max(B, 0)/A + 1)).

@@ -99,15 +99,13 @@ model's Picard iteration stops on its own, and every sum over a step's
 nodes reads that step's row alone.  So every model gets the steps, nfev
 and n_steps of a lone solve, and its whole result wherever the BLAS
 rounds a row of a matrix product alike whatever rows share the product
-(as OpenBLAS on x86-64 did for products of two rows or more).  Models of
-one family with equal level_key (N, or (A, B)) share their level, eps
-and its derivatives, and differ only in V: the handover scan and the
-solve evaluate each such level once per pass, on the rows of all its
-models, with V taken per row.  The node cap covers the whole batch.
-_propagate_batch scans a batch's handovers in one call and returns each
-model's result or failure: a model whose handover scan fails is left
-out of the solve, and a batch whose solve fails is solved again one
-model at a time from the handovers already found.
+(as OpenBLAS on x86-64 did for products of two rows or more).  A batch
+is one level: its models are of one family with equal level_key (N, or
+(A, B)) and differ only in V, so the handover scan and the solve
+evaluate the level once per pass, on the rows of all its models, with V
+taken per row.  The node cap covers the whole batch.  _propagate_batch
+alone groups models by level, batches each group, and returns each
+model's result or failure in input order.
 """
 
 from __future__ import annotations
@@ -287,41 +285,10 @@ def _tail_error(terms):
     return np.hypot(terms[_TAIL_TERMS], terms[_TAIL_TERMS + 1])
 
 
-def _levels(models: Sequence[DiabaticModel]) -> tuple[list[DiabaticModel], np.ndarray]:
-    """The distinct levels of `models`, each as the first model that has it,
-    and the index of each model's level among them.  Models of one family
-    with equal level_key have one level."""
-    levels, index = [], {}
-    group = []
-    for model in models:
-        key = (type(model), model.level_key)
-        if key not in index:
-            index[key] = len(levels)
-            levels.append(model)
-        group.append(index[key])
-    return levels, np.array(group, dtype=int)
-
-
-def _level_rows(
-    levels: Sequence[DiabaticModel], group: np.ndarray
-) -> list[tuple[DiabaticModel, slice | np.ndarray]]:
-    """For rows whose levels are levels[group], each level and the rows that
-    have it, in order: a slice of all rows if they have one level."""
-    if len(levels) == 1:
-        return [(levels[0], slice(None))]
-    order = np.argsort(group, kind="stable")
-    cuts = np.flatnonzero(np.diff(group[order])) + 1
-    if not cuts.size:
-        return [(levels[group[0]], slice(None))]
-    return [(levels[group[rows[0]]], rows) for rows in np.split(order, cuts)]
-
-
-def _handover_index(
-    levels: Sequence[DiabaticModel], group: np.ndarray, v: np.ndarray, starts: np.ndarray, tol: float
-) -> np.ndarray:
-    """For each model, of level levels[group], coupling v and scan start
-    `starts`, the grid index k* where the leading-order size of u_6 meets
-    tol: NaN where it cannot be predicted.
+def _handover_index(level: DiabaticModel, v: np.ndarray, starts: np.ndarray, tol: float) -> np.ndarray:
+    """For models that share the level of the model `level`, with couplings
+    v and scan starts `starts`, the grid index k* where the leading-order
+    size of u_6 meets tol: NaN where it cannot be predicted.
 
     Past the level structure eps ~ c t^d, with d the level's degree and c
     read as eps'(T) / (d T^(d-1)) at T = 1e100^(1/d), where eps' stays in
@@ -329,29 +296,25 @@ def _handover_index(
     multiplies by p_m / (2c) t^-(d+1) with p_m = 2d + 1 + m (d+1), and
     |u_6| = tol at t* = (V d / (4 c^2) prod_{m<6} p_m / (2c) / tol)^(1/(8d+7)),
     which the x1.01 grid from the start reaches at k* = ceil(log_1.01(t*/start)).
-    The levels' constants are Python floats, as a batch has few levels.
     """
-    log_scale, exponent = [], []
-    for level in levels:
-        d = level.degree
-        big_t = 1e100 ** (1.0 / d)
-        try:
-            c = float(level.level(big_t)[1]) / (d * big_t ** (d - 1))
-        except ArithmeticError:
-            c = math.nan
-        if 0.0 < c < math.inf:  # the log of d / (4 c^2) prod_{m<6} p_m / (2c)
-            p = math.prod(2 * d + 1 + m * (d + 1) for m in range(_TAIL_TERMS))
-            log_scale.append(math.log(0.25 * d * p) - _TAIL_TERMS * math.log(2.0) - (_TAIL_TERMS + 2) * math.log(c))
-        else:
-            log_scale.append(math.nan)
-        exponent.append(2 * d + 1 + _TAIL_TERMS * (d + 1))
-    log_t = (np.array(log_scale)[group] + np.log(v) - math.log(tol)) / np.array(exponent)[group]
+    d = level.degree
+    big_t = 1e100 ** (1.0 / d)
+    try:
+        c = float(level.level(big_t)[1]) / (d * big_t ** (d - 1))
+    except ArithmeticError:
+        c = math.nan
+    log_scale = math.nan
+    if 0.0 < c < math.inf:  # the log of d / (4 c^2) prod_{m<6} p_m / (2c)
+        p = math.prod(2 * d + 1 + m * (d + 1) for m in range(_TAIL_TERMS))
+        log_scale = math.log(0.25 * d * p) - _TAIL_TERMS * math.log(2.0) - (_TAIL_TERMS + 2) * math.log(c)
+    log_t = (log_scale + np.log(v) - math.log(tol)) / (2 * d + 1 + _TAIL_TERMS * (d + 1))
     return np.ceil((log_t - np.log(starts)) / math.log(_SCAN_STEP))
 
 
 def _tail_points(models: Sequence[DiabaticModel], tol: float) -> list[tuple[float, np.ndarray] | Exception]:
-    """For each of `models`, in order, the handover point t_core and the
-    tail terms there (see _tail_series), or the failure that ends its scan.
+    """For each of `models`, which share one level, in order, the handover
+    point t_core and the tail terms there (see _tail_series), or the failure
+    that ends its scan.  The level is read from the first model.
 
     t_core is the first point of the grid max(floor, 1) x _SCAN_STEP^k
     where the terms decrease up to the first omitted one,
@@ -369,10 +332,10 @@ def _tail_points(models: Sequence[DiabaticModel], tol: float) -> list[tuple[floa
     window ends.  Each numpy pass evaluates the rule on the next block of
     grid points of every model still scanning, a row of points per model:
     the series costs about as much at a few points as at hundreds, so a
-    batch shares that cost, and the level is evaluated once per pass for
-    all the rows of models with one level (see _levels).  The block has
-    _SCAN_CHUNK points for a lone model and shrinks as more models scan,
-    to _SCAN_PASS_POINTS in all but never under _SCAN_MIN_CHUNK per model.
+    batch shares that cost, and the level is evaluated once per pass on
+    the rows of all the models.  The block has _SCAN_CHUNK points for a
+    lone model and shrinks as more models scan, to _SCAN_PASS_POINTS in
+    all but never under _SCAN_MIN_CHUNK per model.
     The first pass ends _SCAN_MARGIN points past the latest handover that
     _handover_index predicts, if that is sooner, but at least
     _SCAN_MIN_CHUNK points from the start; a NaN prediction keeps the full
@@ -387,29 +350,23 @@ def _tail_points(models: Sequence[DiabaticModel], tol: float) -> list[tuple[floa
             out[i] = ZeroDivisionError(f"squared coupling V^2 underflows to 0 for {model!r}")
         else:
             pending.append(i)
-    levels, group = _levels([models[i] for i in pending])
+    if not pending:
+        return out
+    level = models[0]
     starts = np.array([max(models[i].floor, 1.0) for i in pending])
     v = np.array([models[i].V for i in pending])
     limit = _SCAN_POINTS
-    if pending:
-        latest = float(_handover_index(levels, group, v, starts, tol).max())
-        if math.isfinite(latest):
-            limit = min(_SCAN_POINTS, max(_SCAN_MIN_CHUNK, int(latest) + _SCAN_MARGIN))
+    latest = float(_handover_index(level, v, starts, tol).max())
+    if math.isfinite(latest):
+        limit = min(_SCAN_POINTS, max(_SCAN_MIN_CHUNK, int(latest) + _SCAN_MARGIN))
     first = 0
     while pending and first < _SCAN_POINTS:
         rows = min(max(_SCAN_MIN_CHUNK, min(_SCAN_CHUNK, _SCAN_PASS_POINTS // len(pending))), _SCAN_POINTS - first,
                    limit)
         limit = _SCAN_POINTS
         t = starts[:, None] * _scan_grid()[first : first + rows]
-        parts = _level_rows(levels, group)
         with np.errstate(all="ignore"):  # an overflow ends that model's scan below
-            if len(parts) == 1:
-                eps = parts[0][0].level_series(t, _EPS_ORDERS)
-            else:
-                eps = np.empty((_EPS_ORDERS,) + t.shape)
-                for level, at in parts:
-                    eps[:, at] = level.level_series(t[at], _EPS_ORDERS)
-            u = _tail_series(eps, v[:, None], max(level.degree for level, _ in parts))
+            u = _tail_series(level.level_series(t, _EPS_ORDERS), v[:, None], level.degree)
             size = np.abs(u[: _TAIL_TERMS + 1])
             passes = (_tail_error(u) <= tol) & np.all(size[:-1] > size[1:], axis=0)
         stop = passes | ~np.isfinite(u).all(axis=0)
@@ -422,7 +379,7 @@ def _tail_points(models: Sequence[DiabaticModel], tol: float) -> list[tuple[floa
             else:
                 out[i] = OverflowError(f"tail series overflows at t = {float(t[j, k])!r} for {models[i]!r}")
         pending = [pending[j] for j in scanning]
-        starts, v, group = starts[scanning], v[scanning], group[scanning]
+        starts, v = starts[scanning], v[scanning]
         first += rows
     for i in pending:
         out[i] = NonConvergence(f"could not locate tail handover point for {models[i]!r}")
@@ -507,7 +464,8 @@ def _resolve(
     windows: Sequence[tuple[DiabaticModel, float]], settings: PropagatorSettings
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Steps of [0, T] on which the coupling is resolved, for each member
-    (model, T) of a batch of windows.
+    (model, T) of a batch of windows whose models share one level, read
+    from the first model.
 
     Returns the number of steps of each member, then, sorted by member and
     then by position, each step's start and half-width, the coupling
@@ -515,14 +473,13 @@ def _resolve(
     of coupling evaluations made for each member.  Each member's window
     starts as _FIRST_STEPS equal steps.  Steps that fail the resolution
     rule (see the module docstring) are bisected, and only the new halves
-    are evaluated.  A pass evaluates at most _PASS_STEPS steps of any members,
-    each level once on the steps of all members that have it (see _levels);
-    the whole batch evaluates at most _MAX_NODES nodes.
+    are evaluated.  A pass evaluates at most _PASS_STEPS steps of any
+    members, the level once on all of them, with V taken per step; the
+    whole batch evaluates at most _MAX_NODES nodes.
     """
     nodes, _, _, integrate = _collocation()
     trailing = _complex_collocation()[1]
     models = [model for model, _ in windows]
-    levels, group = _levels(models)
     coupling = np.array([model.V for model in models])
     # the queue of steps, a row (member, start, end) each, kept sorted by
     # member so that each member's steps in a pass are contiguous; the
@@ -550,7 +507,7 @@ def _resolve(
         half = 0.5 * (hi - lo)
         t = (lo + half)[:, None] + half[:, None] * nodes
         with np.errstate(all="ignore"):  # a range error is named below
-            big_w, g = _couplings(levels, group, coupling, steps[:, 0], t)
+            big_w, g = _coupling(models[0], t, coupling[steps[:, 0].astype(int), None])
         bad = ~(np.isfinite(big_w) & np.isfinite(g))
         if bad.any():
             row, col = np.argwhere(bad)[0]
@@ -579,32 +536,11 @@ def _resolve(
 
 
 def _coupling(model: DiabaticModel, t: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
-    """W and gamma = V eps' / (2 W^2) at the times t, for the level of
-    `model` and the coupling v (a float, or a column of one per row)."""
+    """W and gamma = V eps' / (2 W^2) at the times t, a row per step, for
+    the level of `model` and the couplings v, a column of one per row."""
     eps, deps = model.level(t)
     s = eps * eps + v * v
     return np.sqrt(s), 0.5 * v * deps / s
-
-
-def _couplings(
-    levels: Sequence[DiabaticModel], group: np.ndarray, coupling: np.ndarray, member: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """_coupling at the nodes t of a pass's steps, a row per step, where
-    `member` is each step's member and levels[group] and `coupling` are
-    each member's level and V.  Each level is evaluated once, on the rows
-    of all its members."""
-    first, last = int(member[0]), int(member[-1])
-    if first == last:  # the steps of one member, as in every lone solve
-        return _coupling(levels[group[first]], t, float(coupling[first]))
-    member = member.astype(int)
-    v = coupling[member, None]
-    parts = _level_rows(levels, group[member])
-    if len(parts) == 1:
-        return _coupling(parts[0][0], t, v)
-    big_w, g = np.empty_like(t), np.empty_like(t)
-    for level, rows in parts:
-        big_w[rows], g[rows] = _coupling(level, t[rows], v[rows])
-    return big_w, g
 
 
 def _step_maps(
@@ -798,16 +734,21 @@ def _propagate_batch(
     """propagate for each of `models`, in order: its result, or the failure
     (one of _FAILURES) it raised.
 
-    Batches of at most _PASS_STEPS // _FIRST_STEPS models, whose first
-    steps fit one pass, are scanned for their handovers together and then
-    solved together.  A model whose handover scan fails is left out of its
-    batch's solve; a batch whose solve fails (the node cap is shared) is
-    solved again one model at a time, from the handovers already found.
+    Models are grouped by level, (family, level_key), here alone: each
+    group is cut into batches of at most _PASS_STEPS // _FIRST_STEPS
+    models, whose first steps fit one pass, and each batch is scanned for
+    its handovers together and then solved together.  A model whose
+    handover scan fails is left out of its batch's solve; a batch whose
+    solve fails (the node cap is shared) is solved again one model at a
+    time, from the handovers already found.
     """
-    out: list[PropagationResult | Exception] = []
+    groups: dict[tuple, list[int]] = {}
+    for i, model in enumerate(models):
+        groups.setdefault((type(model), model.level_key), []).append(i)
     size = _PASS_STEPS // _FIRST_STEPS
-    for k in range(0, len(models), size):
-        batch = models[k : k + size]
+    out: list[PropagationResult | Exception | None] = [None] * len(models)
+    for chunk in (rows[k : k + size] for rows in groups.values() for k in range(0, len(rows), size)):
+        batch = [models[i] for i in chunk]
         handovers = _tail_points(batch, settings.tail_tol)
         members = [(m, h) for m, h in zip(batch, handovers) if not isinstance(h, Exception)]
         try:
@@ -815,7 +756,8 @@ def _propagate_batch(
             solved = iter([_readout(u, h, nfev, n_steps)[0] for (u, _, nfev, n_steps), (_, h) in zip(windows, members)])
         except _FAILURES:
             solved = iter([_attempt(_solve_lone, member, settings) for member in members])
-        out += [h if isinstance(h, Exception) else next(solved) for h in handovers]
+        for i, h in zip(chunk, handovers):
+            out[i] = h if isinstance(h, Exception) else next(solved)
     return out
 
 
@@ -861,6 +803,17 @@ def _trace_end(model: DiabaticModel, t_core: float) -> float:
     raise NonConvergence(f"could not locate trace window end for {model!r}")
 
 
+def _check_sample_count(sample_count) -> None:
+    """Refuse a trace's sample_count before any work: ValueError unless it
+    is an integer >= 2, NonConvergence if its readout passes the node cap."""
+    if not isinstance(sample_count, numbers.Integral) or sample_count < 2:
+        raise ValueError(f"sample_count must be an integer >= 2, got {sample_count!r}")
+    distinct = (sample_count + 1) // 2
+    if distinct * _NODES > _MAX_NODES:
+        raise NonConvergence(f"sample_count={sample_count!r} reads {distinct} distinct |t| of {_NODES} weights each, "
+                             f"past the collocation node cap of {_MAX_NODES} nodes")
+
+
 def propagate_trace(
     model: DiabaticModel,
     settings: PropagatorSettings = PropagatorSettings(),
@@ -878,12 +831,7 @@ def propagate_trace(
     count against the node cap: a sample_count above 2 _MAX_NODES / _NODES
     (262,144) raises NonConvergence at once.
     """
-    if not isinstance(sample_count, numbers.Integral) or sample_count < 2:
-        raise ValueError(f"sample_count must be an integer >= 2, got {sample_count!r}")
-    distinct = (sample_count + 1) // 2
-    if distinct * _NODES > _MAX_NODES:
-        raise NonConvergence(f"sample_count={sample_count!r} reads {distinct} distinct |t| of {_NODES} weights each, "
-                             f"past the collocation node cap of {_MAX_NODES} nodes")
+    _check_sample_count(sample_count)
     handover = _tail_point(model, settings.tail_tol)
     t_end = _trace_end(model, handover[0])
     ts = np.linspace(-t_end, t_end, sample_count)

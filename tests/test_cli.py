@@ -730,6 +730,22 @@ def test_parser_defaults_are_the_library_defaults(tmp_path):
     assert len(lines) == _library_default(propagate_trace, "sample_count") + 1
 
 
+@pytest.mark.parametrize("samples, rc, error", [
+    ("1", 2, "error: sample_count must be an integer >= 2, got 1"),
+    ("0", 2, "error: sample_count must be an integer >= 2, got 0"),
+    ("262145", 1, "error: NonConvergence: sample_count=262145 reads 131073 distinct |t|"),
+])
+def test_samples_refused_with_or_without_trace(tmp_path, samples, rc, error):
+    # a count the trace would refuse ends the command before any output,
+    # whether or not a trace is asked for, as a config file may set samples
+    # for every propagate call
+    trace = tmp_path / "trace.csv"
+    for extra in ([], ["--trace", str(trace)]):
+        got, out, err = _run(["propagate", "--N", "2", "--alpha", "1", "--samples", samples, *extra])
+        assert (got, out) == (rc, "") and err.startswith(error), err
+        assert not trace.exists()
+
+
 def test_parser_builds_with_wrapped_library_names(monkeypatch):
     # a tracer may replace the names cli imports with (*args, **kwargs)
     # wrappers before main first builds its parser

@@ -7,6 +7,7 @@ calls it.  Every check here starts a fresh interpreter and reads its
 sys.modules, so it tests what is loaded, not how long loading takes.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -95,6 +96,32 @@ def test_package_names_are_the_propagator_names():
     assert levelcross.PropagationResult is propagator.PropagationResult
     with pytest.raises(AttributeError, match="no_such_name"):
         levelcross.no_such_name
+
+
+def test_star_import_and_dir_include_the_lazy_names():
+    # dir() lists propagate and propagate_trace without loading numpy, and
+    # the star import binds them, loading the propagator then
+    probe = """
+import sys
+import levelcross
+assert "numpy" not in sys.modules
+assert {"propagate", "propagate_trace"} <= set(dir(levelcross))
+assert "numpy" not in sys.modules
+from levelcross import *
+from levelcross import propagator
+assert propagate is propagator.propagate and propagate_trace is propagator.propagate_trace
+"""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_all_names_every_public_name():
+    # __all__ lists each public name of the package but its submodules
+    public = {n for n, v in vars(levelcross).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert set(levelcross.__all__) == public | {"propagate", "propagate_trace"}
+    assert len(levelcross.__all__) == len(set(levelcross.__all__))
 
 
 def test_propagator_seam_names_resolve_on_demand():

@@ -208,11 +208,34 @@ class TestSpanAndTail:
         assert _tail_point(m, 1e-14)[0] > _tail_point(m, 1e-8)[0]
 
 
+def _by_level(models):
+    """The indices of `models` grouped by level, (family, level_key), in the
+    order the levels first appear."""
+    groups = {}
+    for i, m in enumerate(models):
+        groups.setdefault((type(m), m.level_key), []).append(i)
+    return list(groups.values())
+
+
+def _scan_by_level(models, tol):
+    """_tail_points' outcome for each of `models`, in order, scanning one
+    level at a time."""
+    out = [None] * len(models)
+    for rows in _by_level(models):
+        for i, handover in zip(rows, _tail_points([models[i] for i in rows], tol)):
+            out[i] = handover
+    return out
+
+
 def _predicted_index(models, tol):
-    """The grid index k* that the scan predicts for each of `models`."""
-    levels, group = propagator._levels(models)
-    starts = np.array([max(m.floor, 1.0) for m in models])
-    return propagator._handover_index(levels, group, np.array([m.V for m in models]), starts, tol)
+    """The grid index k* that the scan predicts for each of `models`, one
+    level at a time."""
+    out = np.empty(len(models))
+    for rows in _by_level(models):
+        group = [models[i] for i in rows]
+        starts = np.array([max(m.floor, 1.0) for m in group])
+        out[rows] = propagator._handover_index(group[0], np.array([m.V for m in group]), starts, tol)
+    return out
 
 
 def _handover_outcomes(handovers):
@@ -232,11 +255,12 @@ class TestBatchedScan:
     )
 
     def test_batch_matches_lone_scans(self):
-        # each member gets the lone scan's handover to the bit, or its
-        # failure with the same type and message, in input order
+        # each member, scanned with the others of its level, gets the lone
+        # scan's handover to the bit, or its failure with the same type and
+        # message
         models = list(self.MIXED)
         tol = PropagatorSettings().tail_tol
-        batch = _tail_points(models, tol)
+        batch = _scan_by_level(models, tol)
         assert len(batch) == len(models)
         failures = []
         for m, got in zip(models, batch):
@@ -264,11 +288,11 @@ class TestBatchedScan:
         # handover to the bit, or the same failure
         models = list(self.MIXED)
         tol = PropagatorSettings().tail_tol
-        runs = [_handover_outcomes(_tail_points(models, tol))]
+        runs = [_handover_outcomes(_scan_by_level(models, tol))]
         for predicted in (0, propagator._SCAN_POINTS):
             monkeypatch.setattr(propagator, "_handover_index",
-                                lambda levels, group, *args, k=predicted: np.full(len(group), float(k)))
-            runs.append(_handover_outcomes(_tail_points(models, tol)))
+                                lambda level, v, *args, k=predicted: np.full(len(v), float(k)))
+            runs.append(_handover_outcomes(_scan_by_level(models, tol)))
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_predicted_handover_is_near_the_scan(self):
@@ -283,7 +307,7 @@ class TestBatchedScan:
             predicted = _predicted_index(models, tol)
             assert np.isfinite(predicted).all()
             found = []
-            for m, (t, _) in zip(models, _tail_points(models, tol)):
+            for m, (t, _) in zip(models, _scan_by_level(models, tol)):
                 grid = max(m.floor, 1.0) * propagator._scan_grid()
                 found.append(int(np.flatnonzero(grid == t)[0]))
             return np.array(found), predicted
@@ -319,8 +343,9 @@ class TestBatchedScan:
     def test_pass_bound(self, monkeypatch):
         # the first pass ends 24 grid points past the latest predicted
         # handover (16 points at least), where that is sooner than its full
-        # block, for a trace's scan too.  Later passes scan a block of rows per pending member that shrinks
-        # as more members pend, to 4096 points in all but never under 16 rows
+        # block, for a trace's scan too.  Later passes scan a block of rows
+        # per pending member that shrinks as more members pend, to 4096
+        # points in all but never under 16 rows
         passes = []
         real = propagator._tail_series
 
@@ -341,20 +366,22 @@ class TestBatchedScan:
         panel = [Superparabolic(10, a) for a in (0.1, 0.3, 1.0, 3.0)]
         _tail_points(panel, tol)
         assert passes == [(4, int(_predicted_index(panel, tol).max()) + 24)]
-        passes.clear()
-        alphas = np.geomspace(0.1, 3.0, 512).tolist()
-        models = [Superparabolic(n, a) for a in alphas for n in (2, 10)]
-        batch = _tail_points(models, tol)
-        assert not any(isinstance(h, Exception) for h in batch)
-        assert passes[0] == (1024, 16) and len(passes) > 1
-        for (pending, rows), (later, _) in zip(passes, passes[1:] + [(0, 0)]):
-            assert rows == max(16, min(256, 4096 // pending)) and pending * rows <= 16 * 1024
-            assert later <= pending
+        alphas = np.geomspace(0.1, 3.0, 1024).tolist()
+        for n in (2, 10):
+            passes.clear()
+            batch = _tail_points([Superparabolic(n, a) for a in alphas], tol)
+            assert not any(isinstance(h, Exception) for h in batch)
+            assert passes[0] == (1024, 16) and len(passes) > 1
+            for (pending, rows), (later, _) in zip(passes, passes[1:] + [(0, 0)]):
+                assert rows == max(16, min(256, 4096 // pending)) and pending * rows <= 16 * 1024
+                assert later <= pending
 
 
 class LevelLog:
-    """A model that logs each call of its level and level_series, with its
-    level_key and the number of rows it is evaluated on."""
+    """A model that logs each call of its level_series, and of its level on
+    an array of times, with its level_key and the number of rows it is
+    evaluated on.  The level at a single time, as the handover prediction
+    reads it, is not logged."""
 
     def __init__(self, model, log):
         self.model, self.log = model, log
@@ -366,7 +393,8 @@ class LevelLog:
         return f"LevelLog({self.model!r})"
 
     def level(self, t):
-        self.log.append(("level", self.model.level_key, len(t) if np.ndim(t) else 0))
+        if np.ndim(t):
+            self.log.append(("level", self.model.level_key, len(t)))
         return self.model.level(t)
 
     def level_series(self, t, L):
@@ -388,40 +416,49 @@ class TestLevelGroups:
         for m, got in zip(self.INTERLEAVED, batch):
             assert got == propagate(m, settings), m
 
-    def test_levels_group_by_family_and_key(self):
+    def test_batch_groups_by_family_and_key(self, monkeypatch):
+        # _propagate_batch scans and solves each level, (family, level_key),
+        # as one batch, in the order the levels first appear: a parabolic
+        # level with A = 6 is not the level N = 6
         models = list(self.INTERLEAVED) + [Parabolic(6.0, 0.0, 1.0), Superparabolic(6, 9.0)]
-        levels, group = propagator._levels(models)
-        assert levels == [models[0], models[1], models[4], models[5]]
-        assert group.tolist() == [0, 1, 0, 1, 2, 3, 0]
-        parts = propagator._level_rows(levels, np.array([1, 0, 1, 2, 0]))
-        assert [(level, rows.tolist()) for level, rows in parts] == [(levels[0], [1, 4]), (levels[1], [0, 2]),
-                                                                     (levels[2], [3])]
-        ((level, rows),) = propagator._level_rows(levels, np.array([2, 2, 2]))
-        assert level is levels[2] and rows == slice(None)
-        ((level, rows),) = propagator._level_rows(levels[:1], np.array([0, 0]))
-        assert level is levels[0] and rows == slice(None)
+        scans, solves = [], []
+        real_scan, real_resolve = propagator._tail_points, propagator._resolve
+
+        def scanning(batch, tol):
+            scans.append(list(batch))
+            return real_scan(batch, tol)
+
+        def resolving(windows, settings):
+            solves.append([m for m, _ in windows])
+            return real_resolve(windows, settings)
+
+        monkeypatch.setattr(propagator, "_tail_points", scanning)
+        monkeypatch.setattr(propagator, "_resolve", resolving)
+        results = propagator._propagate_batch(models, PropagatorSettings())
+        groups = [[models[i] for i in rows] for rows in ([0, 2, 6], [1, 3], [4], [5])]
+        assert scans == groups and solves == groups
+        assert [r.nfev for r in results] == [propagate(m).nfev for m in models]
 
     def test_one_level_call_per_group_per_pass(self, monkeypatch):
         # the scan calls level_series, and the solve calls level, once per
-        # pass for each level among the members still in it, on all their
-        # rows at once
+        # pass, on all its rows at once: each batch is one level
         log = []
         models = [LevelLog(m, log) for m in self.INTERLEAVED]
-        real_series, real_couplings = propagator._tail_series, propagator._couplings
+        real_series, real_coupling = propagator._tail_series, propagator._coupling
 
         def series_pass(eps, v, degree):
-            log.append(("pass", None, eps.shape[1]))
+            log.append(("scan", None, eps.shape[1]))
             return real_series(eps, v, degree)
 
-        def coupling_pass(levels, group, coupling, member, t):
-            out = real_couplings(levels, group, coupling, member, t)
-            log.append(("pass", None, len(t)))
+        def coupling_pass(model, t, v):
+            out = real_coupling(model, t, v)
+            log.append(("solve", None, len(t)))
             return out
 
-        def passes(kind):
+        def passes(kind, marker):
             calls, out = [], []
             for name, key, rows in log:
-                if name == "pass":
+                if name == marker:
                     out.append((calls, rows))
                     calls = []
                 elif name == kind:
@@ -430,20 +467,50 @@ class TestLevelGroups:
             return out
 
         monkeypatch.setattr(propagator, "_tail_series", series_pass)
-        monkeypatch.setattr(propagator, "_couplings", coupling_pass)
-        settings = PropagatorSettings()
-        handovers = _tail_points(models, settings.tail_tol)
-        scan = passes("level_series")
-        log.clear()
-        propagator._solve_window([(m, h[0]) for m, h in zip(models, handovers)], settings)
-        solve = passes("level")
-        assert len(scan) >= 1 and len(solve) > 1
+        monkeypatch.setattr(propagator, "_coupling", coupling_pass)
+        propagator._propagate_batch(models, PropagatorSettings())
+        scan, solve = passes("level_series", "scan"), passes("level", "solve")
+        assert len(scan) >= 3 and len(solve) > 3
         for calls, rows in scan + solve:
-            keys = [key for key, _ in calls]
-            assert len(set(keys)) == len(keys) and sum(n for _, n in calls) == rows
-        # every member is in the first pass of each: one call per level
-        assert [key for key, _ in scan[0][0]] == [6, (1.0, 4.0), 10]
-        assert [key for key, _ in solve[0][0]] == [6, (1.0, 4.0), 10]
+            assert len(calls) == 1 and calls[0][1] == rows
+        # the levels are taken one after another, each in its own passes,
+        # and each level's first pass holds all its members
+        for kind in (scan, solve):
+            keys = [calls[0][0] for calls, _ in kind]
+            assert [k for k, j in zip(keys, [None] + keys) if k != j] == [6, (1.0, 4.0), 10]
+        assert scan[0][0] == [(6, 2)]
+
+    def test_groups_are_chunked_in_input_order(self, monkeypatch):
+        # with four models a batch, a level of six models is scanned and
+        # solved in two batches, and each model's result, or failure, is
+        # its lone propagation's, in input order, whatever batch it is in
+        monkeypatch.setattr(propagator, "_PASS_STEPS", 4 * propagator._FIRST_STEPS)
+        models = [
+            Superparabolic(2, 0.2), Parabolic(1.0, 4.0, 1.0), Superparabolic(6, 0.5), Superparabolic(2, 1e-300),
+            Superparabolic(2, 1.0), Parabolic(1.0, 4.0, 0.3), Superparabolic(2, 1.7), Superparabolic(6, 2.0),
+            Parabolic(1.0, 4.0, 2.5), Superparabolic(2, 2.5), Superparabolic(2, 0.6),
+        ]
+        scans = []
+        real = propagator._tail_points
+
+        def scanning(batch, tol):
+            scans.append([models.index(m) for m in batch])
+            return real(batch, tol)
+
+        monkeypatch.setattr(propagator, "_tail_points", scanning)
+        settings = PropagatorSettings()
+        results = propagator._propagate_batch(models, settings)
+        assert scans == [[0, 3, 4, 6], [9, 10], [1, 5, 8], [2, 7]]
+        failures = 0
+        for m, got in zip(models, results):
+            try:
+                want = propagate(m, settings)
+            except ZeroDivisionError as exc:
+                failures += 1
+                assert type(got) is type(exc) and str(got) == str(exc)
+            else:
+                assert got == want, m
+        assert failures == 1
 
 
 class TestSeriesKernels:
@@ -522,13 +589,15 @@ class TestTrimmedKernels:
         settings = PropagatorSettings()
         models = [Superparabolic(2, 1.0), Superparabolic(10, 3.0), Parabolic(1.0, 4.0, 1.0), Parabolic(1.0, -4.0, 1.0)]
         members = [(m, _tail_point(m, settings.tail_tol)[0]) for m in models]
-        for member in members:
-            counts, _, half, f, _, _ = propagator._resolve([member], settings)
+        resolved = [propagator._resolve([member], settings) for member in members]
+        for counts, _, half, f, _, _ in resolved:
             got, want = propagator._step_maps(half, f, counts), step_maps_two_sided(half, f)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        counts, _, half, f, _, _ = propagator._resolve(members, settings)
-        # in a batch, each member sweeps until its own change is within the
-        # tolerance: its maps are those of its steps alone
+        # the four members' steps stacked as one batch: each member sweeps
+        # until its own change is within the tolerance, and its maps are
+        # those of its steps alone
+        counts = [n for r in resolved for n in r[0]]
+        half, f = (np.concatenate([r[i] for r in resolved]) for i in (2, 3))
         bounds = np.cumsum([0, *counts])
         members_alone = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         got = propagator._step_maps(half, f, counts)
@@ -576,12 +645,12 @@ class TestTrimmedKernels:
         assert propagator._passes([9]) == [(0, [5]), (5, [4])]
 
     def test_resolve_shortcuts_match_a_bisecting_batch(self, monkeypatch):
-        # Superparabolic(2, 0.2) and Parabolic(1, 0, 0.3) accept their eight
-        # first steps in one pass, whose steps are then taken as they are,
-        # unsorted; Superparabolic(2, 1.0) bisects, and so sorts any batch
-        # it is in.  Each member gets its lone solve's steps, to the bit
+        # Superparabolic(2, 0.2) and Superparabolic(2, 0.3) accept their
+        # eight first steps in one pass, whose steps are then taken as they
+        # are, unsorted; Superparabolic(2, 1.0) bisects, and so sorts any
+        # batch it is in.  Each member gets its lone solve's steps, to the bit
         settings = PropagatorSettings()
-        one_pass, bisecting = [Superparabolic(2, 0.2), Parabolic(1.0, 0.0, 0.3)], Superparabolic(2, 1.0)
+        one_pass, bisecting = [Superparabolic(2, 0.2), Superparabolic(2, 0.3)], Superparabolic(2, 1.0)
 
         def resolve(models):
             return propagator._resolve([(m, _tail_point(m, settings.tail_tol)[0]) for m in models], settings)
@@ -904,36 +973,43 @@ def test_one_solve_per_propagation(count_solves, run):
 
 
 @pytest.mark.parametrize(
-    "run",
+    "models, batched",
     [
-        lambda: [propagate(Superparabolic(2, 1.0))],
-        lambda: propagator._propagate_batch([Superparabolic(10, a) for a in (0.1, 0.3, 1.0, 3.0)],
-                                            PropagatorSettings()),
-        lambda: propagator._propagate_batch(TestBatchedScan.MIXED, PropagatorSettings()),
+        ([Superparabolic(2, 1.0)], False),
+        ([Superparabolic(10, a) for a in (0.1, 0.3, 1.0, 3.0)], True),
+        (TestBatchedScan.MIXED, True),
     ],
     ids=["lone", "panel", "mixed"],
 )
-def test_nfev_is_the_count_of_coupling_nodes(monkeypatch, run):
+def test_nfev_is_the_count_of_coupling_nodes(monkeypatch, models, batched):
     # nfev is inferred from the accepted steps, as (2 n - _FIRST_STEPS)
     # _NODES: count the nodes each member's couplings are evaluated at,
     # so that a change to the first steps or to the bisection that breaks
-    # the formula fails here
+    # the formula fails here.  A step's row is its member's by its V,
+    # which is distinct within each solve here
     solves = []
-    real_resolve, real_couplings = propagator._resolve, propagator._couplings
+    real_resolve, real_coupling = propagator._resolve, propagator._coupling
 
     def resolving(windows, settings):
-        solves.append(np.zeros(len(windows), dtype=int))
+        solves.append({m.V: [m, 0] for m, _ in windows})
+        assert len(solves[-1]) == len(windows)
         return real_resolve(windows, settings)
 
-    def counting(levels, group, coupling, member, t):
-        solves[-1] += np.bincount(member.astype(int), minlength=len(solves[-1])) * t.shape[1]
-        return real_couplings(levels, group, coupling, member, t)
+    def counting(model, t, v):
+        for member in solves[-1].values():
+            member[1] += np.count_nonzero(v[:, 0] == member[0].V) * t.shape[1]
+        return real_coupling(model, t, v)
 
     monkeypatch.setattr(propagator, "_resolve", resolving)
-    monkeypatch.setattr(propagator, "_couplings", counting)
-    results = [r for r in run() if not isinstance(r, Exception)]
-    (counted,) = solves
-    assert counted.tolist() == [r.nfev for r in results] and len(results) > 0
+    monkeypatch.setattr(propagator, "_coupling", counting)
+    if batched:
+        results = propagator._propagate_batch(models, PropagatorSettings())
+    else:
+        results = [propagate(m) for m in models]
+    counted = {id(m): n for solve in solves for m, n in solve.values()}
+    solved = [(m, r) for m, r in zip(models, results) if not isinstance(r, Exception)]
+    assert len(solved) > 0 and sum(map(len, solves)) == len(solved)
+    assert [counted[id(m)] for m, _ in solved] == [r.nfev for _, r in solved]
 
 
 def test_trace_solve_independent_of_sample_count(monkeypatch):
