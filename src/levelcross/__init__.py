@@ -16,9 +16,7 @@ from .ddp import (
     zero_points,
 )
 from .errors import (
-    BracketingError,
     BranchFailure,
-    DegenerateGeometry,
     LevelCrossError,
     MissingColumn,
     NonConvergence,
@@ -43,11 +41,9 @@ from .models import (
     model_from_params,
 )
 from .znt import (
-    FitGeometry,
     arg_gamma_imag,
     delta_psi,
     double_crossing_probability,
-    fit_parameters,
     glancing_double_crossing,
     glancing_reduced_parameters,
     glancing_tunneling,
@@ -55,21 +51,19 @@ from .znt import (
     stokes_phase,
     tunneling_B,
     tunneling_probability,
-    znt_phase_estimate,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ZeroPoint", "ddp_probability", "glancing_eta", "nu_coefficient", "phase_integral", "zero_points",
-    "BracketingError", "BranchFailure", "DegenerateGeometry", "LevelCrossError", "MissingColumn", "NonConvergence",
-    "ToleranceFailure",
+    "BranchFailure", "LevelCrossError", "MissingColumn", "NonConvergence", "ToleranceFailure",
     "METHODS", "ComparisonReport", "SweepConfig", "SweepRow", "compare_methods", "find_oscillation_nodes",
     "find_oscillation_peaks", "run_sweep",
     "DiabaticModel", "Parabolic", "PropagationResult", "PropagatorSettings", "Superparabolic", "model_from_params",
-    "FitGeometry", "arg_gamma_imag", "delta_psi", "double_crossing_probability", "fit_parameters",
-    "glancing_double_crossing", "glancing_reduced_parameters", "glancing_tunneling", "single_passage_probability",
-    "stokes_phase", "tunneling_B", "tunneling_probability", "znt_phase_estimate",
+    "arg_gamma_imag", "delta_psi", "double_crossing_probability", "glancing_double_crossing",
+    "glancing_reduced_parameters", "glancing_tunneling", "single_passage_probability", "stokes_phase", "tunneling_B",
+    "tunneling_probability",
     "propagate", "propagate_trace",
 ]
 

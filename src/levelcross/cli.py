@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: sweep, propagate, zeros, phase, ddp, znt, fit, compare.
+Subcommands: sweep, propagate, zeros, phase, ddp, znt, compare.
 An optional key=value config file (--config settings.cfg) supplies
 defaults for the chosen subcommand; flags given on the command line win.
 The keys it accepts are exactly that subcommand's long options other
@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import inspect
 import sys
-import warnings
 
 from . import harness
 from .ddp import ddp_probability, phase_integral, zero_points
@@ -29,7 +28,7 @@ from .harness import (
     run_sweep,
 )
 from .models import PropagatorSettings, model_from_params
-from .znt import fit_parameters, glancing_double_crossing, glancing_tunneling, znt_phase_estimate
+from .znt import glancing_double_crossing, glancing_tunneling
 
 
 # --threshold's default is the library's, read from the signature at import: a
@@ -100,20 +99,21 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     )
     settings = PropagatorSettings(args.tail_tol)
     # a sample count a trace would refuse stops the command, with or without
-    # a trace, before any output; a trace runs first, so its failures do too
+    # a trace, before any output; a trace runs, and its file is written,
+    # before the result is printed, so its failures do too
     counts = {} if args.samples is None else {"sample_count": args.samples}  # else the library's default
     if counts:
         _check_sample_count(args.samples)
     samples = None if args.trace is None else propagate_trace(model, settings, **counts)
     result = propagate(model, settings)
-    for field in dataclasses.fields(result):
-        print(f"{field.name} = {getattr(result, field.name):.17g}")
+    lines = [f"{field.name} = {getattr(result, field.name):.17g}" for field in dataclasses.fields(result)]
     if samples is not None:
         with open(args.trace, "w", encoding="ascii", newline="") as fh:
             fh.write("t,P1,P2,norm\n")
             for t, p1, p2, norm in samples:
                 fh.write(f"{t:.17g},{p1:.17g},{p2:.17g},{norm:.17g}\n")
-        print(f"trace written to {args.trace}")
+        lines.append(f"trace written to {args.trace}")
+    print(*lines, sep="\n")
     return 0
 
 
@@ -144,35 +144,6 @@ def _cmd_znt(args: argparse.Namespace) -> int:
     else:
         p = glancing_tunneling(args.N, args.alpha)
     print(f"P = {p:.17g}")
-    return 0
-
-
-def _cmd_fit(args: argparse.Namespace) -> int:
-    import numpy as np
-    from scipy.interpolate import CubicSpline
-
-    with open(args.curves, "r", encoding="utf-8") as fh:  # genfromtxt fails on an empty file
-        lines = [ln for ln in fh if ln.strip()]
-    data = np.genfromtxt(lines, delimiter=",", names=True, ndmin=1) if lines else np.empty(0)
-    if len(data) < 2 or not {"t", "E1", "E2"} <= set(data.dtype.names or ()):
-        raise ValueError(f"curves file needs columns t,E1,E2 and 2 or more rows; got "
-                         f"columns {list(data.dtype.names or ())} and {len(data)} row(s)")
-    order = np.argsort(data["t"])
-    t = data["t"][order]
-    # curves near the float range overflow inside numpy/scipy: the error
-    # raised for them is the message, not the RuntimeWarnings on the way
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        e1 = CubicSpline(t, data["E1"][order])
-        e2 = CubicSpline(t, data["E2"][order])
-        geom, a_sq, b_sq = fit_parameters(e1, e2, (float(t[0]), float(t[-1])))
-        estimate = znt_phase_estimate(geom, e1, e2, a_sq, b_sq)
-    for field in dataclasses.fields(geom):
-        print(f"{field.name} = {getattr(geom, field.name):.17g}")
-    print(f"a_sq = {a_sq:.17g}")
-    print(f"b_sq = {b_sq:.17g}")
-    print(f"sigma_estimate = {estimate.real:.17g}")
-    print(f"delta_estimate = {estimate.imag:.17g}")
     return 0
 
 
@@ -252,10 +223,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     sp.add_argument("--branch", choices=("double", "tunnel"), required=True)
     sp.set_defaults(func=_cmd_znt)
-
-    sp = sub.add_parser("fit", help="fit reduced parameters from adiabatic curves CSV (t,E1,E2)")
-    sp.add_argument("--curves", type=str, required=True)
-    sp.set_defaults(func=_cmd_fit)
 
     sp = sub.add_parser("compare", help="method-comparison report from a sweep CSV")
     sp.add_argument("csv", type=str)

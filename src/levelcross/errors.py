@@ -11,8 +11,6 @@ from __future__ import annotations
 __all__ = [
     "LevelCrossError",
     "BranchFailure",
-    "DegenerateGeometry",
-    "BracketingError",
     "NonConvergence",
     "ToleranceFailure",
     "MissingColumn",
@@ -26,16 +24,6 @@ class LevelCrossError(Exception):
 class BranchFailure(LevelCrossError):
     """The tunneling-branch closed form left its analytic domain: the
     Im U1 radicand turned negative."""
-
-
-class DegenerateGeometry(LevelCrossError):
-    """Adiabatic-curve fit degenerated (coincident extrema, d^2 -> 1);
-    the fitted reduced parameters are 0/0 expressions."""
-
-
-class BracketingError(LevelCrossError):
-    """An extremum required by the curve fit was not found inside the
-    supplied interval."""
 
 
 class NonConvergence(LevelCrossError):

@@ -5,24 +5,20 @@ branch (effective collision energy above the crossing, b^2 >= 0) and the
 tunneling branch (b^2 <= 0).  Both build on the exact functional form
 P = 4 p (1 - p) sin^2(psi) with heuristic expressions for p and psi in
 terms of the reduced coupling a^2 and the phase-integral parts sigma,
-delta.  Also here: the adiabatic-curve parameter fit and its phase
-estimate, which degenerate for glancing geometries.
+delta.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .ddp import phase_integral
-from .errors import BracketingError, BranchFailure, DegenerateGeometry
+from .errors import BranchFailure
 from .models import check_glancing
 
 __all__ = [
-    "FitGeometry",
     "single_passage_probability",
     "arg_gamma_imag",
     "delta_psi",
@@ -30,29 +26,10 @@ __all__ = [
     "double_crossing_probability",
     "tunneling_B",
     "tunneling_probability",
-    "fit_parameters",
-    "znt_phase_estimate",
     "glancing_reduced_parameters",
     "glancing_double_crossing",
     "glancing_tunneling",
 ]
-
-_DEGENERACY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FitGeometry:
-    """Stationary points of a pair of adiabatic curves and the gap ratio d^2.
-
-    t_b minimizes the upper level, t_t maximizes the lower one, t_0
-    minimizes the gap; V0_fit is half the minimum gap.
-    """
-
-    t_b: float
-    t_t: float
-    t_0: float
-    V0_fit: float
-    d_sq: float
 
 
 def single_passage_probability(a_sq: float, b_sq: float) -> float:
@@ -178,101 +155,6 @@ def tunneling_probability(a_sq: float, sigma: float, delta: float) -> float:
     im_u1 = sin_s * math.sqrt(radicand)
     psi = math.atan2(im_u1, re_u1)
     return 4.0 * p * (1.0 - p) * math.sin(psi) ** 2
-
-
-def _check_nondegenerate(geom: FitGeometry) -> float:
-    """|t_t^2 - t_b^2|; a coincident (glancing) geometry raises DegenerateGeometry."""
-    dt2 = abs(geom.t_t * geom.t_t - geom.t_b * geom.t_b)
-    if abs(geom.d_sq - 1.0) < _DEGENERACY_TOL or dt2 < _DEGENERACY_TOL:
-        raise DegenerateGeometry(
-            f"coincident geometry: t_b={geom.t_b!r}, t_t={geom.t_t!r}, d_sq={geom.d_sq!r}"
-        )
-    return dt2
-
-
-def _interior_minimum(f: Callable[[float], float], lo: float, hi: float, what: str) -> float:
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    if not res.success:
-        raise BracketingError(f"{what}: minimizer failed on [{lo}, {hi}]: {res.message}")
-    x = float(res.x)
-    margin = 1e-6 * (hi - lo)
-    if x - lo < margin or hi - x < margin:
-        raise BracketingError(f"{what}: extremum at {x!r} sits on the interval boundary")
-    return x
-
-
-def fit_parameters(
-    e1: Callable[[float], float],
-    e2: Callable[[float], float],
-    interval: tuple[float, float],
-) -> tuple[FitGeometry, float, float]:
-    """Fit reduced (a^2, b^2) from adiabatic curves E2 > E1 on an interval.
-
-    a^2 = sqrt(d^2-1)/(2 V0^2 |t_t^2 - t_b^2|),
-    b^2 = sqrt(d^2-1) (t_t^2 + t_b^2)/|t_t^2 - t_b^2|,
-    with V0 half the minimum gap and d^2 the gap ratio at the extrema.
-    Glancing-type geometries (coincident extrema, d^2 -> 1) raise
-    DegenerateGeometry: the expressions above are then 0/0.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError(f"empty interval {interval!r}")
-    t_b = _interior_minimum(e2, lo, hi, "upper-level minimum")
-    t_t = _interior_minimum(lambda t: -e1(t), lo, hi, "lower-level maximum")
-    t_0 = _interior_minimum(lambda t: e2(t) - e1(t), lo, hi, "gap minimum")
-    gap_0 = e2(t_0) - e1(t_0)
-    if gap_0 <= 0.0:
-        raise ValueError(f"curves are not ordered E2 > E1 at t_0={t_0!r}")
-    v0 = 0.5 * gap_0
-    d_sq = (e2(t_b) - e1(t_b)) * (e2(t_t) - e1(t_t)) / (gap_0 * gap_0)
-    geom = FitGeometry(t_b=t_b, t_t=t_t, t_0=t_0, V0_fit=v0, d_sq=d_sq)
-    dt2 = _check_nondegenerate(geom)
-    if d_sq < 1.0:
-        raise ValueError(f"gap ratio d_sq={d_sq!r} < 1; t_0 is not the gap minimum")
-    root = math.sqrt(d_sq - 1.0)
-    a_sq = root / (2.0 * v0 * v0 * dt2)
-    b_sq = root * (t_t * t_t + t_b * t_b) / dt2
-    return geom, a_sq, b_sq
-
-
-def znt_phase_estimate(
-    geom: FitGeometry,
-    e1: Callable[[float], float],
-    e2: Callable[[float], float],
-    a_sq: float,
-    b_sq: float,
-) -> complex:
-    """Approximate sigma + i delta from the fitted geometry.
-
-    sigma + i delta = int_0^{t_b} E2 - int_0^{t_t} E1 + sqrt(b^2/a^2) + Delta,
-    where Delta carries a 1/sqrt(d^2 - 1) factor and a quadrature along
-    the straight segment from 0 to i; degenerate geometries raise.
-    """
-    from scipy.integrate import quad
-
-    _check_nondegenerate(geom)
-    if not (a_sq > 0.0):
-        raise ValueError(f"a_sq must be positive, got {a_sq!r}")
-    if b_sq < 0.0:
-        raise ValueError(f"b_sq must be nonnegative for this estimate, got {b_sq!r}")
-    int_b = quad(e2, 0.0, geom.t_b, limit=200)[0]
-    int_t = quad(e1, 0.0, geom.t_t, limit=200)[0]
-    first = (
-        (geom.t_0 - 0.5 * (geom.t_b + geom.t_t))
-        / (cmath.sqrt(a_sq * (b_sq * b_sq + 1j)) * (geom.t_b - geom.t_t))
-        * math.sqrt(geom.d_sq / (geom.d_sq - 1.0))
-    )
-
-    def segment(s: float) -> complex:
-        # t = i s on the straight path 0 -> i
-        return cmath.sqrt((1.0 - s * s) / (b_sq + 1j * s))
-
-    seg_re = quad(lambda s: segment(s).real, 0.0, 1.0, limit=200)[0]
-    seg_im = quad(lambda s: segment(s).imag, 0.0, 1.0, limit=200)[0]
-    second = 1j * complex(seg_re, seg_im) / (2.0 * math.sqrt(a_sq))
-    return int_b - int_t + math.sqrt(b_sq / a_sq) + first + second
 
 
 def glancing_reduced_parameters(N: int, alpha: float) -> tuple[float, float]:

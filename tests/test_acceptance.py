@@ -25,19 +25,14 @@ from levelcross.harness import (
     run_sweep,
 )
 from levelcross.models import Superparabolic
-from levelcross.errors import DegenerateGeometry
 from levelcross.propagator import propagate
 from levelcross.znt import (
-    FitGeometry,
-    fit_parameters,
     single_passage_probability,
     stokes_phase,
     tunneling_B,
-    znt_phase_estimate,
 )
 from oracles import (
     PARABOLIC_C,
-    adiabatic_levels,
     ddp_parabolic_closed_form,
     propagate_diabatic,
     residue_prefactor,
@@ -229,31 +224,6 @@ def test_ddp_peak_pairing(sweep_n6, sweep_n10):
             if rel > 0.15:
                 bad.append(f"N={n} peak at alpha={a_num:.3f} rel dev {rel:.3f}")
     _verdict("ddp-peak-pairing", not bad, f"worst paired-peak rel dev {worst:.4f}")
-
-
-def test_degeneracy_detection():
-    bad = []
-    for n, a in itertools.product((2, 6, 10), (0.5, 1.0, 2.0)):
-        model = Superparabolic(n, a)
-
-        def e1(t, m=model):
-            return adiabatic_levels(m, t)[0]
-
-        def e2(t, m=model):
-            return adiabatic_levels(m, t)[1]
-
-        try:
-            fit_parameters(e1, e2, (-2.0, 2.0))
-            bad.append(f"fit_parameters accepted N={n} alpha={a}")
-        except DegenerateGeometry:
-            pass
-        geom = FitGeometry(t_b=0.0, t_t=0.0, t_0=0.0, V0_fit=a, d_sq=1.0)
-        try:
-            znt_phase_estimate(geom, e1, e2, 1.0, 0.0)
-            bad.append(f"znt_phase_estimate accepted N={n} alpha={a}")
-        except DegenerateGeometry:
-            pass
-    _verdict("degeneracy-detection", not bad, "; ".join(bad) or "9 models, both operations")
 
 
 def test_large_coupling_falloff():

@@ -8,9 +8,7 @@ import json
 import math
 import re
 import time
-import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -373,80 +371,6 @@ class TestCompareCommand:
         assert captured.err == "error: compare_methods needs a single N, got [2, 6]\n"
 
 
-class TestFitCommand:
-    @pytest.fixture()
-    def curves_csv(self, tmp_path):
-        t = np.linspace(-3.0, 3.0, 241)
-        e1 = -1.0 - (t + 0.4) ** 2
-        e2 = 1.0 + (t - 0.5) ** 2
-        path = tmp_path / "curves.csv"
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("t,E1,E2\n")
-            for row in zip(t, e1, e2):
-                fh.write(",".join(format(x, ".17g") for x in row) + "\n")
-        return path
-
-    def test_fit_synthetic(self, curves_csv, capsys):
-        rc = main(["fit", "--curves", str(curves_csv)])
-        assert rc == 0
-        vals = {k: float(v) for k, v in _values(capsys.readouterr().out).items()}
-        assert vals["t_b"] == pytest.approx(0.5, abs=1e-6)
-        assert vals["t_t"] == pytest.approx(-0.4, abs=1e-6)
-        assert vals["t_0"] == pytest.approx(0.05, abs=1e-6)
-        assert vals["V0_fit"] == pytest.approx(1.2025, rel=1e-9)
-        assert vals["d_sq"] == pytest.approx((2.81 / 2.405) ** 2, rel=1e-8)
-        # the spline geometry lands within minimizer tolerance of the exact one
-        assert vals["sigma_estimate"] == pytest.approx(1.220844494592157, rel=1e-6)
-        assert vals["delta_estimate"] == pytest.approx(0.15350053551208895, rel=1e-6)
-
-    def test_fit_missing_column(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,E1\n0.0,1.0\n1.0,2.0\n", encoding="ascii")
-        rc = main(["fit", "--curves", str(path)])
-        assert rc == 2
-        assert "E2" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text, problem", [
-        ("", "got columns [] and 0 row(s)"),
-        ("\n  \n", "got columns [] and 0 row(s)"),
-        ("t,E1,E2\n", "and 0 row(s)"),
-        ("t,E1,E2\n0,1,2\n", "and 1 row(s)"),
-    ])
-    def test_fit_too_few_rows(self, tmp_path, capsys, text, problem):
-        path = tmp_path / "short.csv"
-        path.write_text(text, encoding="ascii")
-        rc = main(["fit", "--curves", str(path)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: curves file needs columns t,E1,E2 and 2 or more rows")
-        assert problem in err
-
-    def test_fit_overflowing_curves_one_error_line(self, tmp_path, capsys):
-        # energies near the float range overflow inside numpy/scipy; no
-        # RuntimeWarning reaches the user, only the one error line
-        path = tmp_path / "huge.csv"
-        path.write_text("t,E1,E2\n0,-1e308,1\n1,1e308,2\n2,-1e308,3\n", encoding="ascii")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main(["fit", "--curves", str(path)])
-        assert rc == 2
-        assert [str(w.message) for w in caught] == []
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_fit_degenerate_exit_code(self, tmp_path, capsys):
-        t = np.linspace(-2.0, 2.0, 201)
-        w = np.sqrt((t**2) ** 2 + 1.0)
-        path = tmp_path / "glance.csv"
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("t,E1,E2\n")
-            for row in zip(t, -w, w):
-                fh.write(",".join(format(x, ".17g") for x in row) + "\n")
-        rc = main(["fit", "--curves", str(path)])
-        assert rc == 1
-        assert "DegenerateGeometry" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv, param",
     [
@@ -571,42 +495,12 @@ def _closed_form_argv(draw):
     return argv
 
 
-_LEVEL = st.floats(min_value=-5.0, max_value=5.0).map(repr)
-_CURVE_CELL = (
-    _LEVEL
-    | st.sampled_from(["0", "1"])
-    | st.sampled_from(["nan", "inf", "-1e308", "", "x"])
-)
-
-
-@st.composite
-def _curves_text(draw):
-    """0-4 data rows under a right, reordered, short or missing header."""
-    width = draw(st.just(3) | st.integers(min_value=2, max_value=4))
-    names = ["t", "E1", "E2", "x"][:width]
-    header = draw(st.sampled_from([",".join(names), ",".join(names[::-1]), "", "# t,E1,E2"]))
-    row = st.lists(_CURVE_CELL, min_size=width, max_size=width)
-    rows = [draw(row) for _ in range(draw(st.integers(min_value=0, max_value=4)))]
-    if draw(st.booleans()):  # increasing t and finite levels, so the fit gets to run
-        rows = [[str(i), *(draw(_LEVEL) for _ in cells[1:])] for i, cells in enumerate(rows)]
-    lines = ([header] if header else []) + [",".join(cells) for cells in rows]
-    return "".join(f"{line}\n" for line in lines)
-
-
 # propagate and numeric sweeps are left out: a step-cap case takes about
 # 3.5 s, and test_numeric_failure_exits_1 covers them
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(argv=_closed_form_argv())
 def test_fuzzed_closed_form_arguments_exit_cleanly(argv):
     _assert_clean_exit(argv)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(text=_curves_text())
-def test_fuzzed_curves_files_exit_cleanly(text, tmp_path_factory):
-    path = tmp_path_factory.getbasetemp() / "fuzzed_curves.csv"
-    path.write_text(text, encoding="ascii")
-    _assert_clean_exit(["fit", "--curves", str(path)])
 
 
 # the config keys each subcommand accepts: its long flags other than --help
@@ -619,7 +513,6 @@ _SUB_OPTIONS = {
     "phase": {"N", "alpha", "k"},
     "ddp": {"N", "alpha"},
     "znt": {"branch", "N", "alpha"},
-    "fit": {"curves"},
     "compare": {"threshold", "report"},
 }
 
@@ -746,6 +639,24 @@ def test_samples_refused_with_or_without_trace(tmp_path, samples, rc, error):
         assert not trace.exists()
 
 
+@pytest.mark.parametrize("model", [
+    ["--N", "2", "--alpha", "1"],
+    ["--model", "parabolic", "--A", "1", "--B", "4", "--V0", "1"],
+], ids=["n2", "parabolic"])
+@pytest.mark.parametrize("where, errno", [
+    ("missing/t.csv", 2),  # no such directory
+    (".", 21),  # a directory
+    ("file/t.csv", 20),  # below a regular file
+], ids=["missing-dir", "is-dir", "under-file"])
+def test_unwritable_trace_prints_nothing(tmp_path, model, where, errno):
+    # a trace file that cannot be opened ends the command before the result is printed
+    (tmp_path / "file").write_text("", encoding="ascii")
+    trace = tmp_path / where
+    rc, out, err = _run(["propagate", *model, "--trace", str(trace)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: [Errno {errno}] ") and err.count("\n") == 1, err
+
+
 def test_parser_builds_with_wrapped_library_names(monkeypatch):
     # a tracer may replace the names cli imports with (*args, **kwargs)
     # wrappers before main first builds its parser
@@ -790,3 +701,17 @@ def test_cached_parser_behaves_as_fresh(tmp_path):
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--curves", "x.csv"], ["fit"], ["fit", "--help"],
+], ids=["curves", "bare", "help"])
+def test_fit_command_removed(argv, capsys):
+    # fit is an unknown subcommand, refused by argparse, and the help lists no fit
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'fit'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "fit" not in capsys.readouterr().out

@@ -3,10 +3,10 @@ including NonSimpleZero, which only the residue oracle of the tests raises."""
 
 import pytest
 
+import levelcross
+from levelcross import errors
 from levelcross.errors import (
-    BracketingError,
     BranchFailure,
-    DegenerateGeometry,
     LevelCrossError,
     MissingColumn,
     NonConvergence,
@@ -16,8 +16,6 @@ from oracles import NonSimpleZero
 
 ALL = [
     BranchFailure,
-    DegenerateGeometry,
-    BracketingError,
     NonConvergence,
     ToleranceFailure,
     NonSimpleZero,
@@ -39,3 +37,10 @@ def test_base_catches_all():
 
 def test_distinct_classes():
     assert len(set(ALL)) == len(ALL)
+
+
+def test_all_is_every_error_class():
+    # ALL lists each structured failure the package defines, and the package exports each one
+    defined = {getattr(errors, name) for name in errors.__all__}
+    assert defined == {exc for exc in ALL if exc is not NonSimpleZero} | {LevelCrossError}
+    assert set(errors.__all__) <= set(levelcross.__all__)

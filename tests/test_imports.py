@@ -1,8 +1,8 @@
 """Which parts of numpy and scipy the package and each subcommand load.
 
 Importing levelcross loads neither numpy nor scipy, nor the propagator:
-numpy is imported by the code that computes with it (the propagator, a
-sweep's alpha grid, fit), and each scipy subpackage by the function that
+numpy is imported by the code that computes with it (the propagator and a
+sweep's alpha grid), and each scipy subpackage by the function that
 calls it.  Every check here starts a fresh interpreter and reads its
 sys.modules, so it tests what is loaded, not how long loading takes.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import levelcross
-from levelcross import propagator
+from levelcross import errors, propagator, znt
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -84,9 +84,38 @@ def test_sweep_loads_numpy_and_compare_loads_none(tmp_path):
 
 
 def test_znt_loads_scipy_special_only():
+    import scipy
+
     _, loaded, _ = _loaded("znt", "--branch", "double", "--N", "2", "--alpha", "1")
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+    # of scipy's public subpackages, special alone is loaded
+    assert {m.split(".")[1] for m in loaded if "." in m} & set(scipy.__all__) == {"special"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--N", "2", "--alpha-min", "0.5", "--alpha-max", "2", "--points", "3", "--out", "{tmp}/s.csv"],
+    ["propagate", "--N", "2", "--alpha", "1", "--trace", "{tmp}/t.csv"],
+    ["propagate", "--model", "parabolic", "--A", "1", "--B", "4", "--V0", "1"],
+    ["znt", "--branch", "tunnel", "--N", "2", "--alpha", "1"],
+], ids=["sweep-all-methods", "propagate-trace", "propagate-parabolic", "znt-tunnel"])
+def test_no_command_loads_scipy_beyond_special(argv, tmp_path):
+    import scipy
+
+    _, loaded, _ = _loaded(*(arg.format(tmp=tmp_path) for arg in argv))
+    # of scipy's public subpackages, none but special is loaded
+    assert {m.split(".")[1] for m in loaded if "." in m} & set(scipy.__all__) <= {"special"}
+
+
+@pytest.mark.parametrize("module, name", [
+    (levelcross, "FitGeometry"), (levelcross, "fit_parameters"), (levelcross, "znt_phase_estimate"),
+    (levelcross, "DegenerateGeometry"), (levelcross, "BracketingError"),
+    (znt, "FitGeometry"), (znt, "fit_parameters"), (znt, "znt_phase_estimate"),
+    (errors, "DegenerateGeometry"), (errors, "BracketingError"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_adiabatic_curve_fit_removed(module, name):
+    # the fit of (a^2, b^2) to a pair of adiabatic curves is gone: it is 0/0
+    # on every model here, whose curves are -W and +W
+    assert not hasattr(module, name)
+    assert name not in getattr(module, "__all__", ())
 
 
 def test_package_names_are_the_propagator_names():

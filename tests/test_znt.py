@@ -1,21 +1,16 @@
-"""Closed-form branch probabilities, the curve fit, and its phase estimate."""
+"""Closed-form branch probabilities and their wiring to the glancing family."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 
 from levelcross.ddp import phase_integral
-from levelcross.errors import BracketingError, BranchFailure, DegenerateGeometry
-from levelcross.models import Superparabolic
+from levelcross.errors import BranchFailure
 from levelcross.znt import (
-    FitGeometry,
     arg_gamma_imag,
     delta_psi,
     double_crossing_probability,
-    fit_parameters,
     glancing_double_crossing,
     glancing_reduced_parameters,
     glancing_tunneling,
@@ -23,9 +18,8 @@ from levelcross.znt import (
     stokes_phase,
     tunneling_B,
     tunneling_probability,
-    znt_phase_estimate,
 )
-from oracles import PARABOLIC_C, adiabatic_levels, single_passage_parabolic
+from oracles import PARABOLIC_C, single_passage_parabolic
 
 C = PARABOLIC_C
 
@@ -309,96 +303,3 @@ class TestGlancingWiring:
         for alpha in (3.5e102, 2e-103):
             a_sq, _ = glancing_reduced_parameters(2, alpha)
             assert 0.0 < a_sq < math.inf
-
-
-SYN_E1 = lambda t: -1.0 - (t + 0.4) ** 2  # noqa: E731
-SYN_E2 = lambda t: 1.0 + (t - 0.5) ** 2  # noqa: E731
-
-
-class TestFitParameters:
-    def test_synthetic_curves(self):
-        geom, a_sq, b_sq = fit_parameters(SYN_E1, SYN_E2, (-3.0, 3.0))
-        assert geom.t_b == pytest.approx(0.5, abs=1e-6)
-        assert geom.t_t == pytest.approx(-0.4, abs=1e-6)
-        assert geom.t_0 == pytest.approx(0.05, abs=1e-6)
-        assert geom.V0_fit == pytest.approx(1.2025, rel=1e-10)
-        # closed forms from the exact stationary points
-        d_sq = (2.81 / 2.405) ** 2
-        assert geom.d_sq == pytest.approx(d_sq, rel=1e-8)
-        root = math.sqrt(d_sq - 1.0)
-        assert a_sq == pytest.approx(root / (2.0 * 1.2025**2 * 0.09), rel=1e-6)
-        assert b_sq == pytest.approx(root * 0.41 / 0.09, rel=1e-6)
-
-    def test_superparabolic_degenerates(self):
-        for n, alpha in ((2, 1.0), (6, 0.5)):
-            m = Superparabolic(n, alpha)
-            e1 = lambda t: adiabatic_levels(m, t)[0]  # noqa: E731
-            e2 = lambda t: adiabatic_levels(m, t)[1]  # noqa: E731
-            with pytest.raises(DegenerateGeometry):
-                fit_parameters(e1, e2, (-2.0, 2.0))
-
-    def test_unit_gap_ratio_degenerates(self):
-        # double-well upper level: every extremum sees the same gap, so the
-        # gap ratio is exactly 1 even when t_b != t_t
-        e2 = lambda t: 1.0 + (t * t - 1.0) ** 2  # noqa: E731
-        e1 = lambda t: -e2(t)  # noqa: E731
-        with pytest.raises(DegenerateGeometry):
-            fit_parameters(e1, e2, (-2.0, 2.0))
-
-    def test_boundary_extremum_rejected(self):
-        with pytest.raises(BracketingError):
-            fit_parameters(lambda t: t - 2.0, lambda t: t, (0.0, 1.0))
-
-    def test_unordered_curves_rejected(self):
-        e2 = lambda t: (t - 0.5) ** 2  # noqa: E731
-        e1 = lambda t: 1.0 - (t - 0.5) ** 2  # noqa: E731
-        with pytest.raises(ValueError):
-            fit_parameters(e1, e2, (-1.0, 2.0))
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            fit_parameters(SYN_E1, SYN_E2, (1.0, 1.0))
-
-
-class TestPhaseEstimate:
-    def test_synthetic_regression_value(self):
-        geom, a_sq, b_sq = fit_parameters(SYN_E1, SYN_E2, (-3.0, 3.0))
-        est = znt_phase_estimate(geom, SYN_E1, SYN_E2, a_sq, b_sq)
-        assert est.imag > 0.0
-        assert est == pytest.approx(1.220844494592157 + 0.15350053551208895j, rel=1e-9)
-
-    def test_matches_dense_grid_quadrature(self):
-        geom, a_sq, b_sq = fit_parameters(SYN_E1, SYN_E2, (-3.0, 3.0))
-        tb = np.linspace(0.0, geom.t_b, 20001)
-        tt = np.linspace(0.0, geom.t_t, 20001)
-        first = (
-            (geom.t_0 - 0.5 * (geom.t_b + geom.t_t))
-            / (cmath.sqrt(a_sq * (b_sq * b_sq + 1j)) * (geom.t_b - geom.t_t))
-            * math.sqrt(geom.d_sq / (geom.d_sq - 1.0))
-        )
-        s = np.linspace(0.0, 1.0, 200001)
-        seg = np.sqrt((1.0 - s * s) / (b_sq + 1j * s))
-        second = 1j * complex(simpson(seg.real, x=s), simpson(seg.imag, x=s)) / (
-            2.0 * math.sqrt(a_sq)
-        )
-        want = (
-            simpson(SYN_E2(tb), x=tb)
-            - simpson(SYN_E1(tt), x=tt)
-            + math.sqrt(b_sq / a_sq)
-            + first
-            + second
-        )
-        est = znt_phase_estimate(geom, SYN_E1, SYN_E2, a_sq, b_sq)
-        assert est == pytest.approx(want, rel=1e-6)
-
-    def test_degenerate_geometry_propagates(self):
-        geom = FitGeometry(t_b=0.0, t_t=0.0, t_0=0.0, V0_fit=1.0, d_sq=1.0)
-        with pytest.raises(DegenerateGeometry):
-            znt_phase_estimate(geom, SYN_E1, SYN_E2, 1.0, 0.0)
-
-    def test_rejects_bad_reduced_params(self):
-        geom, a_sq, b_sq = fit_parameters(SYN_E1, SYN_E2, (-3.0, 3.0))
-        with pytest.raises(ValueError):
-            znt_phase_estimate(geom, SYN_E1, SYN_E2, 0.0, b_sq)
-        with pytest.raises(ValueError):
-            znt_phase_estimate(geom, SYN_E1, SYN_E2, a_sq, -1.0)
