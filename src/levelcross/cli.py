@@ -1,10 +1,8 @@
 """Command-line front end.
 
 Subcommands: sweep, propagate, zeros, phase, ddp, znt, compare.
-An optional key=value config file (--config settings.cfg) supplies
-defaults for the chosen subcommand; flags given on the command line win.
-The keys it accepts are exactly that subcommand's long options other
-than --help, with '_' and '-' interchangeable; other keys are ignored.
+Every input is a command-line flag; main parses them once and runs the
+chosen subcommand.
 """
 
 from __future__ import annotations
@@ -34,44 +32,6 @@ from .znt import glancing_double_crossing, glancing_tunneling
 # --threshold's default is the library's, read from the signature at import: a
 # caller may later wrap the name with (*args, **kwargs), as levelbench's tracer does
 _THRESHOLD = inspect.signature(compare_methods).parameters["threshold"].default
-
-
-def _load_config(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip().replace("_", "-")] = value.strip()
-    return entries
-
-
-# takes --config PATH or --config=PATH (the last one wins) out of the command line
-_CONFIG_PARSER = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-_CONFIG_PARSER.add_argument("--config")
-
-
-def _merge_config(
-    argv: list[str], config: dict[str, str], subparsers: dict[str, argparse.ArgumentParser]
-) -> list[str]:
-    # config entries become leading flags so explicit flags override them;
-    # a key is accepted exactly when the chosen subcommand has that long flag
-    if not config or not argv or argv[0] not in subparsers:
-        return argv
-    allowed = {
-        opt[2:]
-        for opt in subparsers[argv[0]]._option_string_actions
-        if opt.startswith("--") and opt != "--help"
-    }
-    flags: list[str] = []
-    for key, value in config.items():
-        if key in allowed:
-            flags.extend((f"--{key}", value))
-    return [argv[0], *flags, *argv[1:]]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -164,9 +124,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name, built once per
-    process: parsing leaves them unchanged."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="levelcross",
         description="Transition probabilities for level-glancing and parabolic two-level models.",
@@ -230,22 +189,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--report", type=str, default=None)
     sp.set_defaults(func=_cmd_compare)
 
-    return parser, sub.choices
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
-    try:
-        found, stripped = _CONFIG_PARSER.parse_known_args(raw)
-        merged = _merge_config(stripped, _load_config(found.config) if found.config else {}, subparsers)
-    except argparse.ArgumentError:
-        print("error: --config requires a path", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(merged)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (LevelCrossError, ArithmeticError) as exc:  # ArithmeticError: a range error in the numerics

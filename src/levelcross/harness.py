@@ -188,9 +188,11 @@ def parse_sweep_csv(text: str) -> tuple[list[SweepRow], tuple[str, ...]]:
     if len(header) < 4 or header[0] != "N" or header[1] != "alpha" or header[-1] != "status":
         raise ValueError(f"malformed sweep header: {lines[0]!r}")
     methods = tuple(header[2:-1])
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method column {m!r}")
+        if m in methods[:i]:
+            raise ValueError(f"repeated method column {m!r}")
     rows = []
     for ln in lines[1:]:
         cells = ln.split(",")

@@ -205,16 +205,27 @@ class Parabolic:
 DiabaticModel = Union[Superparabolic, Parabolic]
 
 
+def _refuse_foreign(kind: str, **params) -> None:
+    for name, value in params.items():
+        if value is not None:
+            raise ValueError(f"{kind} model takes no {name}")
+
+
 def model_from_params(model: str, *, N=None, alpha=None, A=None, B=None, V0=None) -> DiabaticModel:
-    """Build a model from loosely-typed CLI/config values."""
+    """Build a model from loosely-typed CLI values.
+
+    A parameter the family does not take is refused.
+    """
     kind = str(model).strip().lower()
     if kind == "superparabolic":
+        _refuse_foreign(kind, A=A, B=B, V0=V0)
         if N is None or alpha is None:
             raise ValueError("superparabolic model requires N and alpha")
         # a string is parsed as a number; Superparabolic refuses a
         # non-integral N ("6.5", 2.5) rather than truncating it
         return Superparabolic(float(N) if isinstance(N, str) else N, float(alpha))
     if kind == "parabolic":
+        _refuse_foreign(kind, N=N, alpha=alpha)
         if A is None or V0 is None:
             raise ValueError("parabolic model requires A and V0")
         return Parabolic(float(A), 0.0 if B is None else float(B), float(V0))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import levelcross.cli as cli
 import levelcross.propagator as propagator
-from levelcross.cli import _build_parser, _merge_config, main
+from levelcross.cli import _build_parser, main
 from levelcross.ddp import ddp_probability
 from levelcross.harness import (
     SPACINGS,
@@ -139,6 +139,17 @@ class TestPropagate:
         rc = main(["propagate", "--model", "superparabolic", "--alpha", "1.0"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--N", "2", "--alpha", "1", "--A", "5"], "superparabolic model takes no A"),
+        (["--model", "parabolic", "--A", "1", "--B", "4", "--V0", "1", "--N", "2"],
+         "parabolic model takes no N"),
+    ], ids=["superparabolic-A", "parabolic-N"])
+    def test_foreign_model_param_refused(self, argv, error, capsys):
+        # a flag the model family does not take is bad input
+        rc = main(["propagate", *argv])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, "", f"error: {error}\n")
 
 
 class TestSmallCommands:
@@ -267,8 +278,7 @@ class TestSweepCommand:
 
     def test_workers_option_removed(self, tmp_path, capsys):
         # a sweep runs in this process and has no worker setting; the old flag
-        # is an unknown argument and the old config key is ignored like any
-        # foreign key
+        # is an unknown argument
         out = tmp_path / "s.csv"
         argv = ["sweep", "--N", "2", "--alpha-min", "0.5", "--alpha-max", "1.0",
                 "--points", "2", "--methods", "ddp", "--out", str(out)]
@@ -276,10 +286,6 @@ class TestSweepCommand:
             main([*argv, "--workers", "2"])
         assert exc.value.code == 2
         assert not out.exists()
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("workers = 2\n", encoding="ascii")
-        assert main([*argv, "--config", str(cfg)]) == 0
-        assert out.exists()
 
     def test_unallocatable_grid_exits_2(self, tmp_path, capsys):
         # numpy refuses the 7 TiB alpha grid before allocating any of it; the
@@ -343,6 +349,16 @@ class TestCompareCommand:
         rc = main(["compare", str(path)])
         assert rc == 1
         assert "MissingColumn" in capsys.readouterr().err
+
+    def test_repeated_method_column(self, sweep_csv, capsys):
+        # a header naming a method twice is bad input: no column is dropped
+        lines = sweep_csv.read_text(encoding="ascii").splitlines()
+        lines[0] = lines[0].replace(",ddp,", ",numeric,")
+        sweep_csv.write_text("\n".join(lines) + "\n", encoding="ascii")
+        rc = main(["compare", str(sweep_csv)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == "error: repeated method column 'numeric'\n"
 
     def test_end_to_end_with_numeric(self, tmp_path, capsys):
         out = tmp_path / "mini.csv"
@@ -503,7 +519,7 @@ def test_fuzzed_closed_form_arguments_exit_cleanly(argv):
     _assert_clean_exit(argv)
 
 
-# the config keys each subcommand accepts: its long flags other than --help
+# each subcommand's long flags other than --help
 _SETTINGS_KEYS = {"tail-tol"}
 _SUB_OPTIONS = {
     "sweep": {"N", "alpha-min", "alpha-max", "points", "spacing", "methods", "out"}
@@ -517,78 +533,31 @@ _SUB_OPTIONS = {
 }
 
 
-class TestConfigKeys:
-    def test_keys_are_the_long_flags(self):
-        _, subparsers = _build_parser()
-        assert set(subparsers) == set(_SUB_OPTIONS)
-        every = set().union(*_SUB_OPTIONS.values()) | {"help", "csv", "config", "unknown"}
-        config = {key: "v" for key in every}
-        for name, keys in _SUB_OPTIONS.items():
-            merged = _merge_config([name, "--x"], config, subparsers)
-            assert merged[0] == name and merged[-1] == "--x"
-            flags = merged[1:-1]
-            assert {f[2:] for f in flags[::2]} == keys
-            assert set(flags[1::2]) == {"v"}
-
-    def test_help_key_ignored(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("help = 1\nN = 2\nalpha = 1.0\n", encoding="ascii")
-        rc = main(["ddp", "--config", str(cfg)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "usage" not in out
-        assert float(_values(out)["P"]) == pytest.approx(ddp_probability(2, 1.0))
-
-    @pytest.mark.parametrize("name", sorted(_SUB_OPTIONS))
-    def test_subcommand_help(self, name, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([name, "--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        for key in _SUB_OPTIONS[name]:
-            assert f"--{key}" in out
+@pytest.mark.parametrize("name", sorted(_SUB_OPTIONS))
+def test_subcommand_help(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key in _SUB_OPTIONS[name]:
+        assert f"--{key}" in out
 
 
-class TestConfigFile:
-    def test_supplies_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("N = 2\nalpha = 1.0  # comment\n", encoding="ascii")
-        rc = main(["ddp", "--config", str(cfg)])
-        assert rc == 0
-        assert float(_values(capsys.readouterr().out)["P"]) == pytest.approx(
-            ddp_probability(2, 1.0)
-        )
-
-    def test_flags_override_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("N = 2\nalpha = 1.0\n", encoding="ascii")
-        rc = main(["ddp", "--config=" + str(cfg), "--alpha", "2.0"])
-        assert rc == 0
-        assert float(_values(capsys.readouterr().out)["P"]) == pytest.approx(
-            ddp_probability(2, 2.0)
-        )
-
-    def test_underscore_keys_and_foreign_keys_ignored(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("N = 2\nalpha = 1.0\nalpha_min = 0.1\npoints = 5\n", encoding="ascii")
-        rc = main(["ddp", "--config", str(cfg)])
-        assert rc == 0
-
-    def test_malformed_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("just a line\n", encoding="ascii")
-        rc = main(["ddp", "--config", str(cfg), "--N", "2", "--alpha", "1.0"])
-        assert rc == 2
-        assert "key=value" in capsys.readouterr().err
-
-    def test_missing_config_path(self, capsys):
-        rc = main(["ddp", "--N", "2", "--alpha", "1.0", "--config"])
-        assert rc == 2
-        assert "requires a path" in capsys.readouterr().err
-
-    def test_nonexistent_config_file(self, tmp_path, capsys):
-        rc = main(["ddp", "--N", "2", "--alpha", "1.0", "--config", str(tmp_path / "nope.cfg")])
-        assert rc == 2
+@pytest.mark.parametrize("argv, error", [
+    (["ddp", "--N", "2", "--alpha", "1", "--config", "{cfg}"], "unrecognized arguments: --config {cfg}"),
+    (["ddp", "--N", "2", "--alpha", "1", "--config={cfg}"], "unrecognized arguments: --config={cfg}"),
+    (["--config={cfg}", "ddp", "--N", "2", "--alpha", "1"], "unrecognized arguments: --config={cfg}"),
+    # ahead of the subcommand, argparse reads the file name as the subcommand
+    (["--config", "{cfg}", "ddp", "--N", "2", "--alpha", "1"], "invalid choice: '{cfg}'"),
+], ids=["after-flags", "after-flags-eq", "leading-eq", "leading"])
+def test_config_option_removed(tmp_path, argv, error):
+    # every input is a flag: --config is an unknown argument, refused by
+    # argparse with exit 2 before anything runs, even when the file exists
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 2\nalpha = 1.0\n", encoding="ascii")
+    rc, out, err = _run([arg.format(cfg=cfg) for arg in argv])
+    assert (rc, out) == (("exit", 2), "")
+    assert error.format(cfg=cfg) in err
 
 
 def _run(argv):
@@ -605,16 +574,17 @@ def _library_default(fn, name):
     return inspect.signature(fn).parameters[name].default
 
 
-def test_parser_defaults_are_the_library_defaults(tmp_path):
-    _, sub = _build_parser()
-    sweep = sub["sweep"].parse_args(["--N", "2", "--alpha-min", "1", "--alpha-max", "2",
-                                     "--points", "2", "--out", "s.csv"])
+def test_parser_defaults_are_the_library_defaults(tmp_path, capsys):
+    parser = _build_parser()
+    sweep = parser.parse_args(["sweep", "--N", "2", "--alpha-min", "1", "--alpha-max", "2",
+                               "--points", "2", "--out", "s.csv"])
     assert sweep.spacing == SweepConfig.spacing
     assert sweep.tail_tol == PropagatorSettings.tail_tol
-    spacing = next(a for a in sub["sweep"]._actions if a.dest == "spacing")
-    assert tuple(spacing.choices) == SPACINGS
-    assert sub["propagate"].parse_args([]).tail_tol == PropagatorSettings.tail_tol
-    assert sub["compare"].parse_args(["s.csv"]).threshold == _library_default(compare_methods, "threshold")
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert "{" + ",".join(SPACINGS) + "}" in capsys.readouterr().out
+    assert parser.parse_args(["propagate"]).tail_tol == PropagatorSettings.tail_tol
+    assert parser.parse_args(["compare", "s.csv"]).threshold == _library_default(compare_methods, "threshold")
     # without --samples a trace takes propagate_trace's own sample count: a header plus one line each
     trace = tmp_path / "trace.csv"
     rc, _, err = _run(["propagate", "--N", "2", "--alpha", "1", "--trace", str(trace)])
@@ -630,8 +600,7 @@ def test_parser_defaults_are_the_library_defaults(tmp_path):
 ])
 def test_samples_refused_with_or_without_trace(tmp_path, samples, rc, error):
     # a count the trace would refuse ends the command before any output,
-    # whether or not a trace is asked for, as a config file may set samples
-    # for every propagate call
+    # whether or not a trace is asked for
     trace = tmp_path / "trace.csv"
     for extra in ([], ["--trace", str(trace)]):
         got, out, err = _run(["propagate", "--N", "2", "--alpha", "1", "--samples", samples, *extra])
@@ -664,26 +633,25 @@ def test_parser_builds_with_wrapped_library_names(monkeypatch):
     monkeypatch.setattr(cli, "compare_methods", lambda *args, **kwargs: fn(*args, **kwargs))
     _build_parser.cache_clear()
     try:
-        _, sub = _build_parser()
-        assert sub["compare"].parse_args(["s.csv"]).threshold == _library_default(compare_methods, "threshold")
+        args = _build_parser().parse_args(["compare", "s.csv"])
+        assert args.threshold == _library_default(compare_methods, "threshold")
     finally:
         _build_parser.cache_clear()
 
 
-def test_cached_parser_behaves_as_fresh(tmp_path):
+def test_cached_parser_behaves_as_fresh():
     # main builds its parser once per process; a sequence of calls with
-    # different subcommands, a config file, flags overriding it and
-    # argparse errors gives what a fresh parser gives for each call
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("N = 6\nalpha = 0.7\ntail_tol = 1e-13\nk = 2\n", encoding="ascii")
+    # different subcommands, flags set in one call and left to their
+    # defaults in the next, and argparse errors gives what a fresh parser
+    # gives for each call
     calls = [
-        ["ddp", "--config", str(cfg)],
-        ["propagate", "--config", str(cfg), "--alpha", "0.5"],
-        ["phase", "--config", str(cfg)],
+        ["ddp", "--N", "6", "--alpha", "0.7"],
+        ["propagate", "--N", "6", "--alpha", "0.5", "--tail-tol", "1e-13"],
+        ["phase", "--N", "6", "--alpha", "0.7", "--k", "2"],
         ["ddp", "--N", "2", "--alpha", "1.0"],
-        ["znt", "--config", str(cfg), "--branch", "double"],
+        ["znt", "--N", "6", "--alpha", "0.7", "--branch", "double"],
         ["propagate", "--N", "2", "--alpha", "1.0"],
-        ["znt", "--config", str(cfg)],
+        ["znt", "--N", "6", "--alpha", "0.7"],
         ["ddp", "--N", "3", "--alpha", "1.0"],
         ["phase", "--N", "2", "--alpha", "1.0"],
     ]

@@ -385,6 +385,11 @@ class TestCsv:
             parse_sweep_csv("N,alpha,bogus,status\n2,1.0,0.5,ok\n")
         with pytest.raises(ValueError):
             parse_sweep_csv("N,alpha,ddp,status\n2,1.0,ok\n")
+        # a second column of one method would overwrite the first
+        with pytest.raises(ValueError, match="repeated method column 'numeric'"):
+            parse_sweep_csv("N,alpha,numeric,numeric,status\n2,1.0,0.5,0.25,ok\n")
+        with pytest.raises(ValueError, match="repeated method column 'ddp'"):
+            parse_sweep_csv("N,alpha,ddp,numeric,ddp,status\n2,1.0,0.5,0.25,0.5,ok\n")
 
 
 class TestPeaksAndNodes:

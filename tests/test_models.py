@@ -252,6 +252,18 @@ class TestModelFromParams:
         with pytest.raises(ValueError):
             model_from_params("parabolic", A=1.0)
 
+    @pytest.mark.parametrize("kind, params, name", [
+        ("superparabolic", {"N": 2, "alpha": 1.0, "A": 5.0}, "A"),
+        ("superparabolic", {"N": 2, "alpha": 1.0, "B": 0.0}, "B"),
+        ("superparabolic", {"N": 2, "alpha": 1.0, "V0": "1"}, "V0"),
+        ("parabolic", {"A": 1.0, "V0": 1.0, "N": 2}, "N"),
+        ("parabolic", {"A": 1.0, "B": 4.0, "V0": 1.0, "alpha": 1.0}, "alpha"),
+    ])
+    def test_foreign_parameter_refused(self, kind, params, name):
+        # a parameter the family does not take is an error, not silently dropped
+        with pytest.raises(ValueError, match=f"^{kind} model takes no {name}$"):
+            model_from_params(kind, **params)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             model_from_params("linear", N=2, alpha=1.0)
